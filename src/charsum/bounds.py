@@ -19,7 +19,7 @@ import numpy as np
 
 from .characters import (
     all_character_tables,
-    enumerate_characters,
+    character_at,
     induce_primitive,
     unit_group_basis,
 )
@@ -358,8 +358,7 @@ def hb_identity_records(cases: int = 50, seed: int = 0, x_max: int = 10**4,
                 basis = unit_group_basis(D)
                 if basis.phi > 1:
                     break
-            cs = list(enumerate_characters(basis))
-            chi = cs[1 + rng.below(len(cs) - 1)]
+            chi = character_at(basis, 1 + rng.below(basis.phi - 1))
             chi_q = induce_primitive(chi)
             l = 1 + rng.below(D)
             while math.gcd(l, D) != 1:
@@ -451,8 +450,7 @@ def recombination_records(cases: int = 20, seed: int = 0, d_max: int = 10**3,
         basis = unit_group_basis(D)
         if basis.phi <= 1:
             continue
-        cs = list(enumerate_characters(basis))
-        chi = cs[1 + rng.below(len(cs) - 1)]
+        chi = character_at(basis, 1 + rng.below(basis.phi - 1))
         l = 1 + rng.below(D)
         if math.gcd(l, D) != 1:
             continue
@@ -642,7 +640,7 @@ def restricted_report(D: int, x: int, seed: int = 0, max_nu: int = 8) -> list[Bo
     first non-principal character and squarefree nu | q1."""
     basis = unit_group_basis(D)
     require(basis.phi > 1, "D", "need a non-principal character")
-    chi = list(enumerate_characters(basis))[1]
+    chi = character_at(basis, 1)
     chi_q = induce_primitive(chi)
     q = chi_q.modulus
     rng = SplitMix64(seed)
@@ -672,7 +670,7 @@ def short_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[B
     for q in (541, 1009, 2003):
         D = q
         basis = unit_group_basis(q)
-        chi_q = list(enumerate_characters(basis))[1]
+        chi_q = character_at(basis, 1)
         d = 1
         n_cap = math.floor(q ** (7 / 12) / math.sqrt(d)) - 1
         N = rng.randint(max(2, n_cap // 2), n_cap)
@@ -711,7 +709,7 @@ def double_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[
     for q in (1009, 4001):
         D = q
         basis = unit_group_basis(q)
-        chi_q = list(enumerate_characters(basis))[1]
+        chi_q = character_at(basis, 1)
         # quartic-route window: N around q^(1/4)
         N = max(4, math.floor(q ** 0.25))
         U = N + rng.below(N - 1) + 1 if N > 1 else N

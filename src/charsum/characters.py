@@ -404,6 +404,17 @@ def enumerate_characters(basis: UnitGroupBasis):
         yield DirichletCharacter(basis, exps)
 
 
+def character_at(basis: UnitGroupBasis, index: int) -> DirichletCharacter:
+    """The character at position ``index`` of ``enumerate_characters(basis)``,
+    decoded in mixed radix over ``basis.orders`` (last coordinate fastest)."""
+    require(0 <= index < basis.phi, "chi-index", f"need 0 <= index < {basis.phi}")
+    exps = []
+    for m in reversed(basis.orders):
+        index, e = divmod(index, m)
+        exps.append(e)
+    return DirichletCharacter(basis, tuple(reversed(exps)))
+
+
 def conductor(chi: DirichletCharacter) -> FactoredInteger:
     """Smallest q | D such that chi is trivial on units congruent to 1 mod q."""
     grid = chi.basis.conductor_grid()

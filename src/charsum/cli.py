@@ -3,7 +3,8 @@
 Exit codes: 0 when every ASSERT check passes, 1 on any ASSERT failure,
 2 on usage or precondition errors.  Report files are written atomically
 and are byte-identical for a fixed (command, seed, block size), regardless
-of the parallelism width (CHARSUM_THREADS or --threads).
+of the parallelism width (CHARSUM_THREADS or --threads).  Sum values do not
+depend on the block size either; it reaches the bytes through the header.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bounds, reports
 from .bounds import BoundConfig
-from .characters import conductor, enumerate_characters, unit_group_basis
+from .characters import character_at, conductor, enumerate_characters, unit_group_basis
 from .integers import factor
 from .sums import restricted_sum, shifted_prime_sum
 from .util import PreconditionError, WorkBudgetError
@@ -27,9 +28,9 @@ log = logging.getLogger("charsum")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation settings.  The seed and block size fully
-    determine every sampled choice and reduction shape, so two runs with
-    the same RunConfig produce byte-identical report files."""
+    """Resolved invocation settings.  The seed determines every sampled
+    choice and the header records the block size, so two runs with the same
+    RunConfig produce byte-identical report files."""
 
     command: str
     bounds: BoundConfig
@@ -171,12 +172,9 @@ def _emit(records, config: RunConfig, extra_header: dict) -> int:
 
 def _nonprincipal(D: int, chi_index):
     basis = unit_group_basis(D)
-    cs = list(enumerate_characters(basis))
     if chi_index is not None:
-        if not 0 <= chi_index < len(cs):
-            raise PreconditionError("chi-index", f"need 0 <= index < {len(cs)}")
-        return [(chi_index, cs[chi_index])]
-    return [(i, c) for i, c in enumerate(cs) if not c.is_principal]
+        return [(chi_index, character_at(basis, chi_index))]
+    return [(i, c) for i, c in enumerate(enumerate_characters(basis)) if not c.is_principal]
 
 
 def _cmd_factor(args) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import require
+from .util import exact_sum, require
 
 _SMALL_PRIME_LIMIT = 10**6
 
@@ -348,8 +348,7 @@ class MangoldtTable:
 
     def total(self) -> float:
         """Chebyshev psi over the range, exactly rounded."""
-        vals = self.log_values()
-        return math.fsum(vals)
+        return exact_sum(self.log_values())
 
 
 def mangoldt_sieve(lo: int, hi: int, segment_size: int = 1 << 16) -> MangoldtTable:

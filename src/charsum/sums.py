@@ -2,10 +2,12 @@
 restricted variant, short and double character sums, Burgess moments, the
 congruence-solution census and the weighted-decomposition identity.
 
-All complex accumulation is exactly rounded (``math.fsum`` per component),
-so results are independent of block partitioning and thread count.
-Equality tolerances downstream scale with ``abs_term_sum``, the total mass,
-not with the (possibly heavily cancelled) value.
+Every evaluator reduces each block of terms straight into its own exact
+accumulator (``util.ComplexSum``: exponent-bucketed real part, imaginary
+part and absolute value) and merges the blocks; the merged sum is rounded
+once, so values are correctly rounded and independent of block size and
+thread count.  Equality tolerances downstream scale with ``abs_term_sum``,
+the total mass, not with the (possibly heavily cancelled) value.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from .integers import (
     omega,
 )
 from .util import (
+    ComplexSum,
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
     block_ranges,
     complex_fsum,
+    exact_sum,
     map_blocks,
     require,
     thread_width,
@@ -76,13 +80,14 @@ class SumValue:
         }
 
 
-def _collect(term_blocks: list[np.ndarray]) -> SumValue:
-    blocks = [np.asarray(b, dtype=np.complex128) for b in term_blocks if len(b)]
-    if not blocks:
-        return SumValue(0j, 0, 0.0)
-    flat = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    value = complex(math.fsum(flat.real), math.fsum(flat.imag))
-    return SumValue(value, int(flat.size), math.fsum(np.abs(flat)))
+def _collect(terms, ranges, threads) -> SumValue:
+    """Reduce the terms of every block range into its own accumulator on the
+    thread pool, then merge the blocks and round once."""
+    total = ComplexSum()
+    for part in map_blocks(lambda rng: ComplexSum().add(terms(rng)), ranges, thread_width(threads)):
+        total.merge(part)
+    value, mass = total.result()
+    return SumValue(value, total.count, mass)
 
 
 @lru_cache(maxsize=8)
@@ -184,8 +189,7 @@ def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int, *, threads=None, 
         idx = (n[a:b] - l) % D
         return lam[a:b] * table[idx]
 
-    parts = map_blocks(block, block_ranges(0, len(n), block_size), thread_width(threads))
-    return _collect(parts)
+    return _collect(block, block_ranges(0, len(n), block_size), threads)
 
 
 def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int, *, threads=None, block_size=None) -> SumValue:
@@ -205,8 +209,7 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int, *, thread
         mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
         return lam[a:b][mask] * table[(ns[mask] - l) % q]
 
-    parts = map_blocks(block, block_ranges(0, len(n), block_size), thread_width(threads))
-    return _collect(parts)
+    return _collect(block, block_ranges(0, len(n), block_size), threads)
 
 
 def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int, *, threads=None, block_size=None) -> SumValue:
@@ -223,8 +226,7 @@ def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: in
         ns = np.arange(a, b, dtype=np.int64)
         return table[(ns * d + shift) % q]
 
-    parts = map_blocks(block, block_ranges(M - N + 1, M + 1, block_size), thread_width(threads))
-    return _collect(parts)
+    return _collect(block, block_ranges(M - N + 1, M + 1, block_size), threads)
 
 
 def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int, *, threads=None, block_size=None) -> SumValue:
@@ -244,8 +246,7 @@ def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int, *, threads=None, 
         mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
         return table[(ns[mask] - eta) % q]
 
-    parts = map_blocks(block, block_ranges(lo, hi + 1, block_size), thread_width(threads))
-    return _collect(parts)
+    return _collect(block, block_ranges(lo, hi + 1, block_size), threads)
 
 
 def double_sum(
@@ -295,8 +296,7 @@ def double_sum(
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate(chunks)
 
-    parts = map_blocks(block, block_ranges(M + 1, 2 * M + 1, block_size), thread_width(threads))
-    return _collect(parts)
+    return _collect(block, block_ranges(M + 1, 2 * M + 1, block_size), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def burgess_moment_2r(chi_q: DirichletCharacter, Z: int, r: int) -> float:
     table = chi_q.value_table()
     idx = (np.arange(q, dtype=np.int64)[:, None] + np.arange(1, Z + 1, dtype=np.int64)[None, :]) % q
     windows = table[idx].sum(axis=1)
-    return math.fsum(np.abs(windows) ** (2 * r))
+    return exact_sum(np.abs(windows) ** (2 * r))
 
 
 def burgess_sextic(chi_q: DirichletCharacter, Z: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> float:
@@ -344,7 +344,7 @@ def burgess_sextic(chi_q: DirichletCharacter, Z: int, *, work_budget: int = DEFA
         args = num * inv[den] % q
         vals = np.where(ok, table[args], 0.0)
         inner_abs.append(abs(complex_fsum(vals)))
-    return math.fsum(inner_abs)
+    return exact_sum(inner_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +535,8 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
         sign = 1 if k % 2 == 1 else -1
         binom = math.comb(r, k)
         terms = coeff * farr
-        raw = complex_fsum(terms)
-        parts.append(
-            SumValue(sign * binom * raw, int(np.count_nonzero(terms)), binom * math.fsum(np.abs(terms)))
-        )
+        raw, mass = ComplexSum().add(terms).result()
+        parts.append(SumValue(sign * binom * raw, int(np.count_nonzero(terms)), binom * mass))
         labels.append(f"head depth {k} (weight {sign * binom})")
 
     tail = tail_w
@@ -547,22 +545,13 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
     tail = dirichlet_convolve(tail, lam_w)
     tail_terms = tail * farr
     tail_sign = 1 if r % 2 == 0 else -1
-    parts.append(
-        SumValue(
-            tail_sign * complex_fsum(tail_terms),
-            int(np.count_nonzero(tail_terms)),
-            math.fsum(np.abs(tail_terms)),
-        )
-    )
+    tail_sum, tail_mass = ComplexSum().add(tail_terms).result()
+    parts.append(SumValue(tail_sign * tail_sum, int(np.count_nonzero(tail_terms)), tail_mass))
     labels.append(f"tail (weight {tail_sign})")
 
-    lhs_terms = lam_w * farr
-    lhs = complex_fsum(lhs_terms)
-    total = complex(
-        math.fsum([p.value.real for p in parts]),
-        math.fsum([p.value.imag for p in parts]),
-    )
-    abs_mass = math.fsum([p.abs_term_sum for p in parts]) + math.fsum(np.abs(lhs_terms))
+    lhs, lhs_mass = ComplexSum().add(lam_w * farr).result()
+    total = complex_fsum([p.value for p in parts])
+    abs_mass = exact_sum([p.abs_term_sum for p in parts]) + lhs_mass
     return HBDecomposition(parts, labels, lhs, total, abs(total - lhs), abs_mass)
 
 
@@ -673,7 +662,7 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int, *, threads=Non
         part = restricted_sum(chi_q, nu, l, x, threads=threads)
         pieces.append(mu_nu * part.value)
         masses.append(part.abs_term_sum)
-    recombined = complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
+    recombined = complex_fsum(pieces)
 
     # terms with (n, q) > 1, evaluated against chi itself
     corr = 0j
@@ -681,12 +670,11 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int, *, threads=Non
         n, lam = _mangoldt_arrays(x)
         table = chi.value_table()
         mask = np.gcd(n, q) != 1
-        corr_terms = lam[mask] * table[(n[mask] - l) % D]
-        corr = complex_fsum(corr_terms)
-        masses.append(math.fsum(np.abs(corr_terms)))
+        corr, corr_mass = ComplexSum().add(lam[mask] * table[(n[mask] - l) % D]).result()
+        masses.append(corr_mass)
 
     residual = abs(lhs.value - (recombined + corr))
-    return MobiusRecombination(lhs, recombined, corr, residual, math.fsum(masses), nus)
+    return MobiusRecombination(lhs, recombined, corr, residual, exact_sum(masses), nus)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from charsum.characters import (
     CharacterValue,
     DirichletCharacter,
     all_character_tables,
+    character_at,
     character_from_json,
     character_weight_transform,
     conductor,
@@ -91,6 +92,17 @@ def test_enumerate_counts_and_distinctness():
     assert sum(1 for c in cs if not c.is_principal) == 3
     tables = [tuple(np.round(c.value_table(), 9)) for c in cs]
     assert len(set(tables)) == 4
+
+
+def test_character_at_matches_enumeration():
+    for D in range(1, 301):
+        basis = unit_group_basis(D)
+        for index, chi in enumerate(enumerate_characters(basis)):
+            assert character_at(basis, index) == chi
+        for bad in (-1, basis.phi):
+            with pytest.raises(PreconditionError) as exc:
+                character_at(basis, bad)
+            assert exc.value.name == "chi-index"
 
 
 def test_character_count_matches_phi_sampled():

@@ -164,6 +164,60 @@ def test_all_evaluators_partition_invariant():
         assert len(values) == 1, f"{name} depends on the block partition"
 
 
+def _reference(terms) -> tuple:
+    """math.fsum over the whole term array: value, abs_term_sum, term_count."""
+    t = np.asarray(terms, dtype=np.complex128)
+    value = complex(math.fsum(t.real), math.fsum(t.imag))
+    return value.real.hex(), value.imag.hex(), math.fsum(np.abs(t)).hex(), int(t.size)
+
+
+def _bits(got) -> tuple:
+    return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_size", [1, 17, 4096, None])
+def test_evaluators_equal_fsum_reference_exactly(block_size, threads):
+    """Every evaluator equals math.fsum over its concatenated term array,
+    bit for bit, whatever the block size and thread count."""
+    chi = [c for c in chars(63) if not c.is_principal][4]
+    chi_q = induce_primitive(chi)
+    q, D = chi_q.modulus, chi.modulus
+    opts = {"block_size": block_size, "threads": threads}
+
+    x, l = 3000, 5
+    lam = mangoldt_weights(x)
+    n = np.flatnonzero(lam)
+    want = _reference(lam[n] * chi.value_table()[(n - l) % D])
+    assert _bits(shifted_prime_sum(chi, l, x, **opts)) == want
+
+    nu = 4
+    sel = n[(np.gcd(n, q) == 1) & (n % nu == l % nu)]
+    want = _reference(lam[sel] * chi_q.value_table()[(sel - l) % q])
+    assert _bits(restricted_sum(chi_q, nu, l, x, **opts)) == want
+
+    M, N, d, k, eta = 900, 700, 3, 2, 5
+    ns = np.arange(M - N + 1, M + 1)
+    want = _reference(chi_q.value_table()[(ns * d + eta * k) % q])
+    assert _bits(short_sum(chi_q, M, N, d, k, eta, **opts)) == want
+
+    u, y = 1500.5, 700
+    ns = np.arange(math.floor(u - y) + 1, math.floor(u) + 1)
+    ns = ns[(np.gcd(ns, q) == 1) & (ns % nu == eta % nu)]
+    want = _reference(chi_q.value_table()[(ns - eta) % q])
+    assert _bits(sy_sum(chi_q, u, y, eta, nu, **opts)) == want
+
+    a_m, b_n = coeff_tau5_family(7), coeff_mobius
+    M, N, U, nu, x = 20, 25, 30, 2, 900
+    terms = []
+    for m in range(M + 1, 2 * M + 1):
+        for v in range(U + 1, min(x // m, 2 * N) + 1):
+            if math.gcd(m * v, q) == 1 and (m * v - l) % nu == 0 and a_m(m) and b_n(v):
+                terms.append(a_m(m) * float(b_n(v)) * chi_q.value_table()[(m * v - l) % q])
+    want = _reference(terms)
+    assert _bits(double_sum(chi_q, a_m, b_n, M, N, U, nu, l, x, **opts)) == want
+
+
 def test_sy_sum_examples():
     for chi in chars(15):
         assert sy_sum(chi, 10, 0.5, 1, 2).value == 0j  # empty window
