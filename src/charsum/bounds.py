@@ -263,11 +263,18 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
     )
 
 
-def census_records(inst: CongruenceInstance, delta: float = 1e-4) -> list[BoundCheckRecord]:
+def _tau_prefix_max(n: int) -> np.ndarray:
+    """max(tau(1..m)) at index m, for m = 0..max(n, 1)."""
+    return np.maximum.accumulate(divisor_count_sieve(max(n, 1)))
+
+
+def census_records(inst: CongruenceInstance, delta: float = 1e-4, tau_max=None) -> list[BoundCheckRecord]:
     """Two records per instance: the asserted explicit sub-bounds (worst
-    normalized quotient vs 1) and the monitored full K envelope."""
+    normalized quotient vs 1) and the monitored full K envelope.  tau_max,
+    the largest tau(m) over m < NY (1 when NY < 2), is sieved when not given."""
     NY = inst.N * inst.Y
-    tau_max = int(divisor_count_sieve(max(NY - 1, 1)).max()) if NY >= 2 else 1
+    if tau_max is None:
+        tau_max = int(_tau_prefix_max(NY - 1)[max(NY - 1, 1)])
     checks = (
         ("diagonal", inst.diagonal, NY),
         ("kappa1", inst.kappa1 * inst.d, 2 * inst.Y**2),
@@ -324,13 +331,20 @@ def random_census_instances(count: int, seed: int, q_max: int = 5000) -> list[tu
 
 def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
                   delta=1e-4, work_budget=10**9) -> list[BoundCheckRecord]:
-    """Census sub-bound assertions over explicit or seeded instances."""
+    """Census sub-bound assertions over explicit or seeded instances.
+
+    Every census runs (and checks its preconditions and budget) before the
+    one tau sieve that serves the whole batch."""
     if instances is None:
         instances = random_census_instances(random_count, seed, q_max)
+    timed = [
+        _timed(congruence_census, q, d, eta, k, M, N, Y, work_budget=work_budget)
+        for (q, d, eta, k, M, N, Y) in instances
+    ]
+    tau_max = _tau_prefix_max(max((inst.N * inst.Y - 1 for inst, _ in timed), default=1))
     records = []
-    for (q, d, eta, k, M, N, Y) in instances:
-        inst, ms = _timed(congruence_census, q, d, eta, k, M, N, Y, work_budget=work_budget)
-        recs = census_records(inst, delta)
+    for inst, ms in timed:
+        recs = census_records(inst, delta, int(tau_max[max(inst.N * inst.Y - 1, 1)]))
         for r in recs:
             r.runtime_ms = ms
         records.extend(recs)

@@ -492,7 +492,7 @@ def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
     weights = np.array([E // m for m in orders], dtype=np.int64)
     emat = np.where(basis.exponent_matrix() >= 0, basis.exponent_matrix(), 0)
     phases = (vecs * weights[None, :]) @ emat % E
-    tables = np.exp((2j * np.pi / E) * phases)
+    tables = np.exp((2j * np.pi / E) * np.arange(E))[phases]
     tables[:, ~basis.unit_mask()] = 0.0
     return tables
 

@@ -228,6 +228,37 @@ def args_threads(args):
     return getattr(args, "threads", None)
 
 
+INSTANCE_KEYS = ("q", "d", "eta", "k", "M", "N", "Y")
+
+
+def _read_instances(path: str) -> list[tuple]:
+    """Census parameter tuples from a JSONL file of INSTANCE_KEYS dicts;
+    every fault is a PreconditionError naming the file or 1-based line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError("instances", f"cannot read {path}: {exc}") from exc
+    instances = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{path} line {lineno}"
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise PreconditionError("instances", f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(d, dict):
+            raise PreconditionError("instances", f"{where}: need a JSON object")
+        for key in INSTANCE_KEYS:
+            if key not in d:
+                raise PreconditionError("instances", f"{where}: missing key {key!r}")
+            if type(d[key]) is not int:
+                raise PreconditionError("instances", f"{where}: {key!r} must be an integer, got {d[key]!r}")
+        instances.append(tuple(d[key] for key in INSTANCE_KEYS))
+    return instances
+
+
 def _cmd_verify(args) -> int:
     if args.subcommand == "identities":
         config = run_config(args, "verify identities")
@@ -252,14 +283,7 @@ def _cmd_verify(args) -> int:
     config = run_config(args, "verify lemma8")
     instances = None
     if args.instances:
-        instances = []
-        with open(args.instances, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d = json.loads(line)
-                instances.append((d["q"], d["d"], d["eta"], d["k"], d["M"], d["N"], d["Y"]))
+        instances = _read_instances(args.instances)
     elif args.random <= 0:
         raise PreconditionError("instances", "need --instances FILE or --random N > 0")
     records = bounds.lemma8_verify(

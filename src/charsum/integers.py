@@ -1,8 +1,9 @@
 """Exact integer substrate: factorization, multiplicative functions, the von
 Mangoldt sieve, smooth counting and modular inverses.
 
-Everything here is exact integer arithmetic.  Floating point enters only
-through ``MangoldtTable`` log values, which are derived on demand from the
+Everything here is exact integer arithmetic; the sieved tables of mu, tau
+and tau_r come from one vectorized least-prime-factor walk.  Floating point
+enters only through ``MangoldtTable`` log values, derived on demand from the
 stored (prime, exponent) pairs so the table itself stays exact.
 """
 
@@ -26,27 +27,24 @@ class NotInvertibleError(ValueError):
     """Requested modular inverse does not exist: gcd(a, m) > 1."""
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> np.ndarray:
-    sieve = np.ones(_SMALL_PRIME_LIMIT + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(_SMALL_PRIME_LIMIT) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
-
-
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending."""
-    if n <= _SMALL_PRIME_LIMIT:
-        table = _small_primes()
-        return table[table <= n]
+def _eratosthenes(n: int) -> np.ndarray:
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve)
+
+
+@lru_cache(maxsize=1)
+def _small_primes() -> np.ndarray:
+    return _eratosthenes(_SMALL_PRIME_LIMIT)
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n, ascending."""
+    table = _small_primes() if n <= _SMALL_PRIME_LIMIT else _eratosthenes(n)
+    return table[table <= n]
 
 
 def is_prime(n: int) -> bool:
@@ -143,8 +141,6 @@ def factor(n: int) -> FactoredInteger:
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
@@ -189,17 +185,10 @@ def tau_r(n: int, r: int) -> int:
 
 def divisors(f) -> list[int]:
     """All divisors, ascending (mixed-radix expansion over the exponents)."""
-    f = as_factored(f)
     divs = [1]
-    for p, a in f.factors:
-        pk = 1
-        block = []
-        for _ in range(a):
-            pk *= p
-            block.extend(d * pk for d in divs)
-        divs.extend(block)
-    divs.sort()
-    return divs
+    for p, a in as_factored(f).factors:
+        divs = [d * p**e for d in divs for e in range(a + 1)]
+    return sorted(divs)
 
 
 def truncated_mobius(n: int, u1: int) -> int:
@@ -258,61 +247,72 @@ def smooth_count(x: int, z: int, b=1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sieved tables
+# Sieved tables: one least-prime-factor walk (Gries & Misra 1978) for every
+# multiplicative f, and a gathered Dirichlet convolution for general arrays.
+
+_PAIR_CHUNK = 1 << 20  # dirichlet_convolve adds < _PAIR_CHUNK + x pairs per pass
+
+
+def _multiplicative(n: int, local, dtype) -> np.ndarray:
+    """f(0..n) for the multiplicative f with f(p^a) = local(a); f(0) = 0.
+
+    Each m >= 2 is p^a c, p its least prime factor and p not dividing c, so
+    f(m) = f(p^a) f(c).  m / p lies in an earlier octave [2^k, 2^(k+1)) and
+    gives the split of m, so one vectorized pass per octave fills a, c, f."""
+    if n < 1:
+        return np.zeros(n + 1, dtype=dtype)
+    m = np.arange(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    lpf = np.zeros_like(m)
+    for p in primes_up_to(math.isqrt(n))[::-1].tolist():
+        lpf[p * p :: p] = p  # descending, so the least prime factor writes last
+    np.copyto(lpf, m, where=lpf == 0)
+    head = np.array([local(e) for e in range(n.bit_length())], dtype=dtype)
+    a, c = np.zeros(n + 1, dtype=np.int8), np.ones_like(m)
+    out = (m == 1).astype(dtype)
+    for k in range(1, n.bit_length()):
+        octave = slice(1 << k, 2 << k)
+        p = lpf[octave]
+        rest = m[octave] // p
+        again = lpf[rest] == p
+        a[octave] = np.where(again, a[rest] + 1, 1)
+        c[octave] = np.where(again, c[rest], rest)
+        out[octave] = head[a[octave]] * out[c[octave]]
+    return out
 
 
 def mobius_sieve(n: int) -> np.ndarray:
-    """mu(0..n) as int8 (mu(0) set to 0), linear sieve."""
-    mu = np.zeros(n + 1, dtype=np.int8)
-    if n >= 1:
-        mu[1] = 1
-    primes: list[int] = []
-    is_comp = np.zeros(n + 1, dtype=bool)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > n:
-                break
-            is_comp[ip] = True
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
+    """mu(0..n) as int8 (mu(0) set to 0)."""
+    return _multiplicative(n, lambda a: (1, -1, 0)[min(a, 2)], np.int8)
 
 
 def divisor_count_sieve(n: int) -> np.ndarray:
     """tau(0..n) as int64 (tau(0) = 0)."""
-    tau = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        tau[d::d] += 1
-    return tau
-
-
-def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f * g)(n) = sum_{ab=n} f(a) g(b) for arrays indexed 0..x."""
-    x = len(f) - 1
-    out = np.zeros(x + 1, dtype=np.result_type(f, g))
-    for a in range(1, x + 1):
-        fa = f[a]
-        if fa == 0:
-            continue
-        top = x // a
-        out[a :: a] += fa * g[1 : top + 1]
-    return out
+    return _multiplicative(n, lambda a: a + 1, np.int64)
 
 
 def tau_r_sieve(x: int, r: int) -> np.ndarray:
-    """tau_r(0..x) as int64 via repeated convolution with the all-ones array."""
+    """tau_r(0..x) as int64 (tau_r(0) = 0) from tau_r(p^a) = C(a+r-1, r-1)."""
     require(r >= 2, "r", "need r >= 2")
-    ones = np.ones(x + 1, dtype=np.int64)
-    ones[0] = 0
-    out = ones.copy()
-    for _ in range(r - 1):
-        out = dirichlet_convolve(out, ones)
+    return _multiplicative(x, lambda a: math.comb(a + r - 1, r - 1), np.int64)
+
+
+def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f * g)(n) = sum_{ab=n} f(a) g(b) for arrays indexed 0..x.
+
+    Pairs with ab <= x and f(a) != 0 are gathered by ascending a, then b;
+    ``np.add.at`` adds them into out[ab] in that order, so each out[n] sums
+    by ascending a whatever the chunking, and integer sums stay exact."""
+    x = len(f) - 1
+    out = np.zeros(x + 1, dtype=np.result_type(f, g))
+    idx = np.int32 if x < 2**31 else np.int64
+    a = np.flatnonzero(f[1:] != 0).astype(idx) + 1
+    counts = x // a
+    # one pass per run of a whose cumulative pair counts share a multiple of _PAIR_CHUNK
+    cuts = np.flatnonzero(np.diff(np.cumsum(counts) // _PAIR_CHUNK)) + 1
+    for ca, cc in zip(np.split(a, cuts), np.split(counts, cuts)):
+        starts = np.repeat(np.cumsum(cc, dtype=idx) - cc, cc)
+        b = np.arange(1, starts.size + 1, dtype=idx) - starts
+        np.add.at(out, np.repeat(ca, cc) * b, np.repeat(f[ca], cc) * g[b])
     return out
 
 

@@ -9,9 +9,12 @@ agreement between the two routes is a meaningful check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from .characters import DirichletCharacter
-from .integers import factor
+from .integers import euler_phi, factor
 from .util import WorkBudgetError
 
 
@@ -182,3 +185,71 @@ def rho_divisor_count_oracle(q: int, d: int, Y: int) -> int:
 
 def coprime_count_oracle(q: int, U: int) -> int:
     return sum(1 for u in range(1, U + 1) if math.gcd(u, q) == 1)
+
+
+def mobius_sieve_oracle(n: int) -> np.ndarray:
+    """mu(0..n) as int8 (mu(0) = 0) by the linear sieve, one n at a time."""
+    mu = np.zeros(n + 1, dtype=np.int8)
+    if n >= 1:
+        mu[1] = 1
+    primes: list[int] = []
+    is_comp = np.zeros(n + 1, dtype=bool)
+    for i in range(2, n + 1):
+        if not is_comp[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            ip = i * p
+            if ip > n:
+                break
+            is_comp[ip] = True
+            if i % p == 0:
+                mu[ip] = 0
+                break
+            mu[ip] = -mu[i]
+    return mu
+
+
+def dirichlet_convolve_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f * g)(n) = sum_{ab=n} f(a) g(b), one a at a time in ascending order."""
+    x = len(f) - 1
+    out = np.zeros(x + 1, dtype=np.result_type(f, g))
+    for a in range(1, x + 1):
+        fa = f[a]
+        if fa == 0:
+            continue
+        top = x // a
+        out[a :: a] += fa * g[1 : top + 1]
+    return out
+
+
+def tau_r_sieve_oracle(x: int, r: int) -> np.ndarray:
+    """tau_r(0..x) as int64 by r - 1 convolutions with the all-ones array."""
+    ones = np.ones(x + 1, dtype=np.int64)
+    ones[0] = 0
+    out = ones.copy()
+    for _ in range(r - 1):
+        out = dirichlet_convolve_oracle(out, ones)
+    return out
+
+
+def coprime_count_sweep_oracle(q_max: int, u_max: int) -> tuple[int, Fraction]:
+    """One Fraction per (q, U) pair; same result as the row-wise sweep."""
+    checked = 0
+    worst = Fraction(0)
+    for q in range(1, q_max + 1):
+        f = factor(q)
+        phi = euler_phi(f)
+        bound = 2 ** len(f.factors)
+        count = 0
+        for U in range(1, u_max + 1):
+            if math.gcd(U, q) == 1:
+                count += 1
+            lhs_num = abs(q * count - phi * U)  # deviation * q
+            if lhs_num > bound * q:
+                raise AssertionError(f"deviation bound failed at q={q}, U={U}")
+            checked += 1
+            ratio = Fraction(lhs_num, bound * q)
+            if ratio > worst:
+                worst = ratio
+    return checked, worst

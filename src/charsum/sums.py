@@ -603,25 +603,25 @@ def coprime_count_sweep(q_max: int, u_max: int) -> tuple[int, Fraction]:
     """Exact-integer sweep of the deviation bound over the full grid.
 
     Returns (number of checked pairs, worst deviation/bound ratio).
-    Comparisons are integer cross-multiplications, no floats involved.
+    Each row q is one integer pass over U = 1..u_max: counts by cumulative
+    sum of gcd(U, q) == 1, deviations cross-multiplied by q, no floats
+    involved.  The denominator is fixed within a row, so the row's worst
+    ratio is one Fraction of its largest deviation.
     """
+    if u_max < 1:
+        return 0, Fraction(0)
+    U = np.arange(1, u_max + 1, dtype=np.int64)
     checked = 0
     worst = Fraction(0)
     for q in range(1, q_max + 1):
         f = factor(q)
-        phi = euler_phi(f)
         bound = 2 ** len(f.factors)
-        count = 0
-        for U in range(1, u_max + 1):
-            if math.gcd(U, q) == 1:
-                count += 1
-            lhs_num = abs(q * count - phi * U)  # deviation * q
-            if lhs_num > bound * q:
-                raise AssertionError(f"deviation bound failed at q={q}, U={U}")
-            checked += 1
-            ratio = Fraction(lhs_num, bound * q)
-            if ratio > worst:
-                worst = ratio
+        lhs_num = np.abs(q * np.cumsum(np.gcd(U, q) == 1) - euler_phi(f) * U)  # deviation * q
+        over = np.flatnonzero(lhs_num > bound * q)
+        if over.size:
+            raise AssertionError(f"deviation bound failed at q={q}, U={int(U[over[0]])}")
+        checked += U.size
+        worst = max(worst, Fraction(int(lhs_num.max()), bound * q))
     return checked, worst
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from charsum import bounds
 from charsum.bounds import (
     ASSERT,
     MONITOR,
@@ -32,7 +33,8 @@ from charsum.bounds import (
     theorem_rhs,
 )
 from charsum.characters import enumerate_characters, unit_group_basis
-from charsum.integers import divisors, factor, mobius, tau_r
+from charsum.integers import divisor_count_sieve, divisors, factor, mobius, tau_r
+from charsum.reports import render_records
 from charsum.sums import burgess_moment_2r, congruence_census, shifted_prime_sum
 from charsum.util import PreconditionError
 
@@ -157,6 +159,33 @@ def test_lemma8_verify_seeded_all_pass():
     asserts = [r for r in records if r.mode == ASSERT]
     assert len(asserts) == 40
     assert all(r.verdict == "pass" for r in asserts)
+
+
+def test_lemma8_batch_renders_like_single_instances():
+    instances = random_census_instances(30, 23, q_max=3000)
+    batch = lemma8_verify(instances)
+    single = [rec for inst in instances for rec in lemma8_verify([inst])]
+    assert render_records(batch) == render_records(single)
+    for (q, d, eta, k, M, N, Y), rec in zip(instances, batch[::2]):
+        assert rec.parameters["tau_max"] == int(divisor_count_sieve(N * Y - 1).max())
+
+
+def test_lemma8_rejects_bad_instance_before_any_tau_sieve(monkeypatch):
+    calls = []
+
+    def recording_sieve(n):
+        calls.append(n)
+        return divisor_count_sieve(n)
+
+    monkeypatch.setattr(bounds, "divisor_count_sieve", recording_sieve)
+    big = (200003, 1, 3, 5, 0, 300, 150)  # valid; its tau sieve runs to NY - 1
+    bad = (101, 2, 3, 5, 7, 5, 9)  # 2 does not divide 101
+    with pytest.raises(PreconditionError) as exc:
+        lemma8_verify([big, bad])
+    assert exc.value.name == "d|q"
+    assert calls == []
+    lemma8_verify([big])
+    assert calls == [300 * 150 - 1]
 
 
 def test_random_census_instances_satisfy_preconditions():

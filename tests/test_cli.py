@@ -103,6 +103,29 @@ def test_lemma8_instances_file(tmp_path):
     assert "CONGRUENCE_CENSUS" in out.stdout
 
 
+def test_lemma8_bad_instances_file_exits_2(tmp_path):
+    missing = tmp_path / "missing.jsonl"
+    out = run("verify", "lemma8", "--instances", str(missing))
+    assert out.returncode == 2
+    assert "instances" in out.stderr and "missing.jsonl" in out.stderr
+    assert "Traceback" not in out.stderr
+
+    good = {"q": 101, "d": 1, "eta": 3, "k": 5, "M": 7, "N": 5, "Y": 9}
+    no_d = tmp_path / "no_d.jsonl"
+    no_d.write_text(json.dumps(good) + "\n\n" + json.dumps({k: v for k, v in good.items() if k != "d"}) + "\n")
+    out = run("verify", "lemma8", "--instances", str(no_d))
+    assert out.returncode == 2
+    assert "line 3" in out.stderr and "'d'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+    for text in ("{not json\n", json.dumps(good | {"N": 5.0}) + "\n", json.dumps(good | {"M": "7"}) + "\n"):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        out = run("verify", "lemma8", "--instances", str(bad))
+        assert out.returncode == 2
+        assert "line 1" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_lemma8_requires_source():
     out = run("verify", "lemma8")
     assert out.returncode == 2

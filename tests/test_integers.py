@@ -1,13 +1,18 @@
 """Integer substrate tests; expected values frozen from independent oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from charsum import integers, oracles
 from charsum.integers import (
     FactoredInteger,
     NotInvertibleError,
+    dirichlet_convolve,
     divisor_count_sieve,
     divisors,
     euler_phi,
@@ -283,3 +288,51 @@ def test_sieved_tables_match_pointwise_definitions():
         assert int(mu[n]) == mobius(f)
         assert int(tau[n]) == tau_r(n, 2)
         assert int(t3[n]) == tau_r(n, 3)
+
+
+def same_array(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5000), st.integers(2, 6))
+@example(0, 2)
+@example(1, 3)
+@example(2, 6)
+def test_sieves_match_loop_oracles(n, r):
+    assert same_array(mobius_sieve(n), oracles.mobius_sieve_oracle(n))
+    assert same_array(divisor_count_sieve(n), oracles.tau_r_sieve_oracle(n, 2))
+    assert same_array(tau_r_sieve(n, r), oracles.tau_r_sieve_oracle(n, r))
+
+
+small_floats = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def convolution_pairs(draw):
+    """(f, g) of equal length: float64 with zeros and negatives (f sometimes
+    all zero), int64, or the int8 by float64 mix the decomposition uses."""
+    size = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["float", "int", "mixed"]))
+    ints = st.lists(st.integers(-50, 50), min_size=size, max_size=size)
+    floats = st.lists(small_floats, min_size=size, max_size=size)
+    if kind == "int":
+        return np.array(draw(ints), dtype=np.int64), np.array(draw(ints), dtype=np.int64)
+    g = np.array(draw(floats), dtype=np.float64)
+    if kind == "mixed":
+        return np.array(draw(ints), dtype=np.int64).clip(-1, 1).astype(np.int8), g
+    f = np.array(draw(floats), dtype=np.float64)
+    if draw(st.booleans()):
+        f[:] = 0.0
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(convolution_pairs(), st.sampled_from([1, 2, 7, 64, integers._PAIR_CHUNK]))
+def test_dirichlet_convolve_matches_loop_oracle_bytes(fg, chunk):
+    f, g = fg
+    want = oracles.dirichlet_convolve_oracle(f, g)
+    with mock.patch.object(integers, "_PAIR_CHUNK", chunk):
+        got = dirichlet_convolve(f, g)
+    assert got.dtype == want.dtype == np.result_type(f, g)
+    assert got.tobytes() == want.tobytes()

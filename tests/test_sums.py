@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charsum.characters import (
     enumerate_characters,
@@ -15,7 +17,7 @@ from charsum.characters import (
     unit_group_basis,
 )
 from charsum.integers import divisor_count_sieve, euler_phi, factor
-from charsum import oracles
+from charsum import oracles, sums
 from charsum.sums import (
     CongruenceInstance,
     SumSpec,
@@ -485,6 +487,30 @@ def test_coprime_count_sweep_small():
     checked, worst = coprime_count_sweep(60, 60)
     assert checked == 60 * 60
     assert worst <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 60))
+@example(0, 0)
+@example(0, 60)
+@example(60, 0)
+def test_coprime_count_sweep_matches_loop_oracle(q_max, u_max):
+    got = coprime_count_sweep(q_max, u_max)
+    want = oracles.coprime_count_sweep_oracle(q_max, u_max)
+    assert got == want
+    assert type(got[0]) is int and type(got[1]) is Fraction
+
+
+def test_coprime_count_sweep_names_first_failing_pair(monkeypatch):
+    # an overstated phi makes the deviation grow with U until the bound fails
+    wrong_phi = lambda f: euler_phi(f) + 1  # noqa: E731
+    monkeypatch.setattr(sums, "euler_phi", wrong_phi)
+    monkeypatch.setattr(oracles, "euler_phi", wrong_phi)
+    with pytest.raises(AssertionError) as got:
+        coprime_count_sweep(5, 60)
+    with pytest.raises(AssertionError) as want:
+        oracles.coprime_count_sweep_oracle(5, 60)
+    assert str(got.value) == str(want.value) == "deviation bound failed at q=1, U=2"
 
 
 # ---------------------------------------------------------------------------
