@@ -52,7 +52,6 @@ from .util import (
     WorkBudgetError,
     map_blocks,
     require,
-    thread_width,
 )
 
 log = logging.getLogger("charsum")
@@ -66,23 +65,18 @@ class BoundConfig:
     """Tunable constants shared by the checks.
 
     ``delta`` is the small fixed exponent perturbation (<= 1e-4 in the
-    source statements); ``epsilon`` the exponent margin in x >= D^(5/6+eps);
-    ``c_omega`` and ``c_phi`` the absolute constants in the omega(q) and
-    phi(q)/2q envelopes; ``theta`` the dyadic window exponent used by the
-    bilinear-sum corollaries.
+    source statements); ``c_omega`` and ``c_phi`` the absolute constants in
+    the omega(q) and phi(q)/2q envelopes; ``theta`` the dyadic window
+    exponent used by the bilinear-sum corollaries.
     """
 
     delta: float = 1e-4
-    epsilon: float = 0.05
     c_omega: float = 1.5
     c_phi: float = 1.0
     theta: float = 1.0 / 12.0
-    work_budget: int = 10**9
 
     def __post_init__(self):
         require(0 < self.delta <= 1, "delta", "need 0 < delta <= 1")
-        require(0 < self.epsilon < 1 / 6, "epsilon", "need 0 < epsilon < 1/6")
-        require(self.work_budget > 0, "work_budget", "must be positive")
 
 
 @dataclass
@@ -418,16 +412,14 @@ def gauss_modulus_records(max_q: int = 200) -> list[BoundCheckRecord]:
     worst_q = 1
     count = 0
     t0 = time.perf_counter_ns()
-    phases_cache = {}
     for q in range(1, max_q + 1):
         basis = unit_group_basis(q)
         tables = all_character_tables(basis)
         prim = basis.conductor_grid().reshape(-1) == q
         if not prim.any():
             continue
-        if q not in phases_cache:
-            phases_cache[q] = np.exp((2j * np.pi / q) * np.arange(q))
-        taus = (tables[prim] * phases_cache[q][None, :]).sum(axis=1)
+        phases = np.exp((2j * np.pi / q) * np.arange(q))
+        taus = (tables[prim] * phases[None, :]).sum(axis=1)
         devs = np.abs(np.abs(taus) ** 2 - q) / q
         count += int(prim.sum())
         dev = float(devs.max())
@@ -505,7 +497,7 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 # Monitored reports
 
 
-def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *, threads=None,
+def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
                    work_budget: int = 10**9) -> list[BoundCheckRecord]:
     """For each modulus: exact max of |T(chi, l)| over non-principal
     characters (all of them at once via the unit-group transform) and over a
@@ -565,7 +557,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *, threads=None
             lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms,
         )
 
-    results = map_blocks(one, list(D_list), thread_width(threads))
+    results = map_blocks(one, list(D_list))
     return [r for r in results if r is not None]
 
 

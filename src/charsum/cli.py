@@ -2,9 +2,8 @@
 
 Exit codes: 0 when every ASSERT check passes, 1 on any ASSERT failure,
 2 on usage or precondition errors.  Report files are written atomically
-and are byte-identical for a fixed (command, seed, block size), regardless
-of the parallelism width (CHARSUM_THREADS or --threads).  Sum values do not
-depend on the block size either; it reaches the bytes through the header.
+and are byte-identical for a fixed (command, seed), whatever the number of
+CPUs ``report theorem`` spreads its moduli over.
 """
 
 from __future__ import annotations
@@ -29,24 +28,20 @@ log = logging.getLogger("charsum")
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved invocation settings.  The seed determines every sampled
-    choice and the header records the block size, so two runs with the same
-    RunConfig produce byte-identical report files."""
+    choice, so two runs with the same RunConfig produce byte-identical
+    report files."""
 
     command: str
     bounds: BoundConfig
     seed: int
-    block_size: int | None
     output_path: str | None
     format: str
-    threads: int | None
     timings: bool
 
     def header(self) -> dict:
-        # thread width deliberately excluded: it must not influence output
         return {
             "command": self.command,
             "seed": self.seed,
-            "block_size": self.block_size,
             "format": self.format,
             "delta": self.bounds.delta,
         }
@@ -57,10 +52,8 @@ def run_config(args, command: str) -> RunConfig:
         command=command,
         bounds=BoundConfig(delta=getattr(args, "delta", 1e-4)),
         seed=getattr(args, "seed", 0),
-        block_size=getattr(args, "block_size", None),
         output_path=getattr(args, "output", None),
         format=getattr(args, "format", "jsonl"),
-        threads=getattr(args, "threads", None),
         timings=bool(getattr(args, "timings", False)),
     )
 
@@ -69,9 +62,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="report file path (default: stdout)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallelism width (default: CHARSUM_THREADS or 1)")
-    p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include measured runtimes (breaks byte-identical reruns)")
     p.add_argument("--delta", type=float, default=1e-4)
@@ -207,7 +197,7 @@ def _cmd_chars(args) -> int:
 def _cmd_sum(args) -> int:
     if args.subcommand == "T":
         for i, chi in _nonprincipal(args.D, args.chi_index):
-            val = shifted_prime_sum(chi, args.l, args.x, threads=args_threads(args))
+            val = shifted_prime_sum(chi, args.l, args.x)
             print(
                 f"chi_index={i} exponents={list(chi.exponents)} "
                 f"T={val.value.real!r}{val.value.imag:+}j abs={abs(val.value)!r} "
@@ -215,17 +205,13 @@ def _cmd_sum(args) -> int:
             )
         return 0
     for i, chi in _nonprincipal(args.q, args.chi_index):
-        val = restricted_sum(chi, args.nu, args.l, args.x, threads=args_threads(args))
+        val = restricted_sum(chi, args.nu, args.l, args.x)
         print(
             f"chi_index={i} exponents={list(chi.exponents)} "
             f"T_nu={val.value.real!r}{val.value.imag:+}j abs={abs(val.value)!r} "
             f"terms={val.term_count}"
         )
     return 0
-
-
-def args_threads(args):
-    return getattr(args, "threads", None)
 
 
 INSTANCE_KEYS = ("q", "d", "eta", "k", "M", "N", "Y")
@@ -303,9 +289,7 @@ def _cmd_report(args) -> int:
         d_list = [args.D] if args.D is not None else [
             int(v) for v in args.D_list.split(",") if v != ""
         ]
-        records = bounds.theorem_report(
-            d_list, epsilon=args.eps, seed=config.seed, threads=config.threads
-        )
+        records = bounds.theorem_report(d_list, epsilon=args.eps, seed=config.seed)
         extra = {"D_list": d_list, "eps": args.eps}
     elif sub == "burgess":
         records = bounds.burgess_report(args.q_max, args.Z, args.r, config.bounds.delta)

@@ -2,12 +2,12 @@
 restricted variant, short and double character sums, Burgess moments, the
 congruence-solution census and the weighted-decomposition identity.
 
-Every evaluator reduces each block of terms straight into its own exact
-accumulator (``util.ComplexSum``: exponent-bucketed real part, imaginary
-part and absolute value) and merges the blocks; the merged sum is rounded
-once, so values are correctly rounded and independent of block size and
-thread count.  Equality tolerances downstream scale with ``abs_term_sum``,
-the total mass, not with the (possibly heavily cancelled) value.
+Every evaluator generates its terms in blocks of ``BLOCK`` indices, in
+order, and adds each block into one exact accumulator (``util.ComplexSum``:
+exponent-bucketed real part, imaginary part and absolute value) that is
+rounded once, so values are correctly rounded and independent of the block
+size.  Equality tolerances downstream scale with ``abs_term_sum``, the total
+mass, not with the (possibly heavily cancelled) value.
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ from .util import (
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
-    block_ranges,
     complex_fsum,
     exact_sum,
-    map_blocks,
     require,
-    thread_width,
 )
 
 LEMMA_TAGS = (
@@ -57,6 +54,9 @@ LEMMA_TAGS = (
 )
 
 DEFAULT_WORK_BUDGET = 10**9
+
+# indices per block of generated terms: bounds the temporaries of one block
+BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ class SumValue:
         }
 
 
-def _collect(terms, ranges, threads) -> SumValue:
-    """Reduce the terms of every block range into its own accumulator on the
-    thread pool, then merge the blocks and round once."""
+def _collect(terms, lo: int, hi: int) -> SumValue:
+    """Add ``terms(a, b)`` for consecutive blocks [a, b) of [lo, hi) into one
+    accumulator and round once."""
     total = ComplexSum()
-    for part in map_blocks(lambda rng: ComplexSum().add(terms(rng)), ranges, thread_width(threads)):
-        total.merge(part)
+    for a in range(lo, hi, BLOCK):
+        total.add(terms(a, min(a + BLOCK, hi)))
     value, mass = total.result()
     return SumValue(value, total.count, mass)
 
@@ -175,7 +175,7 @@ class SumSpec:
 # Main evaluators
 
 
-def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int, *, threads=None, block_size=None) -> SumValue:
+def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int) -> SumValue:
     """Sum of Lambda(n) chi(n - l) over n <= x."""
     D = chi.modulus
     require(math.gcd(l, D) == 1, "l", f"need gcd(l, D) = 1, got gcd({l}, {D}) > 1")
@@ -184,15 +184,14 @@ def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int, *, threads=None, 
     n, lam = _mangoldt_arrays(x)
     table = chi.value_table()
 
-    def block(rng):
-        a, b = rng
+    def block(a, b):
         idx = (n[a:b] - l) % D
         return lam[a:b] * table[idx]
 
-    return _collect(block, block_ranges(0, len(n), block_size), threads)
+    return _collect(block, 0, len(n))
 
 
-def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int, *, threads=None, block_size=None) -> SumValue:
+def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumValue:
     """Sum of Lambda(n) chi_q(n - l) over n <= x with (n, q) = 1, n = l (mod nu)."""
     q = chi_q.modulus
     require(math.gcd(nu, q) == 1, "nu", f"need gcd(nu, q) = 1, got gcd({nu}, {q}) > 1")
@@ -203,16 +202,15 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int, *, thread
     table = chi_q.value_table()
     res = l % nu
 
-    def block(rng):
-        a, b = rng
+    def block(a, b):
         ns = n[a:b]
         mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
         return lam[a:b][mask] * table[(ns[mask] - l) % q]
 
-    return _collect(block, block_ranges(0, len(n), block_size), threads)
+    return _collect(block, 0, len(n))
 
 
-def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int, *, threads=None, block_size=None) -> SumValue:
+def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int) -> SumValue:
     """Sum of chi_q(n*d + eta*k) over the window M - N < n <= M."""
     q = chi_q.modulus
     require(math.gcd(eta, q) == 1, "eta", "need gcd(eta, q) = 1")
@@ -221,15 +219,14 @@ def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: in
     table = chi_q.value_table()
     shift = eta * k
 
-    def block(rng):
-        a, b = rng
+    def block(a, b):
         ns = np.arange(a, b, dtype=np.int64)
         return table[(ns * d + shift) % q]
 
-    return _collect(block, block_ranges(M - N + 1, M + 1, block_size), threads)
+    return _collect(block, M - N + 1, M + 1)
 
 
-def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int, *, threads=None, block_size=None) -> SumValue:
+def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int) -> SumValue:
     """Sum of chi_q(n - eta) over u - y < n <= u with (n, q) = 1, n = eta (mod nu)."""
     q = chi_q.modulus
     require(math.gcd(eta * nu, q) == 1, "eta*nu", "need gcd(eta*nu, q) = 1")
@@ -240,13 +237,12 @@ def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int, *, threads=None, 
     table = chi_q.value_table()
     res = eta % nu
 
-    def block(rng):
-        a, b = rng
+    def block(a, b):
         ns = np.arange(a, b, dtype=np.int64)
         mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
         return table[(ns[mask] - eta) % q]
 
-    return _collect(block, block_ranges(lo, hi + 1, block_size), threads)
+    return _collect(block, lo, hi + 1)
 
 
 def double_sum(
@@ -259,9 +255,6 @@ def double_sum(
     nu: int,
     l: int,
     x: int,
-    *,
-    threads=None,
-    block_size=None,
 ) -> SumValue:
     """Bilinear sum over M < m <= 2M, U < n <= min(x/m, 2N) of
     a_m b_n chi_q(mn - l), with (mn, q) = 1 and mn = l (mod nu)."""
@@ -273,8 +266,7 @@ def double_sum(
         b_n = coefficient_family(b_n)
     table = chi_q.value_table()
 
-    def block(rng):
-        m_lo, m_hi = rng
+    def block(m_lo, m_hi):
         chunks = []
         for m in range(m_lo, m_hi):
             if math.gcd(m, q) != 1:
@@ -296,7 +288,7 @@ def double_sum(
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate(chunks)
 
-    return _collect(block, block_ranges(M + 1, 2 * M + 1, block_size), threads)
+    return _collect(block, M + 1, 2 * M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +633,7 @@ class MobiusRecombination:
     nus: list[int]
 
 
-def mobius_recombination(chi: DirichletCharacter, l: int, x: int, *, threads=None) -> MobiusRecombination:
+def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecombination:
     """T(chi) equals sum over squarefree nu | q1 of mu(nu) T(chi_q, nu)
     plus the exactly-computed contribution of terms with (n, q) > 1."""
     D = chi.modulus
@@ -652,14 +644,14 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int, *, threads=Non
     q1_primes = [p for p in as_factored(D).primes if q % p != 0]
     q1 = math.prod(q1_primes) if q1_primes else 1
 
-    lhs = shifted_prime_sum(chi, l, x, threads=threads)
+    lhs = shifted_prime_sum(chi, l, x)
 
     pieces = []
     masses = [lhs.abs_term_sum]
     nus = divisors(factor(q1))
     for nu in nus:
         mu_nu = mobius(factor(nu))
-        part = restricted_sum(chi_q, nu, l, x, threads=threads)
+        part = restricted_sum(chi_q, nu, l, x)
         pieces.append(mu_nu * part.value)
         masses.append(part.abs_term_sum)
     recombined = complex_fsum(pieces)
@@ -681,23 +673,23 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int, *, threads=Non
 # Declarative dispatch
 
 
-def evaluate_spec(spec: SumSpec, *, threads=None) -> SumValue:
+def evaluate_spec(spec: SumSpec) -> SumValue:
     """Evaluate a declarative SumSpec; scalar results are wrapped."""
     p = spec.parameters
     tag = spec.lemma_tag
     chi = spec.character
     if tag == "THEOREM_T":
-        return shifted_prime_sum(chi, p["l"], p["x"], threads=threads)
+        return shifted_prime_sum(chi, p["l"], p["x"])
     if tag == "T_RESTRICTED":
-        return restricted_sum(chi, p["nu"], p["l"], p["x"], threads=threads)
+        return restricted_sum(chi, p["nu"], p["l"], p["x"])
     if tag == "SHORT_S":
-        return short_sum(chi, p["M"], p["N"], p["d"], p["k"], p["eta"], threads=threads)
+        return short_sum(chi, p["M"], p["N"], p["d"], p["k"], p["eta"])
     if tag == "SHORT_SY":
-        return sy_sum(chi, p["u"], p["y"], p["eta"], p["nu"], threads=threads)
+        return sy_sum(chi, p["u"], p["y"], p["eta"], p["nu"])
     if tag == "DOUBLE_W":
         return double_sum(
             chi, p.get("a_m", "one"), p.get("b_n", "one"),
-            p["M"], p["N"], p["U"], p["nu"], p["l"], p["x"], threads=threads,
+            p["M"], p["N"], p["U"], p["nu"], p["l"], p["x"],
         )
     if tag == "BURGESS_2R":
         v = burgess_moment_2r(chi, p["Z"], p["r"])

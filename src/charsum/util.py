@@ -1,13 +1,14 @@
 """Shared plumbing: named preconditions, a deterministic RNG, exactly rounded
-summation and the blocked thread-pool helper used by the evaluators.
+summation and the thread pool that ``bounds.theorem_report`` runs its moduli
+on.
 
 Summation policy: every sum that feeds an equality check goes through one
 exact accumulator, ``ExactSum``.  It bins the float64 terms by binary
 exponent into buckets whose float64 sums stay exact, moves the buckets into a
 Python integer before they could round, and rounds that integer once at the
 end.  The result is the correctly rounded sum, equal to ``math.fsum`` of the
-same terms, so it does not depend on term order, block size or thread count.
-Partial sums of separate blocks merge exactly, in any order.
+same terms, so it does not depend on term order or on how the terms are split
+across ``add`` calls.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-
-DEFAULT_BLOCK_SIZE = 1 << 14
 
 
 class PreconditionError(ValueError):
@@ -95,35 +94,23 @@ class SplitMix64:
         return out
 
 
-def thread_width(override: int | None = None) -> int:
-    """Parallelism width: explicit override, else CHARSUM_THREADS, else 1."""
-    if override is not None and override > 0:
-        return int(override)
-    raw = os.environ.get("CHARSUM_THREADS", "").strip()
-    if raw:
-        try:
-            width = int(raw)
-        except ValueError:
-            return 1
-        if width > 0:
-            return width
-    return 1
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def block_ranges(lo: int, hi: int, block_size: int | None = None) -> list[tuple[int, int]]:
-    """Split the half-open range [lo, hi) into consecutive blocks."""
-    size = block_size or DEFAULT_BLOCK_SIZE
-    require(size > 0, "block_size", "must be positive")
-    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
-
-
-def map_blocks(fn, blocks, threads: int = 1) -> list:
-    """Apply ``fn`` to every block; results come back in block order
-    regardless of scheduling, so downstream reductions are reproducible."""
-    if threads <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, blocks))
+def map_blocks(fn, items) -> list:
+    """Apply ``fn`` to every item on min(len(items), usable CPUs) threads;
+    results come back in item order regardless of scheduling."""
+    width = min(len(items), usable_cpus())
+    if width <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, items))
 
 
 # np.frexp writes a finite nonzero x as m * 2**e with 0.5 <= |m| < 1 and
@@ -147,16 +134,15 @@ SMALL_SUM = 1024
 
 
 class ExactSum:
-    """Exactly rounded, mergeable sum of float64 values in ``lanes``
-    independent lanes (a small superaccumulator, Neal 2015).
+    """Exactly rounded sum of float64 values in ``lanes`` independent lanes
+    (a small superaccumulator, Neal 2015).
 
     ``add`` bins every term by its binary exponent, as a 26-bit integer part
     and a 27-bit fraction part, with ``np.bincount``.  The float64 buckets
     stay exact until FLUSH_TERMS terms have arrived; before that they are
     moved into one Python int per lane.  ``values`` rounds each int once with
     int / int true division, which is correctly rounded, so every lane equals
-    ``math.fsum`` of its terms.  ``merge`` adds another accumulator's buckets,
-    so blocks can be reduced anywhere and combined in any order.
+    ``math.fsum`` of its terms, however they were split across ``add`` calls.
 
     inf and nan follow ``math.fsum``: nan wins, and inf + -inf raises
     ValueError.  A finite sum that overflows raises OverflowError, as fsum
@@ -217,18 +203,6 @@ class ExactSum:
             self._exact[lane] = total
         self._buckets[:] = 0.0
         self._pending = 0
-
-    def merge(self, other: "ExactSum") -> "ExactSum":
-        """Add the terms of ``other`` (same lane count); exact in any order."""
-        require(other.lanes == self.lanes, "lanes", "accumulators must have the same lanes")
-        if self._pending + other._pending > FLUSH_TERMS:
-            self._flush()
-        self._buckets += other._buckets
-        self._pending += other._pending
-        self._exact = [a + b for a, b in zip(self._exact, other._exact)]
-        self._special |= other._special
-        self.count += other.count
-        return self
 
     def values(self) -> list[float]:
         """The correctly rounded sum of every lane."""

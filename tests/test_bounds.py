@@ -278,10 +278,8 @@ def test_make_record_ratio_and_verdicts():
 def test_bound_config_validation():
     with pytest.raises(PreconditionError):
         BoundConfig(delta=0.0)
-    with pytest.raises(PreconditionError):
-        BoundConfig(epsilon=0.5)
     cfg = BoundConfig()
-    assert cfg.delta == 1e-4 and cfg.epsilon == 0.05
+    assert cfg.delta == 1e-4
     assert cfg.c_omega == 1.5 and cfg.c_phi == 1.0
 
 

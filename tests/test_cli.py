@@ -84,13 +84,6 @@ def test_lemma8_random_byte_identical(tmp_path):
     out2 = run("verify", "lemma8", "--random", "25", "--seed", "7", "--output", str(b))
     assert out1.returncode == 0 and out2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
-    c = tmp_path / "c.jsonl"
-    out3 = run(
-        "verify", "lemma8", "--random", "25", "--seed", "7", "--output", str(c),
-        env_extra={"CHARSUM_THREADS": "8"},
-    )
-    assert out3.returncode == 0
-    assert a.read_bytes() == c.read_bytes()
 
 
 def test_lemma8_instances_file(tmp_path):

@@ -85,14 +85,6 @@ def test_shifted_prime_sum_rejects_noncoprime_shift():
         shifted_prime_sum(chi, 5, 100)
 
 
-def test_shifted_prime_sum_block_and_thread_invariance():
-    chi = [c for c in chars(45) if not c.is_principal][2]
-    base = shifted_prime_sum(chi, 2, 5000)
-    for bs in (7, 64, 1 << 20):
-        assert shifted_prime_sum(chi, 2, 5000, block_size=bs).value == base.value
-    assert shifted_prime_sum(chi, 2, 5000, threads=4, block_size=17).value == base.value
-
-
 # ---------------------------------------------------------------------------
 # restricted_sum
 
@@ -147,25 +139,6 @@ def test_short_sum_full_period_vanishes_with_coprime_step():
         assert abs(got.value) < 1e-9 * 45
 
 
-def test_all_evaluators_partition_invariant():
-    # segmented evaluation must equal the monolithic one (here: exactly)
-    chi = [c for c in chars(45) if not c.is_principal][1]
-    chi_q = induce_primitive(chi)
-    runs = {}
-    for bs in (None, 11, 97, 1 << 18):
-        runs.setdefault("shifted", set()).add(shifted_prime_sum(chi, 2, 4000, block_size=bs).value)
-        runs.setdefault("restricted", set()).add(
-            restricted_sum(chi_q, 2, 1, 4000, block_size=bs).value
-        )
-        runs.setdefault("short", set()).add(short_sum(chi_q, 100, 2000, 3, 2, 1, block_size=bs).value)
-        runs.setdefault("sy", set()).add(sy_sum(chi_q, 3000, 2500, 1, 2, block_size=bs).value)
-        runs.setdefault("double", set()).add(
-            double_sum(chi_q, coeff_one, coeff_one, 30, 40, 50, 1, 1, 4000, block_size=bs).value
-        )
-    for name, values in runs.items():
-        assert len(values) == 1, f"{name} depends on the block partition"
-
-
 def _reference(terms) -> tuple:
     """math.fsum over the whole term array: value, abs_term_sum, term_count."""
     t = np.asarray(terms, dtype=np.complex128)
@@ -177,37 +150,37 @@ def _bits(got) -> tuple:
     return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("block_size", [1, 17, 4096, None])
-def test_evaluators_equal_fsum_reference_exactly(block_size, threads):
+@pytest.mark.parametrize("block", [1, 17, 4096, sums.BLOCK, 1 << 20])
+def test_evaluators_equal_fsum_reference_exactly(block, monkeypatch):
     """Every evaluator equals math.fsum over its concatenated term array,
-    bit for bit, whatever the block size and thread count."""
+    bit for bit, whatever the block size; 1 << 20 puts every term in one
+    block."""
+    monkeypatch.setattr(sums, "BLOCK", block)
     chi = [c for c in chars(63) if not c.is_principal][4]
     chi_q = induce_primitive(chi)
     q, D = chi_q.modulus, chi.modulus
-    opts = {"block_size": block_size, "threads": threads}
 
     x, l = 3000, 5
     lam = mangoldt_weights(x)
     n = np.flatnonzero(lam)
     want = _reference(lam[n] * chi.value_table()[(n - l) % D])
-    assert _bits(shifted_prime_sum(chi, l, x, **opts)) == want
+    assert _bits(shifted_prime_sum(chi, l, x)) == want
 
     nu = 4
     sel = n[(np.gcd(n, q) == 1) & (n % nu == l % nu)]
     want = _reference(lam[sel] * chi_q.value_table()[(sel - l) % q])
-    assert _bits(restricted_sum(chi_q, nu, l, x, **opts)) == want
+    assert _bits(restricted_sum(chi_q, nu, l, x)) == want
 
     M, N, d, k, eta = 900, 700, 3, 2, 5
     ns = np.arange(M - N + 1, M + 1)
     want = _reference(chi_q.value_table()[(ns * d + eta * k) % q])
-    assert _bits(short_sum(chi_q, M, N, d, k, eta, **opts)) == want
+    assert _bits(short_sum(chi_q, M, N, d, k, eta)) == want
 
     u, y = 1500.5, 700
     ns = np.arange(math.floor(u - y) + 1, math.floor(u) + 1)
     ns = ns[(np.gcd(ns, q) == 1) & (ns % nu == eta % nu)]
     want = _reference(chi_q.value_table()[(ns - eta) % q])
-    assert _bits(sy_sum(chi_q, u, y, eta, nu, **opts)) == want
+    assert _bits(sy_sum(chi_q, u, y, eta, nu)) == want
 
     a_m, b_n = coeff_tau5_family(7), coeff_mobius
     M, N, U, nu, x = 20, 25, 30, 2, 900
@@ -217,7 +190,7 @@ def test_evaluators_equal_fsum_reference_exactly(block_size, threads):
             if math.gcd(m * v, q) == 1 and (m * v - l) % nu == 0 and a_m(m) and b_n(v):
                 terms.append(a_m(m) * float(b_n(v)) * chi_q.value_table()[(m * v - l) % q])
     want = _reference(terms)
-    assert _bits(double_sum(chi_q, a_m, b_n, M, N, U, nu, l, x, **opts)) == want
+    assert _bits(double_sum(chi_q, a_m, b_n, M, N, U, nu, l, x)) == want
 
 
 def test_sy_sum_examples():

@@ -1,10 +1,12 @@
 """The exact accumulator against math.fsum on generated inputs (full exponent
-range, subnormals, cancellation, zeros, specials), merge-order and flush
-invariance, the one-shot helpers on both sides of the small-input cutoff,
-and SplitMix64.distinct."""
+range, subnormals, cancellation, zeros, specials), invariance under how the
+terms are split across ``add`` calls and under flushes, the one-shot helpers
+on both sides of the small-input cutoff, map_blocks, and
+SplitMix64.distinct."""
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -92,14 +94,14 @@ def test_exact_sum_extremes():
 
 
 @given(inputs, st.lists(st.integers(0, 60), max_size=6), st.randoms(use_true_random=False))
-def test_merge_in_any_order_and_partition(xs, cuts, rnd):
+def test_successive_adds_in_any_order_and_partition(xs, cuts, rnd):
     arr = np.array(xs, dtype=np.float64)
     edges = sorted({0, len(arr), *(c for c in cuts if c <= len(arr))})
-    parts = [ExactSum().add(arr[a:b]) for a, b in zip(edges, edges[1:])]
+    parts = [arr[a:b] for a, b in zip(edges, edges[1:])]
     rnd.shuffle(parts)
     total = ExactSum()
     for p in parts:
-        total.merge(p)
+        total.add(p)
     assert total.count == len(xs)
     check_like_fsum(xs, lambda: total.values()[0])
 
@@ -110,7 +112,7 @@ special = st.sampled_from([INF, -INF, math.nan])
 @given(st.lists(st.one_of(moderate, special), max_size=40), st.integers(0, 40))
 def test_specials_follow_fsum(xs, cut):
     halves = (np.array(xs[:cut], dtype=np.float64), np.array(xs[cut:], dtype=np.float64))
-    acc = ExactSum().add(halves[0]).merge(ExactSum().add(halves[1]))
+    acc = ExactSum().add(halves[0]).add(halves[1])
     try:
         want = math.fsum(xs)
     except ValueError:  # inf + -inf
@@ -126,30 +128,31 @@ def test_specials_in_one_lane_leave_the_others_exact():
     re, mid, bad = acc.values()
     assert re == INF and mid == math.fsum([0.1, 0.2, 0.3]) and math.isnan(bad)
     with pytest.raises(ValueError, match="inf"):
-        ExactSum().add([INF]).merge(ExactSum().add([-INF])).values()
+        ExactSum().add([INF]).add([-INF]).values()
 
 
 @settings(max_examples=60)
 @given(st.lists(finite, min_size=1, max_size=60), st.integers(1, 7), st.integers(1, 4))
 def test_flush_path_matches_fsum(xs, limit, pieces):
     """Past FLUSH_TERMS the float buckets move into the exact ints; lower the
-    limit so that a short input crosses it many times, in add and in merge."""
+    limit so that a short input crosses it many times, within one add and
+    between successive adds."""
     arr = np.array(xs, dtype=np.float64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(util, "FLUSH_TERMS", limit)
         one = ExactSum().add(arr)
-        merged = ExactSum()
+        split = ExactSum()
         for chunk in np.array_split(arr, pieces):
-            merged.merge(ExactSum().add(chunk))
-        assert one._pending <= limit and merged._pending <= limit
+            split.add(chunk)
+        assert one._pending <= limit and split._pending <= limit
         check_like_fsum(xs, lambda: one.values()[0])
-        check_like_fsum(xs, lambda: merged.values()[0])
+        check_like_fsum(xs, lambda: split.values()[0])
 
 
 @given(st.lists(st.tuples(moderate, moderate), max_size=40), st.integers(0, 40))
 def test_complex_sum_lanes(pairs, cut):
     z = np.array([complex(a, b) for a, b in pairs], dtype=np.complex128)
-    acc = ComplexSum().add(z[:cut]).merge(ComplexSum().add(z[cut:]))
+    acc = ComplexSum().add(z[:cut]).add(z[cut:])
     value, mass = acc.result()
     assert acc.count == len(z)
     assert same(value.real, math.fsum(z.real.tolist()))
@@ -170,6 +173,34 @@ def test_one_shot_helpers_both_paths(n):
             assert same(exact_sum(x), want)
             got = complex_fsum(z)
             assert same(got.real, want_z.real) and same(got.imag, want_z.imag)
+
+
+# ---------------------------------------------------------------------------
+# map_blocks
+
+
+@pytest.mark.parametrize("cpus, items, width", [(1, 5, 1), (4, 3, 3), (4, 9, 4), (2, 0, 0)])
+def test_map_blocks_order_and_width(cpus, items, width, monkeypatch):
+    """Results come back in item order; the pool is min(len(items), CPUs)
+    wide, and a width of at most 1 runs on the calling thread."""
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", pool)
+    assert util.map_blocks(lambda i: i * i, list(range(items))) == [i * i for i in range(items)]
+    assert pools == ([width] if width > 1 else [])
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(util.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 3)
+    assert util.usable_cpus() == 3
+    monkeypatch.setattr(util.os, "cpu_count", lambda: None)
+    assert util.usable_cpus() == 1
 
 
 # ---------------------------------------------------------------------------
