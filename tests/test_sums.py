@@ -17,7 +17,7 @@ from charsum.characters import (
     unit_group_basis,
 )
 from charsum.integers import divisor_count_sieve, euler_phi, factor
-from charsum import oracles, sums
+from charsum import oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
     SumSpec,
@@ -150,47 +150,61 @@ def _bits(got) -> tuple:
     return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
 
 
-@pytest.mark.parametrize("block", [1, 17, 4096, sums.BLOCK, 1 << 20])
-def test_evaluators_equal_fsum_reference_exactly(block, monkeypatch):
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("block", [1, 17, 4096, None, 1 << 20])
+def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
     """Every evaluator equals math.fsum over its concatenated term array,
-    bit for bit, whatever the block size; 1 << 20 puts every term in one
-    block."""
-    monkeypatch.setattr(sums, "BLOCK", block)
+    bit for bit, whatever the block size (None keeps the default; 1 << 20
+    puts every term in one block), also when ``width`` copies run at once
+    on util.map_blocks threads, as the evaluators do inside theorem_report."""
+    if block is not None:
+        monkeypatch.setattr(sums, "BLOCK", block)
+    monkeypatch.setattr(util, "usable_cpus", lambda: width)
     chi = [c for c in chars(63) if not c.is_principal][4]
     chi_q = induce_primitive(chi)
     q, D = chi_q.modulus, chi.modulus
+    want = []
 
     x, l = 3000, 5
     lam = mangoldt_weights(x)
     n = np.flatnonzero(lam)
-    want = _reference(lam[n] * chi.value_table()[(n - l) % D])
-    assert _bits(shifted_prime_sum(chi, l, x)) == want
+    want.append(_reference(lam[n] * chi.value_table()[(n - l) % D]))
 
     nu = 4
     sel = n[(np.gcd(n, q) == 1) & (n % nu == l % nu)]
-    want = _reference(lam[sel] * chi_q.value_table()[(sel - l) % q])
-    assert _bits(restricted_sum(chi_q, nu, l, x)) == want
+    want.append(_reference(lam[sel] * chi_q.value_table()[(sel - l) % q]))
 
     M, N, d, k, eta = 900, 700, 3, 2, 5
     ns = np.arange(M - N + 1, M + 1)
-    want = _reference(chi_q.value_table()[(ns * d + eta * k) % q])
-    assert _bits(short_sum(chi_q, M, N, d, k, eta)) == want
+    want.append(_reference(chi_q.value_table()[(ns * d + eta * k) % q]))
 
     u, y = 1500.5, 700
     ns = np.arange(math.floor(u - y) + 1, math.floor(u) + 1)
     ns = ns[(np.gcd(ns, q) == 1) & (ns % nu == eta % nu)]
-    want = _reference(chi_q.value_table()[(ns - eta) % q])
-    assert _bits(sy_sum(chi_q, u, y, eta, nu)) == want
+    want.append(_reference(chi_q.value_table()[(ns - eta) % q]))
 
     a_m, b_n = coeff_tau5_family(7), coeff_mobius
-    M, N, U, nu, x = 20, 25, 30, 2, 900
+    M2, N2, U, nu2, x2 = 20, 25, 30, 2, 900
     terms = []
-    for m in range(M + 1, 2 * M + 1):
-        for v in range(U + 1, min(x // m, 2 * N) + 1):
-            if math.gcd(m * v, q) == 1 and (m * v - l) % nu == 0 and a_m(m) and b_n(v):
+    for m in range(M2 + 1, 2 * M2 + 1):
+        for v in range(U + 1, min(x2 // m, 2 * N2) + 1):
+            if math.gcd(m * v, q) == 1 and (m * v - l) % nu2 == 0 and a_m(m) and b_n(v):
                 terms.append(a_m(m) * float(b_n(v)) * chi_q.value_table()[(m * v - l) % q])
-    want = _reference(terms)
-    assert _bits(double_sum(chi_q, a_m, b_n, M, N, U, nu, l, x)) == want
+    want.append(_reference(terms))
+
+    def evaluate(_):
+        return [
+            _bits(shifted_prime_sum(chi, l, x)),
+            _bits(restricted_sum(chi_q, nu, l, x)),
+            _bits(short_sum(chi_q, M, N, d, k, eta)),
+            _bits(sy_sum(chi_q, u, y, eta, nu)),
+            _bits(double_sum(chi_q, a_m, b_n, M2, N2, U, nu2, l, x2)),
+        ]
+
+    runs = util.map_blocks(evaluate, list(range(width)))
+    assert len(runs) == width
+    for got in runs:
+        assert got == want
 
 
 def test_sy_sum_examples():
