@@ -290,6 +290,9 @@ def _cmd_report(args) -> int:
             int(v) for v in args.D_list.split(",") if v != ""
         ]
         records = bounds.theorem_report(d_list, epsilon=args.eps, seed=config.seed)
+        if not records:
+            raise PreconditionError("D_list", f"every modulus in {d_list} was skipped, "
+                                    "so the report would be empty")
         extra = {"D_list": d_list, "eps": args.eps}
     elif sub == "burgess":
         records = bounds.burgess_report(args.q_max, args.Z, args.r, config.bounds.delta)

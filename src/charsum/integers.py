@@ -2,9 +2,12 @@
 Mangoldt sieve, smooth counting and modular inverses.
 
 Everything here is exact integer arithmetic; the sieved tables of mu, tau
-and tau_r come from one vectorized least-prime-factor walk.  Floating point
-enters only through ``MangoldtTable`` log values, derived on demand from the
-stored (prime, exponent) pairs so the table itself stays exact.
+and tau_r come from one vectorized least-prime-factor walk.  The von
+Mangoldt sieve streams one boolean segment at a time and keeps only the
+prime powers it finds, so its memory grows per prime power, not per
+integer.  Floating point enters only through ``MangoldtTable`` log values,
+derived on demand from the stored (n, prime, exponent) arrays so the table
+itself stays exact.
 """
 
 from __future__ import annotations
@@ -318,75 +321,80 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MangoldtTable:
-    """Von Mangoldt values on [lo, hi], stored exactly as (prime, exponent).
+    """Von Mangoldt values on [lo, hi], stored exactly as the prime powers.
 
-    ``prime[i]`` is p when lo+i = p^a (a = ``power[i]``), else 0.  Log values
-    are produced on demand so no rounding is baked into the table.
+    ``n`` lists the prime powers in the range, ascending, with n[i] =
+    prime[i] ** power[i]; every other integer in the range has Lambda = 0.
+    Log values are produced on demand so no rounding is baked into the table.
     """
 
     lo: int
     hi: int
+    n: np.ndarray
     prime: np.ndarray
     power: np.ndarray
 
     def value(self, n: int) -> float:
         require(self.lo <= n <= self.hi, "n", "outside the sieved range")
-        p = int(self.prime[n - self.lo])
-        return math.log(p) if p else 0.0
-
-    def log_values(self) -> np.ndarray:
-        """Lambda(n) for n in [lo, hi] as float64 (0 where not a prime power)."""
-        out = np.zeros(len(self.prime), dtype=np.float64)
-        mask = self.prime > 0
-        out[mask] = np.log(self.prime[mask].astype(np.float64))
-        return out
+        i = int(np.searchsorted(self.n, n))
+        return math.log(int(self.prime[i])) if i < self.n.size and self.n[i] == n else 0.0
 
     def prime_power_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, p, a) arrays over the prime powers in the range, ascending n."""
-        idx = np.flatnonzero(self.prime)
-        return idx + self.lo, self.prime[idx], self.power[idx].astype(np.int64)
+        return self.n, self.prime, self.power
 
     def total(self) -> float:
         """Chebyshev psi over the range, exactly rounded."""
-        return exact_sum(self.log_values())
+        return exact_sum(np.log(self.prime.astype(np.float64)))
 
 
-def mangoldt_sieve(lo: int, hi: int, segment_size: int = 1 << 16) -> MangoldtTable:
-    """Segmented sieve of Lambda over [lo, hi]; the output is independent of
-    the segmentation, so segments may be produced concurrently."""
+def mangoldt_sieve(lo: int, hi: int, segment_size: int = 1 << 20) -> MangoldtTable:
+    """Segmented sieve of Lambda over [lo, hi] (Bays & Hudson 1977).
+
+    The odd integers of the range are sieved ``segment_size`` at a time, one
+    byte each, by the odd primes up to sqrt(hi), and each segment keeps only
+    the primes it leaves.  The powers p^k, k >= 2, of the primes up to
+    sqrt(hi) are merged in once at the end.  Memory is one segment plus
+    about 17 bytes per prime power, and the table does not depend on the
+    segmentation."""
     require(1 <= lo, "lo", "need lo >= 1")
     require(lo <= hi, "hi", f"need lo <= hi, got [{lo}, {hi}]")
     require(hi < 2**40, "hi", "range capped at 2^40")
-    size = hi - lo + 1
-    prime = np.zeros(size, dtype=np.int64)
-    power = np.zeros(size, dtype=np.int16)
-    base = [int(p) for p in primes_up_to(math.isqrt(hi))]
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        _sieve_segment(seg_lo, seg_hi, base, prime, power, lo)
-    return MangoldtTable(lo, hi, prime, power)
-
-
-def _sieve_segment(seg_lo, seg_hi, base_primes, prime, power, table_lo):
-    n = seg_hi - seg_lo + 1
-    composite = np.zeros(n, dtype=bool)
-    off = seg_lo - table_lo
-    for p in base_primes:
-        start = max(p * p, ((seg_lo + p - 1) // p) * p)
-        if start <= seg_hi:
-            composite[start - seg_lo :: p] = True
-        # all powers of p inside the segment, including p itself
-        pk, a = p, 1
-        while pk <= seg_hi:
-            if pk >= seg_lo:
-                prime[off + pk - seg_lo] = p
-                power[off + pk - seg_lo] = a
-            pk *= p
-            a += 1
-    # what survives the composite marks and is >= 2 is a prime > sqrt(hi)
-    idx = np.flatnonzero(~composite)
-    vals = idx + seg_lo
-    fresh = (vals >= 2) & (prime[off + idx] == 0)
-    sel = idx[fresh]
-    prime[off + sel] = sel + seg_lo
-    power[off + sel] = 1
+    require(segment_size >= 1, "segment_size", "need segment_size >= 1")
+    base = primes_up_to(math.isqrt(hi))
+    odd = base[1:]
+    squares = odd * odd
+    found = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]
+    first = lo | 1
+    size = max(1, min(segment_size, (hi - first) // 2 + 1))  # odd integers per segment
+    for seg_lo in range(first, hi + 1, 2 * size):
+        seg_hi = min(seg_lo + 2 * size - 2, hi)
+        alive = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # alive[i]: seg_lo + 2i
+        if seg_lo == 1:
+            alive[0] = False
+        start = -(-seg_lo // odd) * odd
+        start += odd * (start % 2 == 0)  # least odd multiple >= seg_lo
+        np.maximum(start, squares, out=start)
+        hit = start <= seg_hi
+        for p, i in zip(odd[hit].tolist(), ((start[hit] - seg_lo) // 2).tolist()):
+            alive[i::p] = False
+        found.append(np.flatnonzero(alive) * 2 + seg_lo)
+    primes = np.concatenate(found)
+    del found
+    higher = []  # (p^k, p, k) with k >= 2 inside the range
+    for p in base.tolist():
+        q, k = p * p, 2
+        while q <= hi:
+            if q >= lo:
+                higher.append((q, p, k))
+            q, k = q * p, k + 1
+    pk, pp, kk = np.array(sorted(higher), dtype=np.int64).reshape(-1, 3).T
+    at = np.searchsorted(primes, pk)
+    n = np.insert(primes, at, pk)
+    del primes
+    at += np.arange(at.size)  # where np.insert put them
+    prime = n.copy()
+    prime[at] = pp
+    power = np.ones(n.size, dtype=np.int8)
+    power[at] = kk
+    return MangoldtTable(lo, hi, n, prime, power)

@@ -13,9 +13,9 @@ mass, not with the (possibly heavily cancelled) value.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .util import (
     WorkBudgetError,
     complex_fsum,
     exact_sum,
+    physical_memory,
     require,
 )
 
@@ -90,12 +91,60 @@ def _collect(terms, lo: int, hi: int) -> SumValue:
     return SumValue(value, total.count, mass)
 
 
-@lru_cache(maxsize=8)
+# Bytes per prime power n <= x budgeted for growing the Lambda cache to x.
+# The cached n and log p, the sieved extension and the copies that append it
+# peak near 32; the rest is margin.
+LAMBDA_BYTES = 48
+
+
+class _LambdaCache:
+    """The prime powers n <= ``top`` and their log p, for the largest x read
+    so far.  The arrays are replaced, never written, so views handed out stay
+    valid; the lock serialises growth, since theorem_report's pool threads
+    read the cache concurrently."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.top = 1
+        self.n = np.zeros(0, dtype=np.int64)
+        self.lam = np.zeros(0, dtype=np.float64)
+
+
+_LAMBDA = _LambdaCache()
+
+
+def _check_lambda_memory(x: int) -> None:
+    """WorkBudgetError, before anything is allocated, when the Lambda arrays
+    up to x could outgrow physical memory.  pi(x) < 1.25506 x / ln x
+    (Rosser & Schoenfeld 1962), and sqrt(x) covers the higher prime powers."""
+    estimate = int(LAMBDA_BYTES * (1.25506 * x / math.log(x) + math.isqrt(x)))
+    limit = physical_memory()
+    if estimate > limit:
+        raise WorkBudgetError(
+            f"Lambda up to x = {x} needs about {estimate} bytes, "
+            f"more than the {limit} bytes of physical memory"
+        )
+
+
 def _mangoldt_arrays(x: int):
-    """(n, log p) arrays over prime powers n <= x; cached, treat as read-only."""
-    table = mangoldt_sieve(1, x)
-    n, p, _ = table.prime_power_arrays()
-    return n, np.log(p.astype(np.float64))
+    """(n, log p) arrays over prime powers n <= x; prefix views of one shared
+    cache, treat as read-only.  A larger x than any before sieves only the
+    new part of the range and appends it."""
+    cache = _LAMBDA
+    with cache.lock:
+        if x > cache.top:
+            _check_lambda_memory(x)
+            n, p, _ = mangoldt_sieve(cache.top + 1, x).prime_power_arrays()
+            lam = p.astype(np.float64)
+            del p
+            np.log(lam, out=lam)
+            if cache.n.size:
+                n = np.concatenate((cache.n, n))
+                lam = np.concatenate((cache.lam, lam))
+            cache.n, cache.lam, cache.top = n, lam, x
+        n, lam = cache.n, cache.lam
+    cut = int(np.searchsorted(n, x, side="right"))
+    return n[:cut], lam[:cut]
 
 
 def mangoldt_weights(x: int) -> np.ndarray:

@@ -103,6 +103,11 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory in the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def map_blocks(fn, items) -> list:
     """Apply ``fn`` to every item on min(len(items), usable CPUs) threads;
     results come back in item order regardless of scheduling."""

@@ -134,6 +134,26 @@ def test_report_theorem_single_modulus():
     assert rec["parameters"]["D"] == 105
 
 
+def test_report_theorem_every_modulus_skipped_exits_2():
+    out = run("report", "theorem", "--D-list", "3")
+    assert out.returncode == 2
+    assert "'D_list'" in out.stderr and "[3]" in out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    partial = run("report", "theorem", "--D-list", "3,105")
+    assert partial.returncode == 0
+    lines = partial.stdout.strip().split("\n")
+    assert [json.loads(line)["parameters"]["D"] for line in lines[1:]] == [105]
+
+
+def test_sum_beyond_physical_memory_exits_2():
+    # Lambda up to 1e12 (below the 2^40 cap) is estimated at ~2.2 TB, beyond
+    # any machine this suite runs on; 1e11 (~238 GB) already is on an 8 GB one
+    out = run("sum", "T", "--D", "7", "--l", "1", "--x", "1000000000000")
+    assert out.returncode == 2
+    assert "x = 1000000000000" in out.stderr and "physical memory" in out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+
+
 def test_report_tail_flag_pairing():
     out = run("report", "tail", "--q", "30030")
     assert out.returncode == 2

@@ -183,18 +183,22 @@ def test_mangoldt_matches_trial_factorization_random():
     for _ in range(1000):
         n = rng.randint(1, 10**6)
         f = trial_factor(n)
+        i = int(np.searchsorted(table.n, n))
         if len(f) == 1:
             p, a = f[0]
-            assert int(table.prime[n - 1]) == p
-            assert int(table.power[n - 1]) == a
+            assert int(table.n[i]) == n
+            assert int(table.prime[i]) == p
+            assert int(table.power[i]) == a
             assert table.value(n) == pytest.approx(math.log(p), rel=1e-14)
         else:
+            assert i == table.n.size or int(table.n[i]) != n
             assert table.value(n) == 0.0
 
 
 def test_mangoldt_segmentation_invariance():
     a = mangoldt_sieve(1, 30000, segment_size=1 << 16)
     b = mangoldt_sieve(1, 30000, segment_size=101)
+    assert np.array_equal(a.n, b.n)
     assert np.array_equal(a.prime, b.prime)
     assert np.array_equal(a.power, b.power)
     c = mangoldt_sieve(5000, 6000, segment_size=64)
@@ -205,6 +209,43 @@ def test_mangoldt_segmentation_invariance():
 def test_mangoldt_rejects_bad_range():
     with pytest.raises(PreconditionError):
         mangoldt_sieve(10, 5)
+
+
+PRIME_POWERS = [n for n in range(2, 5000) if len(trial_factor(n)) == 1]
+
+
+@st.composite
+def sieve_ranges(draw):
+    """(lo, hi, segment_size) with lo >= 1 (1 and 2 included), each end free,
+    on a prime power or on a segment edge, and segments from 1 odd integer up."""
+    seg = draw(st.integers(1, 200))
+    lo = draw(st.one_of(st.just(1), st.just(2), st.sampled_from(PRIME_POWERS), st.integers(1, 3000)))
+    end = draw(st.sampled_from(("free", "prime power", "segment edge")))
+    if end == "free":
+        hi = lo + draw(st.integers(0, 1500))
+    elif end == "prime power":
+        hi = draw(st.sampled_from([q for q in PRIME_POWERS if lo <= q <= lo + 1500] or [lo]))
+    else:
+        # segment k ends on the odd integer (lo | 1) + 2 k seg - 2; the even one after it is
+        # the last integer before segment k + 1
+        hi = (lo | 1) + 2 * draw(st.integers(1, 8)) * seg - 2 + draw(st.integers(0, 1))
+    return lo, max(lo, hi), seg
+
+
+@settings(max_examples=120, deadline=None)
+@given(sieve_ranges())
+@example((1, 1, 1))
+@example((1, 2, 1))
+@example((2, 2, 1))
+@example((4, 4, 3))
+@example((1, 10, 1))
+def test_mangoldt_sieve_matches_oracle(case):
+    lo, hi, seg = case
+    table = mangoldt_sieve(lo, hi, segment_size=seg)
+    want = [n for n in range(lo, hi + 1) if oracles.mangoldt_value(n)]
+    assert table.n.dtype == np.int64 and table.n.tolist() == want
+    assert (table.prime ** table.power.astype(np.int64) == table.n).all()
+    assert all(table.value(n) == oracles.mangoldt_value(n) for n in range(lo, hi + 1))
 
 
 def smooth_oracle(x, z, b):

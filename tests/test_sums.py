@@ -1,8 +1,12 @@
 """Evaluator tests: frozen example values, oracle agreement on seeded cases,
 exactness of the decomposition identity, census classification."""
 
+import inspect
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from charsum.characters import (
     principal_character,
     unit_group_basis,
 )
-from charsum.integers import divisor_count_sieve, euler_phi, factor
+from charsum.integers import divisor_count_sieve, euler_phi, factor, mangoldt_sieve
 from charsum import oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
@@ -51,6 +55,103 @@ def chars(D):
 
 def close(a, b, mass):
     return abs(a - b) <= 1e-9 * max(1.0, mass)
+
+
+# ---------------------------------------------------------------------------
+# The Lambda cache
+
+
+def _fresh_lambda(x):
+    n, p, _ = mangoldt_sieve(1, x).prime_power_arrays()
+    return n.tobytes(), np.log(p.astype(np.float64)).tobytes()
+
+
+def _read_lambda(read, cpus=1):
+    """``read()`` against an empty Lambda cache with ``cpus`` usable CPUs;
+    returns its result and the (lo, hi) ranges the cache sieved."""
+    sieved = []
+
+    def recording_sieve(lo, hi, *args):
+        sieved.append((lo, hi))
+        return mangoldt_sieve(lo, hi, *args)
+
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()), \
+            mock.patch.object(sums, "mangoldt_sieve", recording_sieve), \
+            mock.patch.object(util, "usable_cpus", lambda: cpus):
+        return read(), sieved
+
+
+def _tiles(sieved, top):
+    """The sieved ranges cover [2, top] end to end, with no overlap."""
+    ends = [v for lo, hi in sorted(sieved) for v in (lo, hi)]
+    if top < 2:
+        return ends == []
+    return ends[0] == 2 and ends[-1] == top and all(b + 1 == c for b, c in zip(ends[1::2], ends[2::2]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(1, 40000), min_size=1, max_size=6))
+@example([1, 2, 3])
+@example([30000, 10, 30001, 2])
+def test_mangoldt_cache_prefixes_equal_fresh_sieve(xs):
+    """Every read equals a fresh sieve, byte for byte, in the drawn order,
+    smallest first, largest first and from two map_blocks threads, and the
+    cache sieves each integer at most once."""
+    want = {x: _fresh_lambda(x) for x in xs}
+    for order in (xs, sorted(xs), sorted(xs, reverse=True)):
+        got, sieved = _read_lambda(lambda: {x: sums._mangoldt_arrays(x) for x in order})
+        assert {x: (n.tobytes(), lam.tobytes()) for x, (n, lam) in got.items()} == want
+        assert _tiles(sieved, max(xs))
+    got, sieved = _read_lambda(lambda: util.map_blocks(sums._mangoldt_arrays, xs), cpus=2)
+    assert [(n.tobytes(), lam.tobytes()) for n, lam in got] == [want[x] for x in xs]
+    assert _tiles(sieved, max(xs))
+
+
+def test_mangoldt_cache_grows_once_under_concurrent_reads():
+    """Eight threads on two CPUs, switching every microsecond, read 64
+    shuffled x: each sieved range starts where the cache ended, so a lost
+    update (two threads growing from the same end) shows as an overlap."""
+    xs = [2000 * k for k in range(1, 65)]
+    n_all, lam_all = _fresh_lambda(max(xs))
+    for trial in range(20):
+        order = sorted(xs, key=lambda x: SplitMix64(trial ^ x).next_u64())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, sieved = _read_lambda(lambda: util.map_blocks(sums._mangoldt_arrays, order), cpus=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _tiles(sieved, max(xs))
+        for n, lam in got:
+            assert n.tobytes() == n_all[: n.nbytes] and lam.tobytes() == lam_all[: lam.nbytes]
+
+
+def test_mangoldt_arrays_peak_memory_per_prime_power():
+    """A fresh read holds the prime powers, not the integers, up to x: the
+    traced peak stays below 48 bytes per prime power plus two segments."""
+    segment = inspect.signature(mangoldt_sieve).parameters["segment_size"].default
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()):
+        tracemalloc.start()
+        try:
+            n, _ = sums._mangoldt_arrays(4 * 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert n.size == 283146 + 393  # pi(4e6) primes and the higher prime powers
+    assert peak < 48 * n.size + 2 * segment
+
+
+def test_mangoldt_arrays_rejects_x_beyond_physical_memory():
+    """The estimate is checked before anything is sieved, and the message
+    names x, the estimate and the limit."""
+    sieved = []
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()), \
+            mock.patch.object(sums, "physical_memory", lambda: 10**5), \
+            mock.patch.object(sums, "mangoldt_sieve", lambda *a: sieved.append(a)):
+        with pytest.raises(WorkBudgetError, match=r"x = 100000 .* about \d+ bytes.* 100000 bytes"):
+            sums._mangoldt_arrays(10**5)
+        assert sums._mangoldt_arrays(1)[0].size == 0
+    assert sieved == []
 
 
 # ---------------------------------------------------------------------------
