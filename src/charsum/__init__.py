@@ -31,14 +31,12 @@ from .integers import (
 )
 from .sums import (
     CongruenceInstance,
-    SumSpec,
     SumValue,
     burgess_moment_2r,
     burgess_sextic,
     congruence_census,
     coprime_count_check,
     double_sum,
-    evaluate_spec,
     hb_decompose,
     mobius_recombination,
     restricted_sum,

@@ -492,9 +492,10 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 
 def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
                    work_budget: int = 10**9) -> list[BoundCheckRecord]:
-    """For each modulus: exact max of |T(chi, l)| over non-principal
-    characters (all of them at once via the unit-group transform) and over a
-    seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).
+    """For each modulus: max of |T(chi, l)| over non-principal characters
+    and a seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).  T comes
+    from one unit-group FFT per shift, so, unlike the ``sums`` evaluators, it
+    carries floating-point rounding.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded.  Moduli where no

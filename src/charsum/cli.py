@@ -19,7 +19,7 @@ from . import bounds, reports
 from .bounds import BoundConfig
 from .characters import character_at, conductor, enumerate_characters, unit_group_basis
 from .integers import factor
-from .sums import restricted_sum, shifted_prime_sum
+from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
 from .util import PreconditionError, WorkBudgetError
 
 log = logging.getLogger("charsum")
@@ -67,6 +67,14 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=1e-4)
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers (empty items skipped)."""
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charsum",
@@ -83,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--D", type=int, required=True)
     p_cond = chars_sub.add_parser("conductor", help="conductor of one character")
     p_cond.add_argument("--D", type=int, required=True)
-    p_cond.add_argument("--exponents", required=True, help="comma-separated exponent vector")
+    p_cond.add_argument("--exponents", type=_int_list, required=True,
+                        help="comma-separated exponent vector")
 
     p_sum = top.add_parser("sum", help="evaluate one sum")
     sum_sub = p_sum.add_subparsers(dest="subcommand", required=True)
@@ -117,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = top.add_parser("report", help="MONITOR ratio reports")
     report_sub = p_report.add_subparsers(dest="subcommand", required=True)
     p_th = report_sub.add_parser("theorem", help="main-sum ratios per modulus")
-    p_th.add_argument("--D-list", help="comma-separated moduli")
+    p_th.add_argument("--D-list", type=_int_list, help="comma-separated moduli")
     p_th.add_argument("--D", type=int, default=None, help="single modulus")
     p_th.add_argument("--eps", type=float, default=0.05)
     _add_output_options(p_th)
@@ -160,11 +169,15 @@ def _emit(records, config: RunConfig, extra_header: dict) -> int:
     return 1 if reports.any_assert_failure(records) else 0
 
 
-def _nonprincipal(D: int, chi_index):
+def _characters(D: int, chi_index, L: int, x: int):
+    """(index, character) pairs mod D: the one at ``chi_index``, or else, once
+    their Lambda sums mod L up to x fit the work budget, every non-principal
+    one, lazily."""
     basis = unit_group_basis(D)
     if chi_index is not None:
         return [(chi_index, character_at(basis, chi_index))]
-    return [(i, c) for i, c in enumerate(enumerate_characters(basis)) if not c.is_principal]
+    check_lambda_work(L, x, basis.phi - 1)
+    return ((i, c) for i, c in enumerate(enumerate_characters(basis)) if not c.is_principal)
 
 
 def _cmd_factor(args) -> int:
@@ -185,30 +198,24 @@ def _cmd_chars(args) -> int:
             }
             print(json.dumps(blob, sort_keys=True))
         return 0
-    exponents = tuple(int(v) for v in args.exponents.split(",") if v != "")
     basis = unit_group_basis(args.D)
     from .characters import DirichletCharacter
 
-    chi = DirichletCharacter(basis, exponents)
+    chi = DirichletCharacter(basis, tuple(args.exponents))
     print(conductor(chi).value)
     return 0
 
 
 def _cmd_sum(args) -> int:
     if args.subcommand == "T":
-        for i, chi in _nonprincipal(args.D, args.chi_index):
-            val = shifted_prime_sum(chi, args.l, args.x)
-            print(
-                f"chi_index={i} exponents={list(chi.exponents)} "
-                f"T={val.value.real!r}{val.value.imag:+}j abs={abs(val.value)!r} "
-                f"terms={val.term_count}"
-            )
-        return 0
-    for i, chi in _nonprincipal(args.q, args.chi_index):
-        val = restricted_sum(chi, args.nu, args.l, args.x)
+        D, L, name, evaluate, nu = args.D, args.D, "T", shifted_prime_sum, ()
+    else:
+        D, L, name, evaluate, nu = args.q, args.q * args.nu, "T_nu", restricted_sum, (args.nu,)
+    for i, chi in _characters(D, args.chi_index, L, args.x):
+        val = evaluate(chi, *nu, args.l, args.x)
         print(
             f"chi_index={i} exponents={list(chi.exponents)} "
-            f"T_nu={val.value.real!r}{val.value.imag:+}j abs={abs(val.value)!r} "
+            f"{name}={val.value.real!r}{val.value.imag:+}j abs={abs(val.value)!r} "
             f"terms={val.term_count}"
         )
     return 0
@@ -286,9 +293,7 @@ def _cmd_report(args) -> int:
     if sub == "theorem":
         if (args.D_list is None) == (args.D is None):
             raise PreconditionError("D", "give exactly one of --D-list or --D")
-        d_list = [args.D] if args.D is not None else [
-            int(v) for v in args.D_list.split(",") if v != ""
-        ]
+        d_list = [args.D] if args.D is not None else args.D_list
         records = bounds.theorem_report(d_list, epsilon=args.eps, seed=config.seed)
         if not records:
             raise PreconditionError("D_list", f"every modulus in {d_list} was skipped, "

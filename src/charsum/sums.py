@@ -2,12 +2,15 @@
 restricted variant, short and double character sums, Burgess moments, the
 congruence-solution census and the weighted-decomposition identity.
 
-Every evaluator generates its terms in blocks of ``BLOCK`` indices, in
-order, and adds each block into one exact accumulator (``util.ComplexSum``:
-exponent-bucketed real part, imaginary part and absolute value) that is
-rounded once, so values are correctly rounded and independent of the block
-size.  Equality tolerances downstream scale with ``abs_term_sum``, the total
-mass, not with the (possibly heavily cancelled) value.
+The Lambda-weighted sums go through one kernel, ``_lambda_sum``: Lambda is
+binned by n mod L exactly, once per (x, L), and meets the weights in one
+exactly rounded dot product.  Its value is the correctly rounded exact sum
+of the exact products fl(log p) * g(n mod L); ``abs_term_sum`` is the exact
+sum of Lambda(n) over the n with g(n mod L) != 0.  The other evaluators add
+their terms, in blocks of ``BLOCK`` indices, into one ``util.ComplexSum``
+rounded once.  No value depends on the block size or on how terms are
+grouped.  Equality tolerances downstream scale with ``abs_term_sum``, not
+with the (possibly heavily cancelled) value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_from_json, induce_primitive, is_primitive
+from .characters import DirichletCharacter, induce_primitive, is_primitive
 from .integers import (
     as_factored,
     dirichlet_convolve,
@@ -33,6 +36,7 @@ from .integers import (
 )
 from .util import (
     ComplexSum,
+    ExactSum,
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
@@ -40,18 +44,6 @@ from .util import (
     exact_sum,
     physical_memory,
     require,
-)
-
-LEMMA_TAGS = (
-    "THEOREM_T",
-    "T_RESTRICTED",
-    "SHORT_S",
-    "SHORT_SY",
-    "DOUBLE_W",
-    "BURGESS_2R",
-    "BURGESS_SEXTIC",
-    "HB_DECOMP",
-    "COPRIME_COUNT",
 )
 
 DEFAULT_WORK_BUDGET = 10**9
@@ -99,25 +91,34 @@ LAMBDA_BYTES = 48
 
 class _LambdaCache:
     """The prime powers n <= ``top`` and their log p, for the largest x read
-    so far.  The arrays are replaced, never written, so views handed out stay
-    valid; the lock serialises growth, since theorem_report's pool threads
-    read the cache concurrently."""
+    so far, and the last residue binning of them.  The arrays are replaced,
+    never written, so views handed out stay valid; the locks serialise
+    growth and binning, since theorem_report's pool threads read the cache
+    concurrently."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.top = 1
         self.n = np.zeros(0, dtype=np.int64)
         self.lam = np.zeros(0, dtype=np.float64)
+        self.bins_lock = threading.Lock()
+        self.bins = None  # ((x, L), (digits, count)) from _residue_bins
 
 
 _LAMBDA = _LambdaCache()
 
 
+def _prime_power_bound(x: int) -> int:
+    """An upper bound on the number of prime powers n <= x: pi(x) <
+    1.25506 x / ln x (Rosser & Schoenfeld 1962), and sqrt(x) covers the
+    higher prime powers."""
+    return int(1.25506 * x / math.log(x) + math.isqrt(x)) if x >= 2 else 0
+
+
 def _check_lambda_memory(x: int) -> None:
     """WorkBudgetError, before anything is allocated, when the Lambda arrays
-    up to x could outgrow physical memory.  pi(x) < 1.25506 x / ln x
-    (Rosser & Schoenfeld 1962), and sqrt(x) covers the higher prime powers."""
-    estimate = int(LAMBDA_BYTES * (1.25506 * x / math.log(x) + math.isqrt(x)))
+    up to x could outgrow physical memory."""
+    estimate = LAMBDA_BYTES * _prime_power_bound(x)
     limit = physical_memory()
     if estimate > limit:
         raise WorkBudgetError(
@@ -136,12 +137,18 @@ def _mangoldt_arrays(x: int):
             _check_lambda_memory(x)
             n, p, _ = mangoldt_sieve(cache.top + 1, x).prime_power_arrays()
             lam = p.astype(np.float64)
-            del p
+            del p, _
             np.log(lam, out=lam)
-            if cache.n.size:
-                n = np.concatenate((cache.n, n))
-                lam = np.concatenate((cache.lam, lam))
-            cache.n, cache.lam, cache.top = n, lam, x
+            # one array at a time, so the old n is freed before lam is copied
+            size = cache.n.size
+            cache.n = np.concatenate((cache.n, n)) if size else n
+            del n
+            try:
+                cache.lam = np.concatenate((cache.lam, lam)) if size else lam
+            except MemoryError:
+                cache.n = cache.n[:size]
+                raise
+            cache.top = x
         n, lam = cache.n, cache.lam
     cut = int(np.searchsorted(n, x, side="right"))
     return n[:cut], lam[:cut]
@@ -154,6 +161,120 @@ def mangoldt_weights(x: int) -> np.ndarray:
         n, lam = _mangoldt_arrays(x)
         out[n] = lam
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Lambda kernel: exact residue bins and an exactly rounded dot product
+
+# log 2 > 1/2, so fl(log p) * 2**53 is an integer, below 2**58 for p < 2**40:
+# LIMBS digits of DIGIT bits.  Sums of such digits stay exact in float64
+# (below 2**53) over fewer than 2**33 prime powers.
+DIGIT, LIMBS = 20, 3
+_DIGIT_MASK = (1 << DIGIT) - 1
+
+
+def _limbs(lam: np.ndarray) -> np.ndarray:
+    """The LIMBS digits of lam * 2**53, one row per digit."""
+    m = (lam * float(1 << 53)).astype(np.int64)
+    return np.stack([(m >> (DIGIT * k)) & _DIGIT_MASK for k in range(LIMBS)])
+
+
+def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, count) over the residues r mod L: S_r * 2**53 = sum_k
+    digits[k, r] << (DIGIT * k), digits below 2**DIGIT, where S_r sums
+    Lambda(n) over the prime powers n <= x, n = r (mod L), and count[r] is
+    their number.  The last (x, L) stays cached, so every character mod L
+    at one x reads one binning."""
+    cache = _LAMBDA
+    with cache.bins_lock:
+        if cache.bins is not None and cache.bins[0] == (x, L):
+            return cache.bins[1]
+        cache.bins = None  # free the old entry before building the new one
+        n, lam = _mangoldt_arrays(x)
+        if n.size >= 1 << 33:
+            raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
+        # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
+        digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
+        count = np.zeros(L)
+        step = 4 * BLOCK
+        for a in range(0, n.size, step):
+            r = n[a : a + step] % L
+            count += np.bincount(r, minlength=L)
+            m = (lam[a : a + step] * float(1 << 53)).astype(np.int64)
+            for k in range(LIMBS):  # the rows of _limbs, one at a time
+                digits[k] += np.bincount(r, (m >> (DIGIT * k)) & _DIGIT_MASK, L)
+        for k in range(len(digits) - 1):  # carry into DIGIT-bit digits
+            high = np.floor(digits[k] / (1 << DIGIT))
+            digits[k + 1] += high
+            digits[k] -= high * (1 << DIGIT)
+        cache.bins = ((x, L), (digits, count))
+        return digits, count
+
+
+def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:
+    """Correctly rounded sums over i in ``sel`` of S_i * g_i and of S_i, where
+    S_i * 2**53 = sum_k digits_of(i)[k] << (DIGIT * k), digits below 2**DIGIT,
+    and g_i = g_of(i) is complex.
+
+    Each float64 part of g_i splits into a 27-bit and a 26-bit half, so each
+    digit * 2**(DIGIT k - 53) * half has at most 47 significant bits and is
+    exact (Dekker 1971); ExactSum rounds their sum once (Ogita, Rump & Oishi
+    2005).  Rows go in chunks of BLOCK // 8, which bounds the temporaries."""
+    total, mass, step = ExactSum(2), 0, max(1, BLOCK // 8)
+    for a in range(0, sel.size, step):
+        i = sel[a : a + step]
+        d = digits_of(i)
+        mass += sum(int(s) << (DIGIT * k) for k, s in enumerate(d.sum(axis=1).tolist()))
+        d = d * np.ldexp(1.0, DIGIT * np.arange(len(d)) - 53)[:, None]
+        g = g_of(i)
+        parts = np.stack((g.real, g.imag))
+        m, e = np.frexp(parts)
+        hi = np.ldexp(np.trunc(m * float(1 << 27)), e - 27)
+        halves = np.stack((hi, parts - hi), axis=1)[:, :, None, :]  # lane, half, 1, row
+        total.add((halves * d).reshape(2, -1))
+    re, im = total.values()
+    return complex(re, im), mass / (1 << 53)
+
+
+def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include: np.ndarray | None = None) -> SumValue:
+    """Sum of Lambda(n) table[(n - l) mod len(table)] over the prime powers
+    n <= x with include[n mod L] (all when None), where len(table) divides
+    L; term_count counts them, zero table values included.  The dot
+    product's rows are the residue bins or the prime powers themselves,
+    whichever are fewer; both give the same bits."""
+    if x < 2:
+        return SumValue(0j, 0, 0.0)
+    n, lam = _mangoldt_arrays(x)
+    q = len(table)
+    if L < n.size:  # row i: the residue class i mod L
+        digits, count = _residue_bins(x, L)
+        inside = include
+        terms = n.size if include is None else int(count.sum(where=include))
+        keep = np.tile(np.roll(table != 0, l), L // q) & (count != 0)  # table[(i - l) % q] != 0
+        digits_of, g_of = (lambda i: digits[:, i]), (lambda i: table[(i - l) % q])
+    else:  # row i: the prime power n[i]
+        inside = None if include is None else include[n % L]
+        terms = n.size if include is None else int(np.count_nonzero(inside))
+        keep = (table != 0)[(n - l) % q]
+        digits_of, g_of = (lambda i: _limbs(lam[i])), (lambda i: table[(n[i] - l) % q])
+    if inside is not None:
+        keep &= inside
+    value, mass = _exact_dot(digits_of, g_of, np.flatnonzero(keep))
+    return SumValue(value, terms, mass)
+
+
+def check_lambda_work(L: int, x: int, characters: int, budget: int = DEFAULT_WORK_BUDGET) -> None:
+    """WorkBudgetError, before anything is sieved, when the Lambda arrays up
+    to x could outgrow physical memory, or when ``characters`` sums mod L up
+    to x exceed ``budget``: one binning pass over the prime powers, then per
+    character L weights and 16 products per row over min(L, pi*(x)) rows."""
+    if x >= 2:
+        _check_lambda_memory(x)
+    rows = _prime_power_bound(x)
+    work = rows + characters * (L + 16 * min(L, rows))
+    if work > budget:
+        raise WorkBudgetError(f"{characters} characters mod {L} up to x = {x} need about "
+                              f"{work} operations, more than the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +315,6 @@ def coefficient_family(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Declarative sum description
-
-
-@dataclass
-class SumSpec:
-    """Declarative description of one sum: tag, parameters, character."""
-
-    lemma_tag: str
-    parameters: dict
-    character: DirichletCharacter | None = None
-
-    def __post_init__(self):
-        require(self.lemma_tag in LEMMA_TAGS, "lemma_tag", f"unknown tag {self.lemma_tag!r}")
-
-    def to_json_dict(self) -> dict:
-        out = {"lemma_tag": self.lemma_tag, "parameters": dict(self.parameters)}
-        if self.character is not None:
-            out["character"] = self.character.to_json_dict()
-        return out
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SumSpec":
-        chi = character_from_json(data["character"]) if "character" in data else None
-        return SumSpec(data["lemma_tag"], dict(data["parameters"]), chi)
-
-
-# ---------------------------------------------------------------------------
 # Main evaluators
 
 
@@ -228,35 +322,20 @@ def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int) -> SumValue:
     """Sum of Lambda(n) chi(n - l) over n <= x."""
     D = chi.modulus
     require(math.gcd(l, D) == 1, "l", f"need gcd(l, D) = 1, got gcd({l}, {D}) > 1")
-    if x < 2:
-        return SumValue(0j, 0, 0.0)
-    n, lam = _mangoldt_arrays(x)
-    table = chi.value_table()
-
-    def block(a, b):
-        idx = (n[a:b] - l) % D
-        return lam[a:b] * table[idx]
-
-    return _collect(block, 0, len(n))
+    return _lambda_sum(x, D, chi.value_table(), l)
 
 
 def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumValue:
-    """Sum of Lambda(n) chi_q(n - l) over n <= x with (n, q) = 1, n = l (mod nu)."""
+    """Sum of Lambda(n) chi_q(n - l) over n <= x with (n, q) = 1, n = l (mod nu).
+
+    Both conditions depend only on n mod q nu, so one residue class mod
+    L = q nu decides them and the character value."""
     q = chi_q.modulus
     require(math.gcd(nu, q) == 1, "nu", f"need gcd(nu, q) = 1, got gcd({nu}, {q}) > 1")
     require(math.gcd(l, q * nu) == 1, "l", f"need gcd(l, q*nu) = 1")
-    if x < 2:
-        return SumValue(0j, 0, 0.0)
-    n, lam = _mangoldt_arrays(x)
-    table = chi_q.value_table()
-    res = l % nu
-
-    def block(a, b):
-        ns = n[a:b]
-        mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
-        return lam[a:b][mask] * table[(ns[mask] - l) % q]
-
-    return _collect(block, 0, len(n))
+    r = np.arange(q * nu, dtype=np.int64)
+    include = (np.gcd(r, q) == 1) & (r % nu == l % nu)
+    return _lambda_sum(x, q * nu, chi_q.value_table(), l, include)
 
 
 def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int) -> SumValue:
@@ -694,9 +773,12 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
     q1 = math.prod(q1_primes) if q1_primes else 1
 
     lhs = shifted_prime_sum(chi, l, x)
+    # terms with (n, q) > 1, evaluated against chi itself; the same residues
+    # mod D as lhs, so it reads the same bins
+    corr = _lambda_sum(x, D, chi.value_table(), l, np.gcd(np.arange(D), q) != 1)
 
     pieces = []
-    masses = [lhs.abs_term_sum]
+    masses = [lhs.abs_term_sum, corr.abs_term_sum]
     nus = divisors(factor(q1))
     for nu in nus:
         mu_nu = mobius(factor(nu))
@@ -705,51 +787,5 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
         masses.append(part.abs_term_sum)
     recombined = complex_fsum(pieces)
 
-    # terms with (n, q) > 1, evaluated against chi itself
-    corr = 0j
-    if x >= 2:
-        n, lam = _mangoldt_arrays(x)
-        table = chi.value_table()
-        mask = np.gcd(n, q) != 1
-        corr, corr_mass = ComplexSum().add(lam[mask] * table[(n[mask] - l) % D]).result()
-        masses.append(corr_mass)
-
-    residual = abs(lhs.value - (recombined + corr))
-    return MobiusRecombination(lhs, recombined, corr, residual, exact_sum(masses), nus)
-
-
-# ---------------------------------------------------------------------------
-# Declarative dispatch
-
-
-def evaluate_spec(spec: SumSpec) -> SumValue:
-    """Evaluate a declarative SumSpec; scalar results are wrapped."""
-    p = spec.parameters
-    tag = spec.lemma_tag
-    chi = spec.character
-    if tag == "THEOREM_T":
-        return shifted_prime_sum(chi, p["l"], p["x"])
-    if tag == "T_RESTRICTED":
-        return restricted_sum(chi, p["nu"], p["l"], p["x"])
-    if tag == "SHORT_S":
-        return short_sum(chi, p["M"], p["N"], p["d"], p["k"], p["eta"])
-    if tag == "SHORT_SY":
-        return sy_sum(chi, p["u"], p["y"], p["eta"], p["nu"])
-    if tag == "DOUBLE_W":
-        return double_sum(
-            chi, p.get("a_m", "one"), p.get("b_n", "one"),
-            p["M"], p["N"], p["U"], p["nu"], p["l"], p["x"],
-        )
-    if tag == "BURGESS_2R":
-        v = burgess_moment_2r(chi, p["Z"], p["r"])
-        return SumValue(complex(v), chi.modulus, v)
-    if tag == "BURGESS_SEXTIC":
-        v = burgess_sextic(chi, p["Z"])
-        return SumValue(complex(v), chi.modulus * p["Z"] ** 6, v)
-    if tag == "HB_DECOMP":
-        dec = hb_decompose(np.ones(p["x"] + 1), p["x"], p["u1"], p["r"])
-        return SumValue(dec.total, sum(pt.term_count for pt in dec.parts), dec.abs_mass)
-    if tag == "COPRIME_COUNT":
-        chk = coprime_count_check(p["q"], p["U"])
-        return SumValue(complex(chk.count), p["U"], float(chk.count))
-    raise PreconditionError("lemma_tag", f"no evaluator for {tag}")
+    residual = abs(lhs.value - (recombined + corr.value))
+    return MobiusRecombination(lhs, recombined, corr.value, residual, exact_sum(masses), nus)

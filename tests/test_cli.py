@@ -5,6 +5,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from charsum import cli, sums
+
 CLI = [sys.executable, "-m", "charsum.cli"]
 
 
@@ -182,3 +186,45 @@ def test_timings_flag_populates_runtime(tmp_path):
     assert out.returncode == 0
     rec = json.loads((tmp_path / "t.jsonl").read_text().strip().split("\n")[1])
     assert isinstance(rec["runtime_ms"], int)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["chars", "conductor", "--D", "24", "--exponents", "0,x"], 2, "argument --exponents"),
+    (["chars", "conductor", "--D", "24", "--exponents", "0,1,0"], 0, ""),
+    (["report", "theorem", "--D-list", "3,y"], 2, "argument --D-list"),
+    (["sum", "T", "--D", "10", "--l", "5", "--x", "100"], 2, "'l'"),
+    (["sum", "T", "--D", "99991", "--l", "2", "--x", "1000"], 2, "99989 characters mod 99991"),
+    (["sum", "restricted", "--q", "99991", "--nu", "2", "--l", "3", "--x", "1000"], 2,
+     "99989 characters mod 199982"),
+])
+def test_exit_codes(argv, code, message, capsys, monkeypatch):
+    """Bad input and work beyond the budget exit 2 with a message and no
+    traceback, before any Lambda is sieved; exit 1 stays for ASSERT
+    failures."""
+    sieved = []
+    monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
+    monkeypatch.setattr(sums, "mangoldt_sieve", lambda *a: sieved.append(a))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sieved == []
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["sum", "T", "--D", "45", "--l", "2", "--x", "1000"], 23),
+    (["sum", "restricted", "--q", "15", "--nu", "2", "--l", "1", "--x", "1000"], 7),
+])
+def test_sum_without_chi_index_prints_every_character(argv, count, capsys, monkeypatch):
+    """With no --chi-index, one line per non-principal character, each equal
+    to the line its --chi-index prints; all of them read one binning."""
+    read = []
+    residue_bins = sums._residue_bins
+    monkeypatch.setattr(sums._LAMBDA, "bins", None)
+    monkeypatch.setattr(sums, "_residue_bins", lambda *a: read.append(residue_bins(*a)) or read[-1])
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(read) == count
+    assert all(digits is read[0][0] for digits, _ in read)
+    for i, line in enumerate(lines, 1):
+        assert cli.main(argv + ["--chi-index", str(i)]) == 0
+        assert capsys.readouterr().out == line + "\n"

@@ -14,17 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charsum.characters import (
+    character_at,
     enumerate_characters,
     induce_primitive,
     is_primitive,
     principal_character,
     unit_group_basis,
 )
-from charsum.integers import divisor_count_sieve, euler_phi, factor, mangoldt_sieve
+from charsum.integers import divisor_count_sieve, divisors, euler_phi, factor, mangoldt_sieve
 from charsum import oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
-    SumSpec,
     burgess_moment_2r,
     burgess_sextic,
     char_twist_weight,
@@ -36,7 +36,6 @@ from charsum.sums import (
     coprime_count_check,
     coprime_count_sweep,
     double_sum,
-    evaluate_spec,
     hb_decompose,
     mangoldt_weights,
     mobius_recombination,
@@ -187,6 +186,85 @@ def test_shifted_prime_sum_rejects_noncoprime_shift():
 
 
 # ---------------------------------------------------------------------------
+# The Lambda kernel against the exact-product oracle
+
+
+def _kernel_oracle(x, L, weight, include) -> tuple:
+    """Sum of Lambda(n) weight(n) over n <= x with include(n), by Fraction
+    over the dense Lambda weights, one n at a time; as ``_bits``."""
+    lam = mangoldt_weights(max(x, 1))
+    ns = [n for n in range(2, x + 1) if lam[n] and include(n)]
+    return _exact_reference(lam[ns], [weight(n) for n in ns])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 300), st.integers(0, 10**6), st.integers(-900, 900),
+       st.integers(0, 5000), st.integers(0, 100))
+@example(3, 0, 1, 5000, 0)  # L = 3 at the largest x: carries into a 4th digit row
+@example(293, 5, 7, 1000, 0)  # L = 293 > pi*(1000) = 193: the prime powers are the rows
+@example(210, 3, 11, 2000, 3)  # composite D, nu > 1, (n, q) > 1 terms in the correction
+@example(7, 1, 3, 1, 0)  # x < 2: every sum is empty
+def test_lambda_sums_equal_exact_product_oracle(D, pick, l, x, nu_pick):
+    """shifted_prime_sum, restricted_sum and the (n, q) > 1 correction of
+    mobius_recombination equal the correctly rounded exact sum of the
+    exact products fl(log p) * chi, bit for bit, whichever rows the kernel
+    uses (residue bins when L < pi*(x), else the prime powers)."""
+    basis = unit_group_basis(D)
+    chi = character_at(basis, 1 + pick % (basis.phi - 1))
+    l = next(v for v in range(l, l + D) if math.gcd(v, D) == 1)
+    chi_q = induce_primitive(chi)
+    q = chi_q.modulus
+    nus = divisors(factor(math.prod(p for p in factor(D).primes if q % p)))
+    nu = nus[nu_pick % len(nus)]
+    table, table_q = chi.value_table(), chi_q.value_table()
+
+    got = shifted_prime_sum(chi, l, x)
+    assert _bits(got) == _kernel_oracle(x, D, lambda n: table[(n - l) % D], lambda n: True)
+    got = restricted_sum(chi_q, nu, l, x)
+    want = _kernel_oracle(x, q * nu, lambda n: table_q[(n - l) % q],
+                          lambda n: math.gcd(n, q) == 1 and n % nu == l % nu)
+    assert _bits(got) == want
+    corr = mobius_recombination(chi, l, x).correction
+    want = _kernel_oracle(x, D, lambda n: table[(n - l) % D], lambda n: math.gcd(n, q) > 1)
+    assert (corr.real.hex(), corr.imag.hex()) == want[:2]
+
+
+def test_residue_bins_are_exact_digit_rows():
+    """Each residue class's digits hold exactly the sum of fl(log p) * 2**53
+    over its prime powers, in 20-bit digits, and at L = 3, x = 5000 the
+    carries reach a 4th row."""
+    x, L = 5000, 3
+    digits, count = sums._residue_bins(x, L)
+    n, lam = sums._mangoldt_arrays(x)
+    assert len(digits) == 4 and digits[3].any()
+    assert ((digits >= 0) & (digits < 2**20) & (digits == np.floor(digits))).all()
+    for r in range(L):
+        want = sum(Fraction(v) for v in lam[n % L == r].tolist()) * 2**53
+        assert sum(int(d) << (20 * k) for k, d in enumerate(digits[:, r])) == want
+        assert count[r] == np.count_nonzero(n % L == r)
+
+
+def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
+    """One shifted_prime_sum at D = 99991, x = 4e6 (binned: L < pi*(x)) with
+    a warm Lambda cache and value table stays below 160 bytes per residue:
+    the dot product feeds ExactSum in chunks, not all 8 L lane terms at
+    once."""
+    x = 4 * 10**6
+    sums._mangoldt_arrays(x)
+    chi = character_at(unit_group_basis(99991), 7)
+    chi.value_table()
+    monkeypatch.setattr(sums._LAMBDA, "bins", None)
+    tracemalloc.start()
+    try:
+        got = shifted_prime_sum(chi, 2, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.term_count == 283146 + 393
+    assert peak < 160 * 99991
+
+
+# ---------------------------------------------------------------------------
 # restricted_sum
 
 
@@ -247,6 +325,18 @@ def _reference(terms) -> tuple:
     return value.real.hex(), value.imag.hex(), math.fsum(np.abs(t)).hex(), int(t.size)
 
 
+def _exact_reference(lam, g) -> tuple:
+    """The Lambda kernel's contract by Fraction: the exact products lam * g
+    summed and rounded once (real and imaginary parts), the exact sum of
+    lam where g != 0, and the number of terms."""
+    lam = np.asarray(lam, dtype=np.float64).tolist()
+    g = np.asarray(g, dtype=np.complex128)
+    re = sum((Fraction(a) * Fraction(b) for a, b in zip(lam, g.real.tolist())), Fraction(0))
+    im = sum((Fraction(a) * Fraction(b) for a, b in zip(lam, g.imag.tolist())), Fraction(0))
+    mass = sum((Fraction(a) for a, b in zip(lam, g.tolist()) if b != 0), Fraction(0))
+    return float(re).hex(), float(im).hex(), float(mass).hex(), len(lam)
+
+
 def _bits(got) -> tuple:
     return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
 
@@ -254,10 +344,12 @@ def _bits(got) -> tuple:
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("block", [1, 17, 4096, None, 1 << 20])
 def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
-    """Every evaluator equals math.fsum over its concatenated term array,
-    bit for bit, whatever the block size (None keeps the default; 1 << 20
-    puts every term in one block), also when ``width`` copies run at once
-    on util.map_blocks threads, as the evaluators do inside theorem_report."""
+    """Every evaluator equals its reference bit for bit: the two Lambda sums
+    the exact-product reference, the others math.fsum over their
+    concatenated term array.  This holds whatever the block size (None keeps
+    the default; 1 << 20 puts every term in one block), also when ``width``
+    copies run at once on util.map_blocks threads, as the evaluators do
+    inside theorem_report."""
     if block is not None:
         monkeypatch.setattr(sums, "BLOCK", block)
     monkeypatch.setattr(util, "usable_cpus", lambda: width)
@@ -269,11 +361,11 @@ def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
     x, l = 3000, 5
     lam = mangoldt_weights(x)
     n = np.flatnonzero(lam)
-    want.append(_reference(lam[n] * chi.value_table()[(n - l) % D]))
+    want.append(_exact_reference(lam[n], chi.value_table()[(n - l) % D]))
 
     nu = 4
     sel = n[(np.gcd(n, q) == 1) & (n % nu == l % nu)]
-    want.append(_reference(lam[sel] * chi_q.value_table()[(sel - l) % q]))
+    want.append(_exact_reference(lam[sel], chi_q.value_table()[(sel - l) % q]))
 
     M, N, d, k, eta = 900, 700, 3, 2, 5
     ns = np.arange(M - N + 1, M + 1)
@@ -621,52 +713,7 @@ def test_mobius_recombination_small_cases():
 
 
 # ---------------------------------------------------------------------------
-# Declarative specs
-
-
-def test_sum_spec_round_trip_and_dispatch():
-    chi = [c for c in chars(15) if not c.is_principal][0]
-    spec = SumSpec("THEOREM_T", {"l": 1, "x": 500}, chi)
-    blob = spec.to_json_dict()
-    back = SumSpec.from_json_dict(blob)
-    assert back.lemma_tag == "THEOREM_T"
-    assert back.character == chi
-    a = evaluate_spec(spec)
-    b = evaluate_spec(back)
-    assert a.value == b.value
-    assert abs(a.value) <= a.abs_term_sum + 1e-12
-
-
-def test_sum_spec_rejects_unknown_tag():
-    with pytest.raises(PreconditionError):
-        SumSpec("NOT_A_TAG", {})
-
-
-def test_sum_spec_dispatch_covers_every_tag():
-    chi15 = [c for c in chars(15) if not c.is_principal][0]
-    chi13 = [c for c in chars(13) if not c.is_principal][0]
-    specs = [
-        SumSpec("THEOREM_T", {"l": 1, "x": 200}, chi15),
-        SumSpec("T_RESTRICTED", {"nu": 2, "l": 1, "x": 200}, chi13),
-        SumSpec("SHORT_S", {"M": 20, "N": 8, "d": 3, "k": 2, "eta": 1}, chi13),
-        SumSpec("SHORT_SY", {"u": 40, "y": 25, "eta": 1, "nu": 2}, chi13),
-        SumSpec(
-            "DOUBLE_W",
-            {"a_m": "mobius", "b_n": "one", "M": 5, "N": 8, "U": 9, "nu": 1, "l": 1, "x": 200},
-            chi13,
-        ),
-        SumSpec("BURGESS_2R", {"Z": 3, "r": 2}, chi13),
-        SumSpec("BURGESS_SEXTIC", {"Z": 1}, chi13),
-        SumSpec("HB_DECOMP", {"x": 100, "u1": 4, "r": 2}),
-        SumSpec("COPRIME_COUNT", {"q": 12, "U": 10}),
-    ]
-    for spec in specs:
-        back = SumSpec.from_json_dict(spec.to_json_dict())
-        got = evaluate_spec(back)
-        ref = evaluate_spec(spec)
-        assert got.value == ref.value, spec.lemma_tag
-        assert abs(got.value) <= got.abs_term_sum + 1e-9, spec.lemma_tag
-    assert evaluate_spec(specs[-1]).value == 3 + 0j  # units below 10 coprime to 12
+# Coefficient families
 
 
 def test_tau5_family_is_bounded_and_deterministic():
