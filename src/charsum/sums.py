@@ -200,9 +200,8 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
         for a in range(0, n.size, step):
             r = n[a : a + step] % L
             count += np.bincount(r, minlength=L)
-            m = (lam[a : a + step] * float(1 << 53)).astype(np.int64)
-            for k in range(LIMBS):  # the rows of _limbs, one at a time
-                digits[k] += np.bincount(r, (m >> (DIGIT * k)) & _DIGIT_MASK, L)
+            for k, row in enumerate(_limbs(lam[a : a + step])):
+                digits[k] += np.bincount(r, row, L)
         for k in range(len(digits) - 1):  # carry into DIGIT-bit digits
             high = np.floor(digits[k] / (1 << DIGIT))
             digits[k + 1] += high
@@ -236,24 +235,26 @@ def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:
     return complex(re, im), mass / (1 << 53)
 
 
-def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include: np.ndarray | None = None) -> SumValue:
+def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include=None) -> SumValue:
     """Sum of Lambda(n) table[(n - l) mod len(table)] over the prime powers
-    n <= x with include[n mod L] (all when None), where len(table) divides
-    L; term_count counts them, zero table values included.  The dot
-    product's rows are the residue bins or the prime powers themselves,
-    whichever are fewer; both give the same bits."""
+    n <= x with include(n) (all when None), where len(table) divides L and
+    include maps an int64 array to a bool mask that depends only on each
+    entry mod L; term_count counts them, zero table values included.  The
+    dot product's rows are the residue bins or the prime powers themselves,
+    whichever are fewer, so include sees min(L, pi*(x)) entries; both give
+    the same bits."""
     if x < 2:
         return SumValue(0j, 0, 0.0)
     n, lam = _mangoldt_arrays(x)
     q = len(table)
     if L < n.size:  # row i: the residue class i mod L
         digits, count = _residue_bins(x, L)
-        inside = include
-        terms = n.size if include is None else int(count.sum(where=include))
+        inside = None if include is None else include(np.arange(L, dtype=np.int64))
+        terms = n.size if include is None else int(count.sum(where=inside))
         keep = np.tile(np.roll(table != 0, l), L // q) & (count != 0)  # table[(i - l) % q] != 0
         digits_of, g_of = (lambda i: digits[:, i]), (lambda i: table[(i - l) % q])
     else:  # row i: the prime power n[i]
-        inside = None if include is None else include[n % L]
+        inside = None if include is None else include(n)
         terms = n.size if include is None else int(np.count_nonzero(inside))
         keep = (table != 0)[(n - l) % q]
         digits_of, g_of = (lambda i: _limbs(lam[i])), (lambda i: table[(n[i] - l) % q])
@@ -263,18 +264,19 @@ def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include: np.ndarray |
     return SumValue(value, terms, mass)
 
 
-def check_lambda_work(L: int, x: int, characters: int, budget: int = DEFAULT_WORK_BUDGET) -> None:
+def check_lambda_work(L: int, x: int, characters: int) -> None:
     """WorkBudgetError, before anything is sieved, when the Lambda arrays up
     to x could outgrow physical memory, or when ``characters`` sums mod L up
-    to x exceed ``budget``: one binning pass over the prime powers, then per
-    character L weights and 16 products per row over min(L, pi*(x)) rows."""
+    to x exceed DEFAULT_WORK_BUDGET: one binning pass over the prime powers,
+    then per character L weights and 16 products per row over
+    min(L, pi*(x)) rows."""
     if x >= 2:
         _check_lambda_memory(x)
     rows = _prime_power_bound(x)
     work = rows + characters * (L + 16 * min(L, rows))
-    if work > budget:
+    if work > DEFAULT_WORK_BUDGET:
         raise WorkBudgetError(f"{characters} characters mod {L} up to x = {x} need about "
-                              f"{work} operations, more than the budget of {budget}")
+                              f"{work} operations, more than the budget of {DEFAULT_WORK_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +333,11 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumVal
     Both conditions depend only on n mod q nu, so one residue class mod
     L = q nu decides them and the character value."""
     q = chi_q.modulus
+    require(nu >= 1, "nu", f"need nu >= 1, got {nu}")
     require(math.gcd(nu, q) == 1, "nu", f"need gcd(nu, q) = 1, got gcd({nu}, {q}) > 1")
     require(math.gcd(l, q * nu) == 1, "l", f"need gcd(l, q*nu) = 1")
-    r = np.arange(q * nu, dtype=np.int64)
-    include = (np.gcd(r, q) == 1) & (r % nu == l % nu)
-    return _lambda_sum(x, q * nu, chi_q.value_table(), l, include)
+    res = l % nu
+    return _lambda_sum(x, q * nu, chi_q.value_table(), l, lambda r: (np.gcd(r, q) == 1) & (r % nu == res))
 
 
 def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int) -> SumValue:
@@ -775,7 +777,7 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
     lhs = shifted_prime_sum(chi, l, x)
     # terms with (n, q) > 1, evaluated against chi itself; the same residues
     # mod D as lhs, so it reads the same bins
-    corr = _lambda_sum(x, D, chi.value_table(), l, np.gcd(np.arange(D), q) != 1)
+    corr = _lambda_sum(x, D, chi.value_table(), l, lambda r: np.gcd(r, q) != 1)
 
     pieces = []
     masses = [lhs.abs_term_sum, corr.abs_term_sum]

@@ -196,6 +196,9 @@ def test_timings_flag_populates_runtime(tmp_path):
     (["sum", "T", "--D", "99991", "--l", "2", "--x", "1000"], 2, "99989 characters mod 99991"),
     (["sum", "restricted", "--q", "99991", "--nu", "2", "--l", "3", "--x", "1000"], 2,
      "99989 characters mod 199982"),
+    (["sum", "restricted", "--q", "7", "--nu", "-1", "--l", "1", "--x", "1000", "--chi-index", "1"], 2,
+     "need nu >= 1"),
+    (["sum", "restricted", "--q", "7", "--nu", "-1", "--l", "1", "--x", "1000"], 2, "need nu >= 1"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input and work beyond the budget exit 2 with a message and no

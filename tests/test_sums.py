@@ -264,6 +264,26 @@ def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
     assert peak < 160 * 99991
 
 
+@pytest.mark.parametrize("nu", [10**6 + 3, 10**9 + 7])
+def test_restricted_sum_memory_does_not_grow_with_nu(nu):
+    """restricted_sum with L = q nu far above pi*(x) looks only at the
+    prime powers: its tracemalloc peak stays far below one byte per residue
+    mod q nu, and its value is the oracle's, bit for bit."""
+    chi_q = character_at(unit_group_basis(7), 1)
+    table, l, x = chi_q.value_table(), 997 + 2 * nu, 1000
+    sums._mangoldt_arrays(x)
+    tracemalloc.start()
+    try:
+        got = restricted_sum(chi_q, nu, l, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.term_count == 1  # n = 997
+    assert _bits(got) == _kernel_oracle(x, 7 * nu, lambda n: table[(n - l) % 7],
+                                        lambda n: n % 7 != 0 and n % nu == l % nu)
+    assert peak < 10**6
+
+
 # ---------------------------------------------------------------------------
 # restricted_sum
 
