@@ -22,6 +22,7 @@ from .characters import (
     character_at,
     induce_primitive,
     unit_group_basis,
+    unit_group_transform,
 )
 from .integers import (
     divisor_count_sieve,
@@ -37,6 +38,7 @@ from .integers import (
 from .sums import (
     CongruenceInstance,
     _mangoldt_arrays,
+    bin_lambda,
     char_twist_weight,
     congruence_census,
     coprime_count_sweep,
@@ -44,6 +46,7 @@ from .sums import (
     hb_decompose,
     mobius_recombination,
     restricted_sum,
+    shifted_prime_sum,
     short_sum,
     sy_sum,
 )
@@ -490,16 +493,46 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 # Monitored reports
 
 
+# float64 lattice entries per unit_group_transform batch in theorem_report:
+# 2 MB, below the 4 MB from which numpy asks for transparent huge pages, so
+# the batches add no huge pages to the peak RSS
+TRANSFORM_BATCH = 1 << 18
+
+# |FFT value - exact-kernel value| <= FFT_ERROR_C (log2(phi) + x // D) u M for
+# every character and shift, where u = 2**-53 and M = sum of Lambda(n) over
+# n <= x, which bounds the row's sum of |S_r|.  Per pass of a Cooley-Tukey
+# FFT each output gains a few u times the input mass, so the error grows
+# like log2(phi) u M (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., 2002, sec. 24.1); a residue gathers at most x // D + 1 prime
+# powers before the transform.  The constant is generous: it also covers
+# pocketfft's Bluestein path (three transforms and two chirp products, taken
+# at phi(100489) = 2^2 * 79 * 317), the rounding of the character values
+# and of log p in the exact kernel, and the final |.|.  The largest
+# |FFT - exact| / (log2(phi) u M) seen, over about 36,000 values at the 16
+# bench moduli (every character at some shifts for D = 10007, 49999 and
+# 100489), is 0.18.
+FFT_ERROR_C = 64.0
+
+
 def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
                    work_budget: int = 10**9) -> list[BoundCheckRecord]:
     """For each modulus: max of |T(chi, l)| over non-principal characters
-    and a seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).  T comes
-    from one unit-group FFT per shift, so, unlike the ``sums`` evaluators, it
-    carries floating-point rounding.
+    and a seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).
+
+    The lhs is exact: |``shifted_prime_sum``| at a certified maximiser,
+    whose ``chi_index`` and ``l`` go into the parameters (ties go to the
+    smallest (chi_index, l)).  A batched real unit-group transform
+    (``unit_group_transform``) only searches: every (chi, l) whose |FFT
+    value| lies within twice its error bound (FFT_ERROR_C) of the largest,
+    and the conjugate of each, is evaluated exactly, and the exact maximum
+    over them is the maximum over all characters and shifts.  The report
+    bytes therefore depend neither on the FFT's rounding nor on the batch
+    size.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
-    both the filtered and unfiltered maxima are recorded.  Moduli where no
-    character passes the filter are skipped and logged.
+    both the filtered and unfiltered maxima are recorded, each certified
+    this way.  Moduli where no character passes the filter are skipped and
+    logged.
     """
 
     def one(D: int) -> BoundCheckRecord | None:
@@ -512,11 +545,11 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
             log.warning("theorem_report: D=%d has no non-principal characters, skipped", D)
             return None
         threshold = math.exp(math.sqrt(2.0 * math.log(D)))
-        cond = basis.conductor_grid().reshape(-1)
-        pass_filter = cond > threshold
+        orders = basis.orders
+        half_shape = orders[:-1] + (orders[-1] // 2 + 1,)
+        cond = basis.conductor_grid()
+        pass_filter = cond.reshape(-1) > threshold
         pass_filter[0] = False  # principal
-        nonprincipal = np.ones(phi, dtype=bool)
-        nonprincipal[0] = False
         if not pass_filter.any():
             log.warning("theorem_report: no conductor above %.3f for D=%d, skipped", threshold, D)
             return None
@@ -528,17 +561,46 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
         n, lam = _mangoldt_arrays(x)
         if len(ls) * (len(n) + phi * max(1, int(math.log2(max(phi, 2))))) > work_budget:
             raise WorkBudgetError(f"theorem_report D={D} exceeds work budget")
-        flat = basis.unit_flat_index()
-        shape = basis.orders if basis.factors else (1,)
-        best = np.zeros(phi)
-        for l in ls:
-            idx = flat[(n - l) % D]
-            keep = idx >= 0
-            lattice = np.bincount(idx[keep], weights=lam[keep], minlength=phi)
-            spectrum = np.fft.ifftn(lattice.reshape(shape)) * phi
-            np.maximum(best, np.abs(spectrum.reshape(-1)), out=best)
-        lhs = float(best[pass_filter].max())
-        lhs_unfiltered = float(best[nonprincipal].max())
+        bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
+
+        # search: the transform's characters (half of the lattice), filtered
+        # and not; per class, every (value, shift position, half index)
+        # within 2 bound of its batch's maximum
+        half_cond = cond[..., : half_shape[-1]].reshape(-1)
+        classes = (np.flatnonzero(half_cond > threshold), np.arange(1, half_cond.size))
+        found = ([], [])
+        shifts = np.array(ls, dtype=np.int64)
+        rows = max(1, TRANSFORM_BATCH // phi)
+        for a in range(0, len(ls), rows):
+            values = unit_group_transform(basis, n[None, :] - shifts[a : a + rows, None], lam)
+            values = values.reshape(len(values), -1)
+            for cols, hits in zip(classes, found):
+                sub = values[:, cols]
+                r, c = np.nonzero(sub >= sub.max() - 2 * bound)
+                hits.append((sub[r, c], a + r, cols[c]))
+
+        def candidates(hits):
+            """(chi_index, l) of every search hit within 2 bound of the largest
+            value, and of its conjugate."""
+            vals, pos, idx = (np.concatenate(parts) for parts in zip(*hits))
+            sel = vals >= vals.max() - 2 * bound
+            e = np.unravel_index(idx[sel], half_shape)
+            conj = tuple((-c) % m for c, m in zip(e, orders))
+            chis = np.concatenate((np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders)))
+            at = shifts[pos[sel]].tolist()
+            return set(zip(chis.tolist(), at + at))
+
+        # certify: evaluate every candidate exactly, one character table at a time
+        filtered, unfiltered = (candidates(f) for f in found)
+        exact, chi_at = {}, None
+        for chi_index, l in sorted(filtered | unfiltered):
+            if chi_index != chi_at:
+                chi, chi_at = character_at(basis, chi_index), chi_index
+            exact[chi_index, l] = abs(shifted_prime_sum(chi, l, x).value)
+        # the largest value; ties go to the smallest (chi_index, l)
+        chi_index, l = min(filtered, key=lambda k: (-exact[k], k))
+        lhs = exact[chi_index, l]
+        lhs_unfiltered = max(exact[k] for k in unfiltered)
         ms = (time.perf_counter_ns() - t0) // 1_000_000
         return make_record(
             "THEOREM_T",
@@ -546,7 +608,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
                 "D": D, "x": x, "epsilon": epsilon, "seed": seed,
                 "l_count": len(ls), "conductor_threshold": threshold,
                 "n_characters": phi - 1, "n_pass_filter": int(pass_filter.sum()),
-                "lhs_unfiltered": lhs_unfiltered,
+                "lhs_unfiltered": lhs_unfiltered, "chi_index": chi_index, "l": l,
             },
             lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms,
         )
@@ -649,8 +711,10 @@ def restricted_report(D: int, x: int, seed: int = 0, max_nu: int = 8) -> list[Bo
         l = 1 + rng.below(D)
     q1_primes = [p for p in factor(D).primes if q % p != 0]
     q1 = math.prod(q1_primes) if q1_primes else 1
+    nus = divisors(factor(q1))[:max_nu]
+    bin_lambda(x, q * math.lcm(*nus))  # every restricted sum below folds these bins
     records = []
-    for nu in divisors(factor(q1))[:max_nu]:
+    for nu in nus:
         val, ms = _timed(restricted_sum, chi_q, nu, l, x)
         records.append(
             make_record(

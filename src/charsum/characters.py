@@ -123,12 +123,26 @@ def _least_primitive_root(pe: int, p: int) -> int:
         g += 1
 
 
+def _power_table(g: int, count: int, modulus: int) -> np.ndarray:
+    """g^j mod modulus for 0 <= j < count, as int64, in blocks of
+    B = isqrt(count) + 1: g^(j + kB) = g^j * (g^B)^k, so about 2 sqrt(count)
+    scalar steps and one vector product.  With modulus <= DLOG_TABLE_LIMIT
+    every product stays below 10**12."""
+    B = math.isqrt(count) + 1
+    base = [1]
+    for _ in range(B - 1):
+        base.append(base[-1] * g % modulus)
+    step = base[-1] * g % modulus
+    giant = [1]
+    for _ in range(-(-count // B) - 1):
+        giant.append(giant[-1] * step % modulus)
+    table = np.array(giant, dtype=np.int64)[:, None] * np.array(base, dtype=np.int64) % modulus
+    return table.reshape(-1)[:count]
+
+
 def _dlog_table_cyclic(pe: int, g: int, order: int) -> np.ndarray:
     dl = np.full(pe, -1, dtype=np.int64)
-    acc = 1
-    for j in range(order):
-        dl[acc] = j
-        acc = acc * g % pe
+    dl[_power_table(g, order, pe)] = np.arange(order, dtype=np.int64)
     return dl
 
 
@@ -146,13 +160,13 @@ def _two_part_factors(k: int) -> list[_CyclicFactor]:
             _CyclicFactor(2, k, pe, 2, pe - 1, "sign", None),
             _CyclicFactor(2, k, pe, half, 5, "five", None),
         ]
+    # the units are +-5^j: 5^j = 1 and -5^j = 3 (mod 4), so no entry is hit twice
+    acc = _power_table(5, half, pe)
+    j = np.arange(half, dtype=np.int64)
     dl_sign = np.full(pe, -1, dtype=np.int64)
     dl_five = np.full(pe, -1, dtype=np.int64)
-    acc = 1
-    for j in range(half):
-        dl_sign[acc], dl_five[acc] = 0, j
-        dl_sign[pe - acc], dl_five[pe - acc] = 1, j
-        acc = acc * 5 % pe
+    dl_sign[acc], dl_five[acc] = 0, j
+    dl_sign[pe - acc], dl_five[pe - acc] = 1, j
     return [
         _CyclicFactor(2, k, pe, 2, pe - 1, "sign", dl_sign),
         _CyclicFactor(2, k, pe, half, 5, "five", dl_five),
@@ -242,8 +256,10 @@ class UnitGroupBasis:
         if self._unit_mask is None:
             # component tables alone are not enough: when 2 || D the 2-part
             # contributes no cyclic factor yet even residues are non-units
-            D = self.modulus.value
-            self._unit_mask = np.gcd(np.arange(D, dtype=np.int64), D) == 1
+            mask = np.ones(self.modulus.value, dtype=bool)
+            for p in self.modulus.primes:
+                mask[::p] = False
+            self._unit_mask = mask
         return self._unit_mask
 
     def unit_flat_index(self) -> np.ndarray:
@@ -258,50 +274,51 @@ class UnitGroupBasis:
                 strides = np.ones(len(self.orders), dtype=np.int64)
                 for i in range(len(self.orders) - 2, -1, -1):
                     strides[i] = strides[i + 1] * self.orders[i + 1]
-                emat = self.exponent_matrix()
-                flat = (strides[:, None] * np.where(emat >= 0, emat, 0)).sum(axis=0)
+                # a non-unit's column may hold -1s; the mask overwrites it
+                flat = strides @ self.exponent_matrix()
                 flat[~self.unit_mask()] = -1
                 self._flat_index = flat
         return self._flat_index
 
     def conductor_grid(self) -> np.ndarray:
-        """Conductor of every character, indexed by exponent vector."""
+        """Conductor of every character, indexed by exponent vector: the
+        product over the cyclic factors of each component's conductor.
+
+        A component with exponent e has order order / gcd(e, order), so its
+        conductor depends only on v = min(v_p(e), v_p(order)): p^(a - v)
+        on an odd p^a (1 at e = 0), and 4 * 2^(k - 2 - v) on the (sign,
+        five) pair of 2^k, k >= 3 (1 when the sign exponent is 0 too)."""
         if self._conductor_grid is None:
             shape = self.orders if self.factors else (1,)
             grid = np.ones(shape, dtype=np.int64)
             t = len(self.factors)
-            i = 0
-            while i < t:
-                f = self.factors[i]
+            for i, f in enumerate(self.factors):
                 if f.kind == "sign":
-                    five = self.factors[i + 1]
-                    block = np.ones((2, five.order), dtype=np.int64)
-                    block[1, 0] = 4
-                    for e1 in range(1, five.order):
-                        d1 = five.order // math.gcd(e1, five.order)
-                        block[0, e1] = block[1, e1] = 4 * d1
-                    dims = [1] * t
-                    dims[i], dims[i + 1] = 2, five.order
-                    grid = grid * block.reshape(dims)
-                    i += 2
-                    continue
-                contrib = np.ones(f.order, dtype=np.int64)
-                if f.kind == "four":
-                    contrib[1] = 4
-                else:
-                    for e in range(1, f.order):
-                        d = f.order // math.gcd(e, f.order)
-                        s = 0
-                        while d % f.prime == 0:
-                            d //= f.prime
-                            s += 1
-                        contrib[e] = f.prime ** (s + 1)
+                    continue  # folded into the "five" factor that follows it
                 dims = [1] * t
                 dims[i] = f.order
+                if f.kind == "four":
+                    contrib = np.array([1, 4], dtype=np.int64)
+                elif f.kind == "five":
+                    v = _capped_valuation(f.order, 2, f.power - 2)
+                    contrib = np.stack((4 << (f.power - 2 - v),) * 2)  # rows: sign exponent
+                    contrib[0, 0] = 1
+                    dims[i - 1] = 2
+                else:
+                    contrib = f.prime ** (f.power - _capped_valuation(f.order, f.prime, f.power - 1))
+                    contrib[0] = 1
                 grid = grid * contrib.reshape(dims)
-                i += 1
             self._conductor_grid = grid
         return self._conductor_grid
+
+
+def _capped_valuation(order: int, p: int, cap: int) -> np.ndarray:
+    """min(v_p(e), cap) for e in range(order), where p^cap divides order,
+    by strided slices."""
+    v = np.zeros(order, dtype=np.int64)
+    for k in range(1, cap + 1):
+        v[:: p**k] += 1
+    return v
 
 
 @lru_cache(maxsize=256)
@@ -497,20 +514,28 @@ def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
     return tables
 
 
-def character_weight_transform(basis: UnitGroupBasis, weights: np.ndarray) -> np.ndarray:
-    """S[a] = sum over units u of chi_a(u) * weights[u], for every character
-    at once, returned on the exponent-vector lattice.
+def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|sum over units u of chi(u) w_b(u)| for every row b of a batch and
+    every character chi on half of the exponent lattice, where w_b puts
+    the real weights[j] on the residue residues[b, j] mod D (non-units are
+    dropped, repeated residues add up).
 
-    This is the DFT over the unit group: identical (up to rounding) to
-    evaluating each character sum separately, at O(phi log phi) cost.
+    The rows are scattered into one (batch, *basis.orders) float64 lattice
+    by a single bincount and transformed with ``np.fft.rfftn`` over the
+    lattice axes.  Since the weights are real, the entry at exponent vector
+    e is the conjugate of T(chi_e), so the result, of shape (batch,
+    *basis.orders[:-1], basis.orders[-1] // 2 + 1), holds |T(chi_e)| for
+    every e whose last coordinate is at most half its order; every other
+    character is the conjugate of one of these, with the same |T|.  The
+    values carry FFT rounding, not exactly rounded sums.
     """
-    D = basis.modulus.value
-    require(len(weights) == D, "weights", "must have one entry per residue")
+    residues = np.asarray(residues, dtype=np.int64)
+    rows = residues.shape[0]
     shape = basis.orders if basis.factors else (1,)
-    lattice = np.zeros(shape, dtype=np.complex128)
-    flat = basis.unit_flat_index()
-    units = flat >= 0
-    np.add.at(lattice.reshape(-1), flat[units], np.asarray(weights, dtype=np.complex128)[units])
-    if not basis.factors:
-        return lattice
-    return np.fft.ifftn(lattice) * basis.phi
+    idx = basis.unit_flat_index()[residues % basis.modulus.value]
+    keep = idx >= 0
+    idx += basis.phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), idx.shape)
+    lattice = np.bincount(idx[keep], weights=w[keep], minlength=rows * basis.phi)
+    spectrum = np.fft.rfftn(lattice.reshape(rows, *shape), axes=tuple(range(1, 1 + len(shape))))
+    return np.abs(spectrum)

@@ -1,9 +1,11 @@
 """Command-line front end: evaluators, identity verification, bound reports.
 
 Exit codes: 0 when every ASSERT check passes, 1 on any ASSERT failure,
-2 on usage or precondition errors.  Report files are written atomically
-and are byte-identical for a fixed (command, seed), whatever the number of
-CPUs ``report theorem`` spreads its moduli over.
+2 on usage or precondition errors, work beyond a budget and memory
+exhaustion, and 3 (EXIT_INTERNAL) on any other uncaught exception, an
+internal error; exit 1 means only that an ASSERT failed.  Report files
+are written atomically and are byte-identical for a fixed (command, seed),
+whatever the number of CPUs ``report theorem`` spreads its moduli over.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
 from .util import PreconditionError, WorkBudgetError
 
 log = logging.getLogger("charsum")
+
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True)
@@ -354,6 +358,12 @@ def main(argv=None) -> int:
     except WorkBudgetError as exc:
         print(f"charsum: work budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"charsum: out of memory: {exc!r}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"charsum: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

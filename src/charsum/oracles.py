@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, UnitGroupBasis
 from .integers import euler_phi, factor
 from .util import WorkBudgetError
 
@@ -253,3 +253,67 @@ def coprime_count_sweep_oracle(q_max: int, u_max: int) -> tuple[int, Fraction]:
             if ratio > worst:
                 worst = ratio
     return checked, worst
+
+
+def conductor_grid_oracle(basis: UnitGroupBasis) -> np.ndarray:
+    """Conductor of every character on the exponent lattice, one exponent
+    at a time, stripping powers of p from each component's order."""
+    shape = basis.orders if basis.factors else (1,)
+    grid = np.ones(shape, dtype=np.int64)
+    t = len(basis.factors)
+    i = 0
+    while i < t:
+        f = basis.factors[i]
+        if f.kind == "sign":
+            five = basis.factors[i + 1]
+            block = np.ones((2, five.order), dtype=np.int64)
+            block[1, 0] = 4
+            for e1 in range(1, five.order):
+                d1 = five.order // math.gcd(e1, five.order)
+                block[0, e1] = block[1, e1] = 4 * d1
+            dims = [1] * t
+            dims[i], dims[i + 1] = 2, five.order
+            grid = grid * block.reshape(dims)
+            i += 2
+            continue
+        contrib = np.ones(f.order, dtype=np.int64)
+        if f.kind == "four":
+            contrib[1] = 4
+        else:
+            for e in range(1, f.order):
+                d = f.order // math.gcd(e, f.order)
+                s = 0
+                while d % f.prime == 0:
+                    d //= f.prime
+                    s += 1
+                contrib[e] = f.prime ** (s + 1)
+        dims = [1] * t
+        dims[i] = f.order
+        grid = grid * contrib.reshape(dims)
+        i += 1
+    return grid
+
+
+def dlog_table_cyclic_oracle(pe: int, g: int, order: int) -> np.ndarray:
+    """Residue mod pe -> discrete log to base g (-1 off the subgroup), one
+    power of g at a time."""
+    dl = np.full(pe, -1, dtype=np.int64)
+    acc = 1
+    for j in range(order):
+        dl[acc] = j
+        acc = acc * g % pe
+    return dl
+
+
+def two_part_factors_oracle(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, five) discrete-log tables mod 2^k, k >= 3, over the units
+    +-5^j, one power of 5 at a time."""
+    pe = 1 << k
+    dl_sign = np.full(pe, -1, dtype=np.int64)
+    dl_five = np.full(pe, -1, dtype=np.int64)
+    acc = 1
+    for j in range(1 << (k - 2)):
+        dl_sign[acc], dl_five[acc] = 0, j
+        dl_sign[pe - acc], dl_five[pe - acc] = 1, j
+        acc = acc * 5 % pe
+    return dl_sign, dl_five

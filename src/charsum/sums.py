@@ -183,31 +183,59 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """(digits, count) over the residues r mod L: S_r * 2**53 = sum_k
     digits[k, r] << (DIGIT * k), digits below 2**DIGIT, where S_r sums
     Lambda(n) over the prime powers n <= x, n = r (mod L), and count[r] is
-    their number.  The last (x, L) stays cached, so every character mod L
-    at one x reads one binning."""
+    their number.  The last binning stays cached and serves every L that
+    divides its modulus: the classes mod L are unions of its classes, so
+    their digit rows fold by summing and carrying again.  Every character
+    mod L at one x, and every divisor of L, reads one binning; folded bins
+    are bit for bit those a binning mod L would give, since both hold the
+    one carried base-2**DIGIT form of the same integers."""
     cache = _LAMBDA
     with cache.bins_lock:
-        if cache.bins is not None and cache.bins[0] == (x, L):
-            return cache.bins[1]
+        if cache.bins is not None and cache.bins[0][0] == x and cache.bins[0][1] % L == 0:
+            (_, big), (digits, count) = cache.bins
+            if big == L:
+                return digits, count
+            folds = big // L
+            return _carry(digits.reshape(len(digits), folds, L).sum(axis=1)), count.reshape(folds, L).sum(axis=0)
         cache.bins = None  # free the old entry before building the new one
-        n, lam = _mangoldt_arrays(x)
-        if n.size >= 1 << 33:
-            raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
-        # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
-        digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
-        count = np.zeros(L)
-        step = 4 * BLOCK
-        for a in range(0, n.size, step):
-            r = n[a : a + step] % L
-            count += np.bincount(r, minlength=L)
-            for k, row in enumerate(_limbs(lam[a : a + step])):
-                digits[k] += np.bincount(r, row, L)
-        for k in range(len(digits) - 1):  # carry into DIGIT-bit digits
-            high = np.floor(digits[k] / (1 << DIGIT))
-            digits[k + 1] += high
-            digits[k] -= high * (1 << DIGIT)
-        cache.bins = ((x, L), (digits, count))
-        return digits, count
+        cache.bins = ((x, L), _bin_residues(x, L))
+        return cache.bins[1]
+
+
+def _bin_residues(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The binning behind ``_residue_bins``: one pass over the prime powers."""
+    n, lam = _mangoldt_arrays(x)
+    if n.size >= 1 << 33:
+        raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
+    # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
+    digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
+    count = np.zeros(L)
+    step = 4 * BLOCK
+    for a in range(0, n.size, step):
+        r = n[a : a + step] % L
+        count += np.bincount(r, minlength=L)
+        for k, row in enumerate(_limbs(lam[a : a + step])):
+            digits[k] += np.bincount(r, row, L)
+    return _carry(digits), count
+
+
+def _carry(digits: np.ndarray) -> np.ndarray:
+    """Carry digit rows, in place, into DIGIT-bit digits below the top row;
+    exact while every entry stays below 2**53."""
+    for k in range(len(digits) - 1):
+        high = np.floor(digits[k] / (1 << DIGIT))
+        digits[k + 1] += high
+        digits[k] -= high * (1 << DIGIT)
+    return digits
+
+
+def bin_lambda(x: int, L: int) -> None:
+    """Bin Lambda up to x by n mod L ahead of Lambda sums mod divisors of L,
+    which then fold these bins instead of binning again.  Does nothing when
+    L is not below the number of prime powers up to x, since sums with that
+    many residues take the prime powers as rows."""
+    if x >= 2 and L < _mangoldt_arrays(x)[0].size:
+        _residue_bins(x, L)
 
 
 def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:

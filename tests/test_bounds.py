@@ -5,9 +5,10 @@ transform against per-character evaluation."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from charsum import bounds
+from charsum import bounds, sums
 from charsum.bounds import (
     ASSERT,
     MONITOR,
@@ -32,11 +33,17 @@ from charsum.bounds import (
     theorem_report,
     theorem_rhs,
 )
-from charsum.characters import enumerate_characters, unit_group_basis
+from charsum.characters import (
+    character_at,
+    conductor,
+    enumerate_characters,
+    unit_group_basis,
+    unit_group_transform,
+)
 from charsum.integers import divisor_count_sieve, divisors, factor, mobius, tau_r
 from charsum.reports import render_records
 from charsum.sums import burgess_moment_2r, congruence_census, shifted_prime_sum
-from charsum.util import PreconditionError
+from charsum.util import PreconditionError, SplitMix64
 
 
 def test_theorem_rhs_closed_form_and_monotonicity():
@@ -203,21 +210,106 @@ def test_theorem_report_record_shape():
     assert rec.parameters["lhs_unfiltered"] >= rec.lhs
 
 
-def test_theorem_report_matches_per_character_maximum():
-    # dual-route check: group transform vs direct per-character evaluation
-    D = 45
-    recs = theorem_report([D], epsilon=0.05, seed=0)
-    rec = recs[0]
-    x = rec.parameters["x"]
-    basis = unit_group_basis(D)
-    ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
-    direct = 0.0
-    for chi in enumerate_characters(basis):
+def _theorem_maxima(D, x, ls):
+    """Brute force: (|T|, chi_index, l) maxima over every non-principal
+    character, and over those past the conductor filter, each with the
+    smallest (chi_index, l) among its ties."""
+    threshold = math.exp(math.sqrt(2.0 * math.log(D)))
+    every, past = [], []
+    for i, chi in enumerate(enumerate_characters(unit_group_basis(D))):
         if chi.is_principal:
             continue
         for l in ls:
-            direct = max(direct, abs(shifted_prime_sum(chi, l, x).value))
-    assert rec.parameters["lhs_unfiltered"] == pytest.approx(direct, rel=1e-9)
+            entry = (abs(shifted_prime_sum(chi, l, x).value), i, l)
+            every.append(entry)
+            if conductor(chi).value > threshold:
+                past.append(entry)
+    return [min(entries, key=lambda e: (-e[0], e[1], e[2])) for entries in (past, every)]
+
+
+def test_theorem_report_matches_per_character_maximum():
+    # dual-route check: certified group transform vs direct per-character evaluation
+    D = 45
+    recs = theorem_report([D], epsilon=0.05, seed=0)
+    rec = recs[0]
+    ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
+    past, every = _theorem_maxima(D, rec.parameters["x"], ls)
+    assert (rec.lhs, rec.parameters["chi_index"], rec.parameters["l"]) == past
+    assert rec.parameters["lhs_unfiltered"] == every[0]
+
+
+def test_theorem_report_certifies_sampled_shifts():
+    """phi > 64: the report samples 64 shifts.  Its lhs is the exact
+    maximum over every character at those shifts, and |shifted_prime_sum|
+    at the reported (chi_index, l), bit for bit."""
+    D = 91
+    rec = theorem_report([D], epsilon=0.05, seed=3)[0]
+    p = rec.parameters
+    assert p["n_characters"] + 1 > 64 and p["l_count"] == 64
+    rng = SplitMix64(SplitMix64(3 ^ D).next_u64())
+    ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
+    past, every = _theorem_maxima(D, p["x"], ls)
+    assert (rec.lhs, p["chi_index"], p["l"]) == past
+    assert p["lhs_unfiltered"] == every[0]
+    for D in (12600, 10007):
+        rec = theorem_report([D], epsilon=0.05, seed=1)[0]
+        p = rec.parameters
+        chi = character_at(unit_group_basis(D), p["chi_index"])
+        assert rec.lhs == abs(shifted_prime_sum(chi, p["l"], p["x"]).value)
+        assert conductor(chi).value > p["conductor_threshold"]
+
+
+def test_theorem_report_bytes_do_not_depend_on_batch(monkeypatch):
+    moduli = [10007, 12600, 4096]
+    header = {"command": "report theorem"}
+    base = render_records(theorem_report(moduli, seed=1), "jsonl", header)
+    for batch in (1, 64 * 10006):  # one shift per transform, all 64 at once
+        monkeypatch.setattr(bounds, "TRANSFORM_BATCH", batch)
+        assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
+
+
+def test_theorem_report_tolerates_fft_error_within_its_bound(monkeypatch):
+    """Perturbing every FFT value by up to half the documented bound, far
+    more than the transform's own rounding, leaves the report bytes as
+    they are: the exact re-evaluation of every near-maximal candidate
+    decides the result, ties included."""
+    moduli = [91, 10007, 12600]
+    header = {"command": "report theorem"}
+    base = render_records(theorem_report(moduli, seed=1), "jsonl", header)
+    transform = bounds.unit_group_transform
+    rng = np.random.default_rng(5)
+
+    def perturbed(basis, residues, weights):
+        values = transform(basis, residues, weights)
+        D, phi = basis.modulus.value, basis.phi
+        x = math.ceil(D ** (5 / 6 + 0.05))
+        bound = bounds.FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * weights.sum()
+        return values + rng.uniform(-bound / 2, bound / 2, values.shape)
+
+    monkeypatch.setattr(bounds, "unit_group_transform", perturbed)
+    assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
+
+
+@pytest.mark.parametrize("D", [1283, 2520])
+def test_fft_error_bound_holds_with_margin(D):
+    """|FFT value - exact value| over every character at four shifts stays
+    below 1/64 of theorem_report's bound, i.e. below log2(phi) u M.
+    phi(1283) = 2 * 641 has a large prime factor, like phi(100489)."""
+    x = math.ceil(D ** (5 / 6 + 0.05))
+    basis = unit_group_basis(D)
+    n, lam = sums._mangoldt_arrays(x)
+    bound = bounds.FFT_ERROR_C * (math.log2(basis.phi) + x // D) * 2.0**-53 * lam.sum()
+    ls = [l for l in range(2, D) if math.gcd(l, D) == 1][:4]
+    values = unit_group_transform(basis, n[None, :] - np.array(ls)[:, None], lam)
+    half = values.shape[1:]
+    worst = 0.0
+    for chi in enumerate_characters(basis):
+        e = chi.exponents
+        if e[-1] >= half[-1]:
+            continue
+        for row, l in zip(values, ls):
+            worst = max(worst, abs(row[e] - abs(shifted_prime_sum(chi, l, x).value)))
+    assert 0 < worst <= bound / 64
 
 
 def test_theorem_report_skips_when_no_conductor_passes():

@@ -6,14 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from charsum import oracles
 from charsum.characters import (
+    DLOG_TABLE_LIMIT,
     CharacterValue,
     DirichletCharacter,
+    UnitGroupBasis,
+    _dlog_table_cyclic,
+    _least_primitive_root,
+    _two_part_factors,
     all_character_tables,
     character_at,
     character_from_json,
-    character_weight_transform,
     conductor,
     enumerate_characters,
     gauss_sum,
@@ -21,6 +28,7 @@ from charsum.characters import (
     is_primitive,
     principal_character,
     unit_group_basis,
+    unit_group_transform,
 )
 from charsum.integers import divisors, euler_phi, factor
 from charsum.util import PreconditionError, SplitMix64
@@ -269,22 +277,64 @@ def test_all_character_tables_match_value_table():
             assert np.allclose(stacked[i], chi.value_table(), atol=1e-12)
 
 
-def test_character_weight_transform_matches_direct_sums():
+def test_unit_group_transform_matches_direct_sums():
     rng = SplitMix64(11)
     for D in (1, 2, 12, 45, 101):
         basis = unit_group_basis(D)
-        weights = np.array(
-            [complex(rng.below(1000) / 997.0, rng.below(1000) / 991.0) for _ in range(D)]
-        )
-        spectrum = character_weight_transform(basis, weights)
-        flat = spectrum.reshape(-1)
+        weights = np.array([[rng.below(1000) / 997.0 for _ in range(D)] for _ in range(2)])
+        # row 1 names its residues by representatives in [D, 2D)
+        residues = np.arange(D)[None, :] + np.array([[0], [D]])
+        spectrum = unit_group_transform(basis, residues, weights)
+        orders = basis.orders or (1,)
+        assert spectrum.shape == (2, *orders[:-1], orders[-1] // 2 + 1)
         for i, chi in enumerate(enumerate_characters(basis)):
-            direct = sum(
-                chi(u).to_complex() * weights[u]
-                for u in range(D)
-                if math.gcd(u, max(D, 1)) == 1
-            )
-            assert abs(flat[i] - direct) < 1e-9 * (1 + np.abs(weights).sum())
+            # the transform keeps the half of the lattice whose last exponent
+            # is at most half its order; the rest are conjugates
+            e = chi.exponents or (0,)
+            if e[-1] > orders[-1] // 2:
+                e = chi.conjugate().exponents
+            for row, w in zip(spectrum, weights):
+                direct = sum(
+                    chi(u).to_complex() * w[u]
+                    for u in range(D)
+                    if math.gcd(u, max(D, 1)) == 1
+                )
+                assert abs(row[e] - abs(direct)) < 1e-9 * (1 + np.abs(w).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000))
+@example(4096)
+@example(2 * 3 * 5 * 7 * 11)
+def test_vectorized_basis_matches_loop_oracles(D):
+    """The conductor grid and the discrete-log tables equal the loops in
+    charsum.oracles exactly."""
+    basis = UnitGroupBasis(factor(D))
+    grid = basis.conductor_grid()
+    assert grid.dtype == np.int64 and np.array_equal(grid, oracles.conductor_grid_oracle(basis))
+    for f in basis.factors:
+        if f.kind == "odd":
+            assert np.array_equal(f.dlog, oracles.dlog_table_cyclic_oracle(f.pe, f.generator, f.order))
+    if D % 8 == 0:
+        k = (D & -D).bit_length() - 1
+        sign, five = oracles.two_part_factors_oracle(k)
+        assert np.array_equal(basis.factors[0].dlog, sign)
+        assert np.array_equal(basis.factors[1].dlog, five)
+
+
+def test_vectorized_basis_at_the_table_limit():
+    """Pinned cases at the largest tables: pe = 999983 just below
+    DLOG_TABLE_LIMIT, and 2^19."""
+    pe = 999983
+    assert pe <= DLOG_TABLE_LIMIT
+    g = _least_primitive_root(pe, pe)
+    assert np.array_equal(_dlog_table_cyclic(pe, g, pe - 1), oracles.dlog_table_cyclic_oracle(pe, g, pe - 1))
+    sign, five = oracles.two_part_factors_oracle(19)
+    factors = _two_part_factors(19)
+    assert np.array_equal(factors[0].dlog, sign) and np.array_equal(factors[1].dlog, five)
+    for D in (1 << 19, 999983):
+        basis = UnitGroupBasis(factor(D))
+        assert np.array_equal(basis.conductor_grid(), oracles.conductor_grid_oracle(basis))
 
 
 def test_json_round_trip():

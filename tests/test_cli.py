@@ -188,6 +188,10 @@ def test_timings_flag_populates_runtime(tmp_path):
     assert isinstance(rec["runtime_ms"], int)
 
 
+def _raise(exc):
+    raise exc
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["chars", "conductor", "--D", "24", "--exponents", "0,x"], 2, "argument --exponents"),
     (["chars", "conductor", "--D", "24", "--exponents", "0,1,0"], 0, ""),
@@ -199,14 +203,20 @@ def test_timings_flag_populates_runtime(tmp_path):
     (["sum", "restricted", "--q", "7", "--nu", "-1", "--l", "1", "--x", "1000", "--chi-index", "1"], 2,
      "need nu >= 1"),
     (["sum", "restricted", "--q", "7", "--nu", "-1", "--l", "1", "--x", "1000"], 2, "need nu >= 1"),
+    # `factor` is made to raise the exception the message names
+    (["factor", "30"], 2, "out of memory: MemoryError"),
+    (["factor", "30"], cli.EXIT_INTERNAL, "internal error: RuntimeError('injected fault')"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
-    """Bad input and work beyond the budget exit 2 with a message and no
-    traceback, before any Lambda is sieved; exit 1 stays for ASSERT
-    failures."""
+    """Bad input, work beyond the budget and memory exhaustion exit 2 with
+    a message and no traceback, before any Lambda is sieved; any other
+    crash exits 3; exit 1 stays for ASSERT failures."""
     sieved = []
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
     monkeypatch.setattr(sums, "mangoldt_sieve", lambda *a: sieved.append(a))
+    for fault in (MemoryError(), RuntimeError("injected fault")):
+        if type(fault).__name__ in message:
+            monkeypatch.setattr(cli, "_cmd_factor", lambda args, fault=fault: _raise(fault))
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -22,7 +22,7 @@ from charsum.characters import (
     unit_group_basis,
 )
 from charsum.integers import divisor_count_sieve, divisors, euler_phi, factor, mangoldt_sieve
-from charsum import oracles, sums, util
+from charsum import bounds, oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
     burgess_moment_2r,
@@ -242,6 +242,43 @@ def test_residue_bins_are_exact_digit_rows():
         want = sum(Fraction(v) for v in lam[n % L == r].tolist()) * 2**53
         assert sum(int(d) << (20 * k) for k, d in enumerate(digits[:, r])) == want
         assert count[r] == np.count_nonzero(n % L == r)
+
+
+def test_residue_bins_fold_from_a_multiple(monkeypatch):
+    """Bins mod every divisor L of the cached modulus fold from that one
+    binning and equal, bit for bit, a fresh binning mod L; the cache keeps
+    the multiple."""
+    x, big = 20000, 4725
+    monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
+    sums._residue_bins(x, big)
+    cached = sums._LAMBDA.bins
+    for L in divisors(factor(big)):
+        digits, count = sums._residue_bins(x, L)
+        want_digits, want_count = sums._bin_residues(x, L)
+        assert np.array_equal(digits, want_digits) and np.array_equal(count, want_count)
+    assert sums._LAMBDA.bins is cached
+    sums._residue_bins(x, 2)  # not a divisor: binned afresh
+    assert sums._LAMBDA.bins[0] == (x, 2)
+
+
+def test_restricted_report_bins_lambda_once(monkeypatch):
+    """report restricted bins Lambda once, mod q lcm(nu) = 7 * 15 for
+    D = 4725, and every record equals a restricted sum that binned on its
+    own."""
+    x = 20000
+    binned = []
+    bin_residues = sums._bin_residues
+    monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
+    monkeypatch.setattr(sums, "_bin_residues", lambda x, L: binned.append(L) or bin_residues(x, L))
+    records = bounds.restricted_report(4725, x)
+    assert binned == [105]
+    chi_q = induce_primitive(character_at(unit_group_basis(4725), 1))
+    assert [r.parameters["nu"] for r in records] == [1, 3, 5, 15]
+    for rec in records:
+        sums._LAMBDA.bins = None
+        val = restricted_sum(chi_q, rec.parameters["nu"], rec.parameters["l"], x)
+        assert rec.lhs == abs(val.value)
+    assert binned == [105, 7, 21, 35, 105]
 
 
 def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
