@@ -47,7 +47,6 @@ from .sums import (
 )
 from .bounds import (
     BoundCheckRecord,
-    BoundConfig,
     big_divisor_tail,
     burgess_check_2r,
     divisor_moment_check,

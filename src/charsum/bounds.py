@@ -25,6 +25,7 @@ from .characters import (
     unit_group_transform,
 )
 from .integers import (
+    MANGOLDT_CAP_BITS,
     divisor_count_sieve,
     divisors,
     euler_phi,
@@ -36,6 +37,7 @@ from .integers import (
     tau_r_sieve,
 )
 from .sums import (
+    DEFAULT_WORK_BUDGET,
     CongruenceInstance,
     _mangoldt_arrays,
     bin_lambda,
@@ -63,23 +65,23 @@ ASSERT = "ASSERT"
 MONITOR = "MONITOR"
 
 
-@dataclass
-class BoundConfig:
-    """Tunable constants shared by the checks.
+# The absolute constants of the omega(q) and phi(q)/2q envelopes, and the
+# dyadic window exponent of the bilinear-sum corollaries.  The reports'
+# ``delta`` is the small fixed exponent perturbation, <= 1e-4 in the source
+# statements.
+C_OMEGA = 1.5
+C_PHI = 1.0
+THETA = 1.0 / 12.0
 
-    ``delta`` is the small fixed exponent perturbation (<= 1e-4 in the
-    source statements); ``c_omega`` and ``c_phi`` the absolute constants in
-    the omega(q) and phi(q)/2q envelopes; ``theta`` the dyadic window
-    exponent used by the bilinear-sum corollaries.
-    """
+# The smooth-count envelope is taken at its worst-case theta
+SMOOTH_THETA = 1.0
 
-    delta: float = 1e-4
-    c_omega: float = 1.5
-    c_phi: float = 1.0
-    theta: float = 1.0 / 12.0
+# Largest x and D of the seeded identity cases
+CASE_X_MAX = 10**4
+CASE_D_MAX = 10**3
 
-    def __post_init__(self):
-        require(0 < self.delta <= 1, "delta", "need 0 < delta <= 1")
+# restricted_report checks the first RESTRICTED_MAX_NU squarefree nu | q1
+RESTRICTED_MAX_NU = 8
 
 
 @dataclass
@@ -219,8 +221,9 @@ def smooth_rhs_product(b: int) -> float:
     return out
 
 
-def smooth_bound_check(x: int, z: int, b: int = 1, theta: float = 1.0) -> BoundCheckRecord:
-    """Exact smooth count against the sieve envelope at worst-case theta."""
+def smooth_bound_check(x: int, z: int, b: int = 1) -> BoundCheckRecord:
+    """Exact smooth count against the sieve envelope at the worst-case
+    theta = SMOOTH_THETA."""
     require(math.log(x) <= z <= x ** (1 / math.e), "z",
             f"need ln x <= z <= x^(1/e), got x={x}, z={z}")
     (lhs, ms) = _timed(smooth_count, x, z, b)
@@ -229,10 +232,10 @@ def smooth_bound_check(x: int, z: int, b: int = 1, theta: float = 1.0) -> BoundC
     rhs = (
         x
         * smooth_rhs_product(b)
-        * math.exp(-(la + math.log(la)) / alpha + 1.0 / alpha + 2.0 * theta / (alpha * la))
+        * math.exp(-(la + math.log(la)) / alpha + 1.0 / alpha + 2.0 * SMOOTH_THETA / (alpha * la))
     )
     return make_record(
-        "SMOOTH_COUNT", {"x": x, "z": z, "b": b, "theta": theta}, lhs, rhs, MONITOR, runtime_ms=ms,
+        "SMOOTH_COUNT", {"x": x, "z": z, "b": b, "theta": SMOOTH_THETA}, lhs, rhs, MONITOR, runtime_ms=ms,
     )
 
 
@@ -300,6 +303,7 @@ def census_records(inst: CongruenceInstance, delta: float = 1e-4, tau_max=None) 
 
 def random_census_instances(count: int, seed: int, q_max: int = 5000) -> list[tuple]:
     """Deterministic valid parameter tuples (q, d, eta, k, M, N, Y)."""
+    require(q_max >= 16, "q_max", f"need q_max >= 16, got {q_max}")
     rng = SplitMix64(seed)
     out = []
     while len(out) < count:
@@ -327,7 +331,7 @@ def random_census_instances(count: int, seed: int, q_max: int = 5000) -> list[tu
 
 
 def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
-                  delta=1e-4, work_budget=10**9) -> list[BoundCheckRecord]:
+                  delta=1e-4) -> list[BoundCheckRecord]:
     """Census sub-bound assertions over explicit or seeded instances.
 
     Every census runs (and checks its preconditions and budget) before the
@@ -335,7 +339,7 @@ def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
     if instances is None:
         instances = random_census_instances(random_count, seed, q_max)
     timed = [
-        _timed(congruence_census, q, d, eta, k, M, N, Y, work_budget=work_budget)
+        _timed(congruence_census, q, d, eta, k, M, N, Y)
         for (q, d, eta, k, M, N, Y) in instances
     ]
     tau_max = _tau_prefix_max(max((inst.N * inst.Y - 1 for inst, _ in timed), default=1))
@@ -352,20 +356,19 @@ def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
 # Identity verification sweeps (all ASSERT)
 
 
-def hb_identity_records(cases: int = 50, seed: int = 0, x_max: int = 10**4,
-                        d_max: int = 10**3) -> list[BoundCheckRecord]:
+def hb_identity_records(cases: int = 50, seed: int = 0) -> list[BoundCheckRecord]:
     """Seeded decomposition-identity cases; residual < 1e-8 x asserted."""
     rng = SplitMix64(seed)
     records = []
     for i in range(cases):
-        x = rng.randint(30, x_max)
+        x = rng.randint(30, CASE_X_MAX)
         u1 = math.ceil(x ** (1 / 3)) if rng.below(2) == 0 else math.ceil(math.sqrt(x))
         r = rng.randint(1, 3)
         twist = rng.below(2) == 1
         params = {"case": i, "x": x, "u1": u1, "r": r}
         if twist:
             while True:
-                D = rng.randint(3, d_max)
+                D = rng.randint(3, CASE_D_MAX)
                 basis = unit_group_basis(D)
                 if basis.phi > 1:
                     break
@@ -442,14 +445,13 @@ def coprime_count_records(q_max: int = 1000, u_max: int = 1000) -> list[BoundChe
     ]
 
 
-def recombination_records(cases: int = 20, seed: int = 0, d_max: int = 10**3,
-                          x_max: int = 10**4) -> list[BoundCheckRecord]:
+def recombination_records(cases: int = 20, seed: int = 0) -> list[BoundCheckRecord]:
     """Seeded divisor-recombination identity checks, asserted at 1e-9 mass."""
     rng = SplitMix64(seed)
     records = []
     done = 0
     while done < cases:
-        D = rng.randint(6, d_max)
+        D = rng.randint(6, CASE_D_MAX)
         basis = unit_group_basis(D)
         if basis.phi <= 1:
             continue
@@ -457,7 +459,7 @@ def recombination_records(cases: int = 20, seed: int = 0, d_max: int = 10**3,
         l = 1 + rng.below(D)
         if math.gcd(l, D) != 1:
             continue
-        x = rng.randint(50, x_max)
+        x = rng.randint(50, CASE_X_MAX)
         rec, ms = _timed(mobius_recombination, chi, l, x)
         records.append(
             make_record(
@@ -473,7 +475,7 @@ def recombination_records(cases: int = 20, seed: int = 0, d_max: int = 10**3,
 
 def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 50,
                       coprime_max: int = 1000, recombination_cases: int = 20,
-                      seed: int = 0, force_fail: bool = False) -> list[BoundCheckRecord]:
+                      seed: int = 0) -> list[BoundCheckRecord]:
     """The full ASSERT suite: decomposition identity, orthogonality, Gauss
     moduli, coprime-count deviation, divisor recombination."""
     records = []
@@ -481,11 +483,6 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
     records.extend(character_table_records(max_D, gauss_max_q))
     records.extend(coprime_count_records(coprime_max, coprime_max))
     records.extend(recombination_records(recombination_cases, seed))
-    if force_fail:
-        # test-only hook: lets the exit-code contract be exercised end to end
-        records.append(
-            make_record("SELFTEST", {"injected": True}, 2.0, 1.0, ASSERT)
-        )
     return records
 
 
@@ -514,8 +511,7 @@ TRANSFORM_BATCH = 1 << 18
 FFT_ERROR_C = 64.0
 
 
-def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
-                   work_budget: int = 10**9) -> list[BoundCheckRecord]:
+def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCheckRecord]:
     """For each modulus: max of |T(chi, l)| over non-principal characters
     and a seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).
 
@@ -538,7 +534,11 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
     def one(D: int) -> BoundCheckRecord | None:
         require(D >= 3, "D", "need D >= 3")
         t0 = time.perf_counter_ns()
-        x = math.ceil(D ** (5.0 / 6.0 + epsilon))
+        exponent = 5.0 / 6.0 + epsilon
+        require(math.isfinite(epsilon) and exponent * math.log2(D) < MANGOLDT_CAP_BITS, "epsilon",
+                f"need a finite epsilon with x = D^(5/6 + epsilon) below 2^{MANGOLDT_CAP_BITS}, "
+                f"the Lambda sieve's cap; got epsilon={epsilon} at D={D}")
+        x = math.ceil(D**exponent)
         basis = unit_group_basis(D)
         phi = basis.phi
         if phi <= 1:
@@ -559,7 +559,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0, *,
             rng = SplitMix64(SplitMix64(seed ^ D).next_u64())
             ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
         n, lam = _mangoldt_arrays(x)
-        if len(ls) * (len(n) + phi * max(1, int(math.log2(max(phi, 2))))) > work_budget:
+        if len(ls) * (len(n) + phi * max(1, int(math.log2(max(phi, 2))))) > DEFAULT_WORK_BUDGET:
             raise WorkBudgetError(f"theorem_report D={D} exceeds work budget")
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
 
@@ -671,18 +671,15 @@ def divisor_moment_report(x_grid=(100, 1000, 10**4, 10**5), r_values=(2, 3, 4, 5
     return records
 
 
-def smooth_report(grid=None, theta: float = 1.0) -> list[BoundCheckRecord]:
+def smooth_report() -> list[BoundCheckRecord]:
     """Smooth-count envelope over a fixed admissible (x, z, b) grid."""
-    if grid is None:
-        grid = []
-        for x in (10**3, 10**4, 10**5):
-            z_lo = math.ceil(math.log(x))
-            z_hi = math.floor(x ** (1 / math.e))
-            zs = sorted({z_lo, (z_lo + z_hi) // 2, z_hi})
-            for z in zs:
-                for b in (1, 30):
-                    grid.append((x, z, b))
-    return [smooth_bound_check(x, z, b, theta) for (x, z, b) in grid]
+    records = []
+    for x in (10**3, 10**4, 10**5):
+        z_lo = math.ceil(math.log(x))
+        z_hi = math.floor(x ** (1 / math.e))
+        for z in sorted({z_lo, (z_lo + z_hi) // 2, z_hi}):
+            records.extend(smooth_bound_check(x, z, b) for b in (1, 30))
+    return records
 
 
 def tail_report(pairs=((30030, 30030), (510510, 510510), (9699690, 9699690), (30030, 9699690))) -> list[BoundCheckRecord]:
@@ -697,7 +694,7 @@ def tail_report(pairs=((30030, 30030), (510510, 510510), (9699690, 9699690), (30
     return records
 
 
-def restricted_report(D: int, x: int, seed: int = 0, max_nu: int = 8) -> list[BoundCheckRecord]:
+def restricted_report(D: int, x: int, seed: int = 0) -> list[BoundCheckRecord]:
     """|T(chi_q, nu)| against the quoted intermediate envelope, for the
     first non-principal character and squarefree nu | q1."""
     basis = unit_group_basis(D)
@@ -711,7 +708,7 @@ def restricted_report(D: int, x: int, seed: int = 0, max_nu: int = 8) -> list[Bo
         l = 1 + rng.below(D)
     q1_primes = [p for p in factor(D).primes if q % p != 0]
     q1 = math.prod(q1_primes) if q1_primes else 1
-    nus = divisors(factor(q1))[:max_nu]
+    nus = divisors(factor(q1))[:RESTRICTED_MAX_NU]
     bin_lambda(x, q * math.lcm(*nus))  # every restricted sum below folds these bins
     records = []
     for nu in nus:
@@ -725,10 +722,10 @@ def restricted_report(D: int, x: int, seed: int = 0, max_nu: int = 8) -> list[Bo
     return records
 
 
-def short_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[BoundCheckRecord]:
+def short_sum_report(seed: int = 0, delta: float = 1e-4) -> list[BoundCheckRecord]:
     """Window-sum ratios for the two short-sum envelopes on seeded
     admissible parameters (D = q prime, d = nu = 1)."""
-    cfg = config or BoundConfig()
+    require(delta <= 5 / 12, "delta", f"need delta <= 5/12, so that q^(1/3 + 8 delta/5) <= q, got {delta}")
     rng = SplitMix64(seed)
     records = []
     for q in (541, 1009, 2003):
@@ -747,11 +744,11 @@ def short_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[B
         records.append(
             make_record(
                 "SHORT_S", {"D": D, "q": q, "M": M, "N": N, "d": d, "k": k, "eta": eta,
-                            "delta": cfg.delta},
-                abs(val.value), short_sum_rhs(N, q, d, cfg.delta), MONITOR, runtime_ms=ms,
+                            "delta": delta},
+                abs(val.value), short_sum_rhs(N, q, d, delta), MONITOR, runtime_ms=ms,
             )
         )
-        y_lo = math.ceil(q ** (1 / 3 + 8 * cfg.delta / 5))
+        y_lo = math.ceil(q ** (1 / 3 + 8 * delta / 5))
         y = rng.randint(y_lo, q)
         u = rng.randint(y, 3 * q)
         val, ms = _timed(sy_sum, chi_q, u, y, eta, 1)
@@ -764,10 +761,9 @@ def short_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[B
     return records
 
 
-def double_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[BoundCheckRecord]:
+def double_sum_report(seed: int = 0, delta: float = 1e-4) -> list[BoundCheckRecord]:
     """Bilinear-sum ratios: averaged-coefficient envelope plus the two
     corollary envelopes on their own admissible windows (D = q prime, nu=1)."""
-    cfg = config or BoundConfig()
     rng = SplitMix64(seed)
     records = []
     for q in (1009, 4001):
@@ -782,21 +778,21 @@ def double_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[
         x = 4 * M * N
         a_m = "tau5:" + str(seed)
         val, ms = _timed(double_sum, chi_q, a_m, "one", M, N, U, 1, 1, x)
-        rhs = double_sum_rhs(M, N, q, 1.0, 4.0, 24.0, D, cfg.delta)
+        rhs = double_sum_rhs(M, N, q, 1.0, 4.0, 24.0, D, delta)
         records.append(
             make_record(
                 "DOUBLE_W", {"D": D, "q": q, "M": M, "N": N, "U": U, "x": x,
-                             "a_m": a_m, "b_n": "one", "delta": cfg.delta},
+                             "a_m": a_m, "b_n": "one", "delta": delta},
                 abs(val.value), rhs, MONITOR, runtime_ms=ms,
             )
         )
         # corollary envelope x/nu exp(-0.7 sqrt(ln D)) on the same window
-        x_cor = math.ceil(q ** (0.75 + cfg.theta + 1.1 * cfg.delta))
+        x_cor = math.ceil(q ** (0.75 + THETA + 1.1 * delta))
         val2, ms2 = _timed(double_sum, chi_q, a_m, "one", M, N, U, 1, 1, x_cor)
         records.append(
             make_record(
                 "DOUBLE_W_COROLLARY",
-                {"D": D, "q": q, "M": M, "N": N, "U": U, "x": x_cor, "theta": cfg.theta,
+                {"D": D, "q": q, "M": M, "N": N, "U": U, "x": x_cor, "theta": THETA,
                  "a_m": a_m, "b_n": "one"},
                 abs(val2.value), corollary_rhs(x_cor, 1, D), MONITOR, runtime_ms=ms2,
             )
@@ -804,14 +800,13 @@ def double_sum_report(seed: int = 0, config: BoundConfig | None = None) -> list[
     return records
 
 
-def constants_report(q_max: int = 1000, config: BoundConfig | None = None) -> list[BoundCheckRecord]:
+def constants_report(q_max: int = 1000) -> list[BoundCheckRecord]:
     """Fitted constants for the omega(q) envelope and the phi(q)/2q display.
 
     Emits, per envelope, the observed extreme constant on the grid (the
     least c_omega making omega(q) <= c ln q / ln ln q hold, and both the
     least upper and greatest lower constant for phi(q) ln ln q / 2q).
     """
-    cfg = config or BoundConfig()
     worst_omega = 0.0
     worst_omega_q = 3
     max_phi = 0.0
@@ -831,13 +826,13 @@ def constants_report(q_max: int = 1000, config: BoundConfig | None = None) -> li
     rec1 = make_record(
         "OMEGA_ENVELOPE",
         {"q_max": q_max, "worst_q": worst_omega_q, "fitted_c_omega": worst_omega,
-         "configured_c_omega": cfg.c_omega},
-        worst_omega, cfg.c_omega, MONITOR,
+         "configured_c_omega": C_OMEGA},
+        worst_omega, C_OMEGA, MONITOR,
     )
     rec2 = make_record(
         "PHI_RATIO",
         {"q_max": q_max, "fitted_c_phi_upper": max_phi, "fitted_c_phi_lower": min_phi,
-         "configured_c_phi": cfg.c_phi},
-        max_phi, cfg.c_phi, MONITOR,
+         "configured_c_phi": C_PHI},
+        max_phi, C_PHI, MONITOR,
     )
     return [rec1, rec2]

@@ -367,22 +367,7 @@ class DirichletCharacter:
     def value_table(self) -> np.ndarray:
         """chi on residues 0..D-1 as complex128 (cached on the character)."""
         if self._table is None:
-            basis = self.basis
-            D = basis.modulus.value
-            mask = basis.unit_mask()
-            if not basis.factors:
-                self._table = mask.astype(np.complex128)
-            else:
-                E = basis.exponent
-                emat = basis.exponent_matrix()
-                weights = np.array(
-                    [a * (E // m) for a, m in zip(self.exponents, basis.orders)],
-                    dtype=np.int64,
-                )
-                scaled = (weights[:, None] * np.where(emat >= 0, emat, 0)).sum(axis=0) % E
-                table = np.exp((2j * np.pi / E) * scaled)
-                table[~mask] = 0.0
-                self._table = table
+            self._table = _value_tables(self.basis, np.array([self.exponents], dtype=np.int64))[0]
         return self._table
 
     def conjugate(self) -> "DirichletCharacter":
@@ -497,21 +482,25 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
 # Whole-group machinery (all characters at once)
 
 
-def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
-    """Matrix of shape (phi(D), D): row i is the value table of the i-th
-    character in enumeration order.  Intended for small moduli."""
-    D = basis.modulus.value
-    if not basis.factors:
-        return basis.unit_mask().astype(np.complex128)[None, :]
-    orders = basis.orders
+def _value_tables(basis: UnitGroupBasis, vecs: np.ndarray) -> np.ndarray:
+    """Value tables, shape (len(vecs), D), of the characters whose exponent
+    vectors are the rows of ``vecs``: chi_e(u) = exp(2 pi i k / E) with
+    k = sum_j e_j (E / m_j) dlog_j(u) mod E, looked up in one row of the E
+    roots of unity, and 0 on non-units."""
     E = basis.exponent
-    vecs = np.array(list(itertools.product(*(range(m) for m in orders))), dtype=np.int64)
-    weights = np.array([E // m for m in orders], dtype=np.int64)
-    emat = np.where(basis.exponent_matrix() >= 0, basis.exponent_matrix(), 0)
-    phases = (vecs * weights[None, :]) @ emat % E
+    weights = np.array([E // m for m in basis.orders], dtype=np.int64)
+    emat = basis.exponent_matrix()
+    phases = (vecs * weights) @ np.where(emat >= 0, emat, 0) % E
     tables = np.exp((2j * np.pi / E) * np.arange(E))[phases]
     tables[:, ~basis.unit_mask()] = 0.0
     return tables
+
+
+def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
+    """Matrix of shape (phi(D), D): row i is the value table of the i-th
+    character in enumeration order.  Intended for small moduli."""
+    vecs = np.array(list(itertools.product(*(range(m) for m in basis.orders))), dtype=np.int64)
+    return _value_tables(basis, vecs)
 
 
 def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights: np.ndarray) -> np.ndarray:

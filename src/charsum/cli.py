@@ -13,12 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds, reports
-from .bounds import BoundConfig
 from .characters import character_at, conductor, enumerate_characters, unit_group_basis
 from .integers import factor
 from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
@@ -29,46 +26,25 @@ log = logging.getLogger("charsum")
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation settings.  The seed determines every sampled
-    choice, so two runs with the same RunConfig produce byte-identical
-    report files."""
-
-    command: str
-    bounds: BoundConfig
-    seed: int
-    output_path: str | None
-    format: str
-    timings: bool
-
-    def header(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "format": self.format,
-            "delta": self.bounds.delta,
-        }
+def _delta(text: str) -> float:
+    """argparse type: the exponent perturbation delta, 0 < delta <= 1."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"need 0 < delta <= 1, got {text!r}")
+    return value
 
 
-def run_config(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        bounds=BoundConfig(delta=getattr(args, "delta", 1e-4)),
-        seed=getattr(args, "seed", 0),
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "jsonl"),
-        timings=bool(getattr(args, "timings", False)),
-    )
-
-
-def _add_output_options(p: argparse.ArgumentParser) -> None:
+def _add_output_options(p: argparse.ArgumentParser, *, seed: bool = False, delta: bool = False) -> None:
+    """The report options; ``--seed`` and ``--delta`` only on the commands
+    that read them."""
     p.add_argument("--output", help="report file path (default: stdout)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include measured runtimes (breaks byte-identical reruns)")
-    p.add_argument("--delta", type=float, default=1e-4)
+    if delta:
+        p.add_argument("--delta", type=_delta, default=1e-4)
 
 
 def _int_list(text: str) -> list[int]:
@@ -120,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--hb-cases", type=int, default=50)
     p_ident.add_argument("--coprime-max", type=int, default=1000)
     p_ident.add_argument("--recombination-cases", type=int, default=20)
-    _add_output_options(p_ident)
+    _add_output_options(p_ident, seed=True)
     p_l8 = verify_sub.add_parser("lemma8", help="congruence census sub-bounds")
     p_l8.add_argument("--instances", help="JSONL file of instance parameter dicts")
     p_l8.add_argument("--random", type=int, default=0, help="number of seeded instances")
     p_l8.add_argument("--q-max", type=int, default=5000)
-    _add_output_options(p_l8)
+    _add_output_options(p_l8, seed=True, delta=True)
 
     p_report = top.add_parser("report", help="MONITOR ratio reports")
     report_sub = p_report.add_subparsers(dest="subcommand", required=True)
@@ -133,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--D-list", type=_int_list, help="comma-separated moduli")
     p_th.add_argument("--D", type=int, default=None, help="single modulus")
     p_th.add_argument("--eps", type=float, default=0.05)
-    _add_output_options(p_th)
+    _add_output_options(p_th, seed=True)
     p_bu = report_sub.add_parser("burgess", help="window-moment ratios over primes")
     p_bu.add_argument("--q-max", type=int, default=300)
     p_bu.add_argument("--Z", type=int, default=20)
     p_bu.add_argument("--r", type=int, default=2)
-    _add_output_options(p_bu)
+    _add_output_options(p_bu, delta=True)
     p_dm = report_sub.add_parser("divisor-moments", help="tau_r^k moment ratios")
     p_dm.add_argument("--x-max", type=int, default=10**5)
     _add_output_options(p_dm)
@@ -151,11 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_restr = report_sub.add_parser("restricted", help="restricted-sum envelope ratios")
     p_restr.add_argument("--D", type=int, required=True)
     p_restr.add_argument("--x", type=int, required=True)
-    _add_output_options(p_restr)
+    _add_output_options(p_restr, seed=True)
     p_ss = report_sub.add_parser("shortsums", help="short-window envelope ratios")
-    _add_output_options(p_ss)
+    _add_output_options(p_ss, seed=True, delta=True)
     p_ds = report_sub.add_parser("doublesums", help="bilinear-sum envelope ratios")
-    _add_output_options(p_ds)
+    _add_output_options(p_ds, seed=True, delta=True)
     p_cn = report_sub.add_parser("constants", help="fitted envelope constants")
     p_cn.add_argument("--q-max", type=int, default=1000)
     _add_output_options(p_cn)
@@ -163,11 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(records, config: RunConfig, extra_header: dict) -> int:
-    header = config.header() | extra_header
-    data = reports.render_records(records, config.format, header, include_timings=config.timings)
-    if config.output_path:
-        reports.write_atomic(config.output_path, data)
+def _emit(records, args, header: dict) -> int:
+    """Render ``records`` under a header of the command, the format, the
+    ``--seed`` and ``--delta`` the command takes and ``header``; exit 1 on
+    any ASSERT failure."""
+    header = {"command": f"{args.command} {args.subcommand}", "format": args.format} | header
+    header |= {k: getattr(args, k) for k in ("seed", "delta") if hasattr(args, k)}
+    data = reports.render_records(records, args.format, header, include_timings=args.timings)
+    if args.output:
+        reports.write_atomic(args.output, data)
     else:
         sys.stdout.buffer.write(data)
     return 1 if reports.any_assert_failure(records) else 0
@@ -258,56 +238,44 @@ def _read_instances(path: str) -> list[tuple]:
 
 def _cmd_verify(args) -> int:
     if args.subcommand == "identities":
-        config = run_config(args, "verify identities")
-        force_fail = os.environ.get("CHARSUM_TEST_FORCE_ASSERT_FAIL", "") == "1"
-        records = bounds.identities_verify(
-            max_D=args.max_D,
-            gauss_max_q=args.gauss_max_q,
-            hb_cases=args.hb_cases,
-            coprime_max=args.coprime_max,
-            recombination_cases=args.recombination_cases,
-            seed=config.seed,
-            force_fail=force_fail,
-        )
-        extra = {
+        sizes = {
             "max_D": args.max_D,
             "gauss_max_q": args.gauss_max_q,
             "hb_cases": args.hb_cases,
             "coprime_max": args.coprime_max,
             "recombination_cases": args.recombination_cases,
         }
-        return _emit(records, config, extra)
-    config = run_config(args, "verify lemma8")
+        return _emit(bounds.identities_verify(**sizes, seed=args.seed), args, sizes)
     instances = None
     if args.instances:
         instances = _read_instances(args.instances)
     elif args.random <= 0:
         raise PreconditionError("instances", "need --instances FILE or --random N > 0")
     records = bounds.lemma8_verify(
-        instances, random_count=args.random, seed=config.seed, q_max=args.q_max,
-        delta=config.bounds.delta,
+        instances, random_count=args.random, seed=args.seed, q_max=args.q_max, delta=args.delta,
     )
     extra = {"random": args.random, "q_max": args.q_max, "instances_file": bool(args.instances)}
-    return _emit(records, config, extra)
+    return _emit(records, args, extra)
 
 
 def _cmd_report(args) -> int:
     sub = args.subcommand
-    config = run_config(args, f"report {sub}")
     if sub == "theorem":
         if (args.D_list is None) == (args.D is None):
             raise PreconditionError("D", "give exactly one of --D-list or --D")
         d_list = [args.D] if args.D is not None else args.D_list
-        records = bounds.theorem_report(d_list, epsilon=args.eps, seed=config.seed)
+        records = bounds.theorem_report(d_list, epsilon=args.eps, seed=args.seed)
         if not records:
             raise PreconditionError("D_list", f"every modulus in {d_list} was skipped, "
                                     "so the report would be empty")
         extra = {"D_list": d_list, "eps": args.eps}
     elif sub == "burgess":
-        records = bounds.burgess_report(args.q_max, args.Z, args.r, config.bounds.delta)
+        records = bounds.burgess_report(args.q_max, args.Z, args.r, args.delta)
         extra = {"q_max": args.q_max, "Z": args.Z, "r": args.r}
     elif sub == "divisor-moments":
         grid = tuple(x for x in (100, 1000, 10**4, 10**5) if x <= args.x_max)
+        if not grid:
+            raise PreconditionError("x_max", f"need x_max >= 100, the smallest grid point, got {args.x_max}")
         records = bounds.divisor_moment_report(x_grid=grid)
         extra = {"x_max": args.x_max}
     elif sub == "smooth":
@@ -320,18 +288,18 @@ def _cmd_report(args) -> int:
         records = bounds.tail_report(pairs) if pairs else bounds.tail_report()
         extra = {"pairs": list(pairs) if pairs else "default"}
     elif sub == "restricted":
-        records = bounds.restricted_report(args.D, args.x, seed=config.seed)
+        records = bounds.restricted_report(args.D, args.x, seed=args.seed)
         extra = {"D": args.D, "x": args.x}
     elif sub == "shortsums":
-        records = bounds.short_sum_report(seed=config.seed, config=config.bounds)
+        records = bounds.short_sum_report(seed=args.seed, delta=args.delta)
         extra = {}
     elif sub == "doublesums":
-        records = bounds.double_sum_report(seed=config.seed, config=config.bounds)
+        records = bounds.double_sum_report(seed=args.seed, delta=args.delta)
         extra = {}
     else:
         records = bounds.constants_report(args.q_max)
         extra = {"q_max": args.q_max}
-    return _emit(records, config, extra)
+    return _emit(records, args, extra)
 
 
 def main(argv=None) -> int:

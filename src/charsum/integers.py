@@ -5,9 +5,9 @@ Everything here is exact integer arithmetic; the sieved tables of mu, tau
 and tau_r come from one vectorized least-prime-factor walk.  The von
 Mangoldt sieve streams one boolean segment at a time and keeps only the
 prime powers it finds, so its memory grows per prime power, not per
-integer.  Floating point enters only through ``MangoldtTable`` log values,
-derived on demand from the stored (n, prime, exponent) arrays so the table
-itself stays exact.
+integer.  ``MangoldtTable`` stores those prime powers as exact (n, prime,
+exponent) arrays; the log values are taken by its readers, so no floating
+point enters this module's tables.
 """
 
 from __future__ import annotations
@@ -18,9 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import exact_sum, require
+from .util import require
 
 _SMALL_PRIME_LIMIT = 10**6
+
+# mangoldt_sieve covers n < 2^MANGOLDT_CAP_BITS, sieving SEGMENT odd integers at a time
+MANGOLDT_CAP_BITS = 40
+SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -324,8 +328,8 @@ class MangoldtTable:
     """Von Mangoldt values on [lo, hi], stored exactly as the prime powers.
 
     ``n`` lists the prime powers in the range, ascending, with n[i] =
-    prime[i] ** power[i]; every other integer in the range has Lambda = 0.
-    Log values are produced on demand so no rounding is baked into the table.
+    prime[i] ** power[i]; every other integer in the range has Lambda = 0,
+    and Lambda(n[i]) = log(prime[i]).  No rounding is baked into the table.
     """
 
     lo: int
@@ -334,24 +338,15 @@ class MangoldtTable:
     prime: np.ndarray
     power: np.ndarray
 
-    def value(self, n: int) -> float:
-        require(self.lo <= n <= self.hi, "n", "outside the sieved range")
-        i = int(np.searchsorted(self.n, n))
-        return math.log(int(self.prime[i])) if i < self.n.size and self.n[i] == n else 0.0
-
     def prime_power_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, p, a) arrays over the prime powers in the range, ascending n."""
         return self.n, self.prime, self.power
 
-    def total(self) -> float:
-        """Chebyshev psi over the range, exactly rounded."""
-        return exact_sum(np.log(self.prime.astype(np.float64)))
 
-
-def mangoldt_sieve(lo: int, hi: int, segment_size: int = 1 << 20) -> MangoldtTable:
+def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
     """Segmented sieve of Lambda over [lo, hi] (Bays & Hudson 1977).
 
-    The odd integers of the range are sieved ``segment_size`` at a time, one
+    The odd integers of the range are sieved ``SEGMENT`` at a time, one
     byte each, by the odd primes up to sqrt(hi), and each segment keeps only
     the primes it leaves.  The powers p^k, k >= 2, of the primes up to
     sqrt(hi) are merged in once at the end.  Memory is one segment plus
@@ -359,14 +354,13 @@ def mangoldt_sieve(lo: int, hi: int, segment_size: int = 1 << 20) -> MangoldtTab
     segmentation."""
     require(1 <= lo, "lo", "need lo >= 1")
     require(lo <= hi, "hi", f"need lo <= hi, got [{lo}, {hi}]")
-    require(hi < 2**40, "hi", "range capped at 2^40")
-    require(segment_size >= 1, "segment_size", "need segment_size >= 1")
+    require(hi < 2**MANGOLDT_CAP_BITS, "hi", f"range capped at 2^{MANGOLDT_CAP_BITS}")
     base = primes_up_to(math.isqrt(hi))
     odd = base[1:]
     squares = odd * odd
     found = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]
     first = lo | 1
-    size = max(1, min(segment_size, (hi - first) // 2 + 1))  # odd integers per segment
+    size = max(1, min(SEGMENT, (hi - first) // 2 + 1))  # odd integers per segment
     for seg_lo in range(first, hi + 1, 2 * size):
         seg_hi = min(seg_lo + 2 * size - 2, hi)
         alive = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # alive[i]: seg_lo + 2i

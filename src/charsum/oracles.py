@@ -15,6 +15,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, UnitGroupBasis
 from .integers import euler_phi, factor
+from .sums import DEFAULT_WORK_BUDGET
 from .util import WorkBudgetError
 
 
@@ -124,13 +125,13 @@ def burgess_sextic_oracle(chi_q: DirichletCharacter, Z: int) -> float:
     return total
 
 
-def congruence_census_oracle(q, d, eta, k, M, N, Y, *, work_budget: int = 10**9):
+def congruence_census_oracle(q, d, eta, k, M, N, Y):
     """Literal quadruple loop over (n, n1, y, y1); returns the same census
     fields as the grouped path.  A second pass with the loops reordered
     re-counts K as an internal consistency check."""
     ys = [y for y in range(1, Y + 1) if math.gcd(y, q) == 1]
     n_range = range(M + 1, M + N + 1)
-    if (len(ys) * N) ** 2 > work_budget:
+    if (len(ys) * N) ** 2 > DEFAULT_WORK_BUDGET:
         raise WorkBudgetError("quadruple loop exceeds budget")
     qd = q // d
     shift = eta * k

@@ -464,7 +464,7 @@ def burgess_moment_2r(chi_q: DirichletCharacter, Z: int, r: int) -> float:
     return exact_sum(np.abs(windows) ** (2 * r))
 
 
-def burgess_sextic(chi_q: DirichletCharacter, Z: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> float:
+def burgess_sextic(chi_q: DirichletCharacter, Z: int) -> float:
     """Sextic rational-argument moment: sum over 6-tuples z of
     |sum_lambda chi_q(prod(lambda+z_i, i<=3) / prod(lambda+z_i, i>3))|.
 
@@ -475,8 +475,8 @@ def burgess_sextic(chi_q: DirichletCharacter, Z: int, *, work_budget: int = DEFA
     q = chi_q.modulus
     require(is_primitive(chi_q), "chi_q", "need a primitive character")
     require(Z >= 1 and Z**6 <= q, "Z", f"need 1 <= Z <= q^(1/6), got Z={Z}, q={q}")
-    if Z**6 * q > work_budget:
-        raise WorkBudgetError(f"Z^6*q = {Z**6 * q} exceeds budget {work_budget}")
+    if Z**6 * q > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetError(f"Z^6*q = {Z**6 * q} exceeds budget {DEFAULT_WORK_BUDGET}")
     table = chi_q.value_table()
     units = chi_q.basis.unit_mask()
     inv = np.zeros(q, dtype=np.int64)
@@ -562,7 +562,7 @@ def rho_divisor_count(q: int, d: int, Y: int) -> int:
     return count
 
 
-def congruence_census(q, d, eta, k, M, N, Y, *, work_budget: int = DEFAULT_WORK_BUDGET) -> CongruenceInstance:
+def congruence_census(q, d, eta, k, M, N, Y) -> CongruenceInstance:
     """Exact enumeration of the congruence solutions with the case split
     applied literally to the off-diagonal solutions.
 
@@ -573,8 +573,8 @@ def congruence_census(q, d, eta, k, M, N, Y, *, work_budget: int = DEFAULT_WORK_
     """
     validate_census_preconditions(q, d, eta, k, M, N, Y)
     ys = [y for y in range(1, Y + 1) if math.gcd(y, q) == 1]
-    if N * len(ys) > work_budget:
-        raise WorkBudgetError(f"N*Y_q = {N * len(ys)} exceeds budget {work_budget}")
+    if N * len(ys) > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetError(f"N*Y_q = {N * len(ys)} exceeds budget {DEFAULT_WORK_BUDGET}")
     groups: dict[int, list[tuple[int, int]]] = {}
     shift = eta * k
     for n in range(M + 1, M + N + 1):
@@ -648,17 +648,15 @@ def char_twist_weight(chi_q: DirichletCharacter, l: int, x: int, nu: int = 1) ->
 
 
 def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
-    """Decompose sum_{n<=x} Lambda(n) f(n) into r truncated-Mobius head
-    groups and one alternating tail; the identity is exact, so the reported
-    residual is pure floating-point rounding."""
+    """Decompose sum_{n<=x} Lambda(n) f(n), for f given as an array on
+    0..x, into r truncated-Mobius head groups and one alternating tail; the
+    identity is exact, so the reported residual is pure floating-point
+    rounding."""
     require(1 <= u1 <= x, "u1", f"need 1 <= u1 <= x, got u1={u1}, x={x}")
     require(r >= 1, "r", "need r >= 1")
-    if callable(f):
-        farr = np.array([f(n) for n in range(x + 1)], dtype=np.complex128)
-    else:
-        farr = np.asarray(f, dtype=np.complex128)
-        require(len(farr) >= x + 1, "f", "weight array must cover 0..x")
-        farr = farr[: x + 1].copy()
+    farr = np.asarray(f, dtype=np.complex128)
+    require(len(farr) >= x + 1, "f", "weight array must cover 0..x")
+    farr = farr[: x + 1].copy()
     farr[0] = 0
 
     ones = np.ones(x + 1, dtype=np.float64)

@@ -74,7 +74,7 @@ def _run_criterion(number, budget_s, fn):
 
 
 def _c1_body():
-    records = hb_identity_records(cases=50, seed=ACCEPT_SEED, x_max=10**4, d_max=10**3)
+    records = hb_identity_records(cases=50, seed=ACCEPT_SEED)
     bad = [r for r in records if r.verdict != "pass"]
     worst = max(r.ratio for r in records)
     return (
@@ -267,7 +267,7 @@ def _c5_body():
 
 
 def _c6_body():
-    records = recombination_records(cases=20, seed=ACCEPT_SEED, d_max=10**3, x_max=10**4)
+    records = recombination_records(cases=20, seed=ACCEPT_SEED)
     bad = [r for r in records if r.verdict != "pass"]
     worst = max((r.ratio for r in records), default=0.0)
     return (

@@ -12,7 +12,6 @@ from charsum import bounds, sums
 from charsum.bounds import (
     ASSERT,
     MONITOR,
-    BoundConfig,
     big_divisor_tail,
     burgess_check_2r,
     census_records,
@@ -318,12 +317,7 @@ def test_theorem_report_skips_when_no_conductor_passes():
     assert recs == []
 
 
-def test_identities_verify_force_fail_hook():
-    records = identities_verify(
-        max_D=20, gauss_max_q=20, hb_cases=2, coprime_max=20,
-        recombination_cases=2, seed=1, force_fail=True,
-    )
-    assert any(r.lemma_tag == "SELFTEST" and r.verdict == "fail" for r in records)
+def test_identities_verify_small_all_pass():
     clean = identities_verify(
         max_D=20, gauss_max_q=20, hb_cases=2, coprime_max=20,
         recombination_cases=2, seed=1,
@@ -352,6 +346,7 @@ def test_constants_report_defaults_hold_on_desk_grid():
     recs = constants_report(1000)
     omega_rec, phi_rec = recs
     assert omega_rec.lhs <= omega_rec.rhs  # fitted c_omega below configured
+    assert (omega_rec.rhs, phi_rec.rhs) == (bounds.C_OMEGA, bounds.C_PHI) == (1.5, 1.0)
     assert phi_rec.lhs <= phi_rec.rhs
     assert omega_rec.parameters["worst_q"] == 210
 
@@ -365,14 +360,6 @@ def test_make_record_ratio_and_verdicts():
     assert rec3.verdict == "observed"
     rec4 = make_record("X", {}, 1.0, 0.0, MONITOR)
     assert rec4.ratio == math.inf
-
-
-def test_bound_config_validation():
-    with pytest.raises(PreconditionError):
-        BoundConfig(delta=0.0)
-    cfg = BoundConfig()
-    assert cfg.delta == 1e-4
-    assert cfg.c_omega == 1.5 and cfg.c_phi == 1.0
 
 
 def test_tail_report_default_grid():

@@ -270,11 +270,12 @@ def test_orthogonality_small_sweep():
 
 
 def test_all_character_tables_match_value_table():
-    for D in (7, 16, 24, 45):
+    for D in (1, 2, 7, 16, 24, 45, 180):
         basis = unit_group_basis(D)
         stacked = all_character_tables(basis)
+        assert stacked.shape == (basis.phi, D)
         for i, chi in enumerate(enumerate_characters(basis)):
-            assert np.allclose(stacked[i], chi.value_table(), atol=1e-12)
+            assert stacked[i].tobytes() == chi.value_table().tobytes()
 
 
 def test_unit_group_transform_matches_direct_sums():

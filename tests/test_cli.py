@@ -7,20 +7,13 @@ import sys
 
 import pytest
 
-from charsum import cli, sums
+from charsum import bounds, cli, sums
 
 CLI = [sys.executable, "-m", "charsum.cli"]
 
 
-def run(*args, env_extra=None, timeout=240):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
-    )
+def run(*args, timeout=240):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=timeout)
 
 
 def test_factor_command():
@@ -70,16 +63,26 @@ def test_verify_identities_small_exit_0(tmp_path):
     assert all(json.loads(s)["verdict"] == "pass" for s in lines[1:])
 
 
-def test_forced_assert_failure_exits_1(tmp_path):
-    out = run(
+def test_forced_assert_failure_exits_1(tmp_path, monkeypatch):
+    """One failing ASSERT record among passing ones makes the run exit 1,
+    and the report is still written."""
+    identities_verify = bounds.identities_verify
+
+    def failing(*args, **kwargs):
+        return identities_verify(*args, **kwargs) + [
+            bounds.make_record("INJECTED", {}, 2.0, 1.0, bounds.ASSERT)
+        ]
+
+    monkeypatch.setattr(bounds, "identities_verify", failing)
+    path = tmp_path / "r.jsonl"
+    code = cli.main([
         "verify", "identities", "--max-D", "20", "--gauss-max-q", "20",
         "--hb-cases", "1", "--coprime-max", "20", "--recombination-cases", "1",
-        "--output", str(tmp_path / "r.jsonl"),
-        env_extra={"CHARSUM_TEST_FORCE_ASSERT_FAIL": "1"},
-    )
-    assert out.returncode == 1
-    text = (tmp_path / "r.jsonl").read_text()
-    assert "SELFTEST" in text and '"fail"' in text
+        "--output", str(path),
+    ])
+    assert code == 1
+    text = path.read_text()
+    assert "INJECTED" in text and '"fail"' in text
 
 
 def test_lemma8_random_byte_identical(tmp_path):
@@ -206,6 +209,19 @@ def _raise(exc):
     # `factor` is made to raise the exception the message names
     (["factor", "30"], 2, "out of memory: MemoryError"),
     (["factor", "30"], cli.EXIT_INTERNAL, "internal error: RuntimeError('injected fault')"),
+    (["report", "theorem", "--D", "105", "--eps", "nan"], 2, "'epsilon'"),
+    (["report", "theorem", "--D", "105", "--eps", "inf"], 2, "'epsilon'"),
+    (["report", "theorem", "--D", "105", "--eps=-inf"], 2, "'epsilon'"),
+    (["report", "theorem", "--D", "105", "--eps", "1000"], 2, "below 2^40, the Lambda sieve's cap"),
+    (["report", "divisor-moments", "--x-max", "99"], 2, "'x_max'"),
+    (["verify", "lemma8", "--random", "5", "--q-max", "15"], 2, "'q_max'"),
+    *[(argv + ["--delta", value], 2, "argument --delta")
+      for argv in (["verify", "lemma8", "--random", "5"], ["report", "burgess"],
+                   ["report", "shortsums"], ["report", "doublesums"])
+      for value in ("0", "nan", "1.5")],
+    (["report", "shortsums", "--delta", "0.42"], 2, "'delta'"),
+    (["report", "theorem", "--D", "105", "--delta", "0.5"], 2, "unrecognized arguments: --delta"),
+    (["report", "burgess", "--seed", "1"], 2, "unrecognized arguments: --seed"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
@@ -221,6 +237,35 @@ def test_exit_codes(argv, code, message, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert sieved == []
+
+
+@pytest.mark.parametrize("argv, seed, delta", [
+    (["verify", "identities", "--max-D", "20", "--gauss-max-q", "20", "--hb-cases", "1",
+      "--coprime-max", "20", "--recombination-cases", "1"], True, False),
+    (["verify", "lemma8", "--random", "3"], True, True),
+    (["report", "theorem", "--D", "105"], True, False),
+    (["report", "burgess", "--q-max", "30"], False, True),
+    (["report", "divisor-moments", "--x-max", "1000"], False, False),
+    (["report", "smooth"], False, False),
+    (["report", "tail", "--q", "30030", "--D", "30030"], False, False),
+    (["report", "restricted", "--D", "105", "--x", "1000"], True, False),
+    (["report", "shortsums"], True, True),
+    (["report", "doublesums"], True, True),
+    (["report", "constants", "--q-max", "100"], False, False),
+])
+def test_report_header_records_seed_and_delta_where_taken(argv, seed, delta, tmp_path, capsys):
+    """Each verify/report command takes --seed and --delta only if it reads
+    them, and its header records exactly the ones it takes."""
+    taken = {"seed": ("--seed", "3", 3), "delta": ("--delta", "0.001", 0.001)}
+    flags = {k: v for k, v in taken.items() if {"seed": seed, "delta": delta}[k]}
+    path = tmp_path / "r.jsonl"
+    extra = [a for flag, text, _ in flags.values() for a in (flag, text)]
+    assert cli.main(argv + extra + ["--output", str(path)]) == 0
+    header = json.loads(path.read_text().splitlines()[0])
+    assert {k: header[k] for k in taken if k in header} == {k: v[2] for k, v in flags.items()}
+    for key in taken.keys() - flags.keys():
+        assert cli.main(argv + list(taken[key][:2])) == 2
+        assert f"unrecognized arguments: {taken[key][0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, count", [

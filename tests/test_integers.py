@@ -162,23 +162,32 @@ def test_mobius_divisor_sum_is_unit_indicator():
         assert s == (1 if n == 1 else 0)
 
 
+def _lambda_at(table, n: int) -> float:
+    """Lambda(n) read from a table's prime-power arrays."""
+    assert table.lo <= n <= table.hi
+    i = int(np.searchsorted(table.n, n))
+    return math.log(int(table.prime[i])) if i < table.n.size and table.n[i] == n else 0.0
+
+
 def test_mangoldt_point_values():
     table = mangoldt_sieve(1, 100)
-    assert table.value(8) == pytest.approx(math.log(2))
-    assert table.value(6) == 0.0
-    assert table.value(1) == 0.0
+    assert _lambda_at(table, 8) == pytest.approx(math.log(2))
+    assert _lambda_at(table, 6) == 0.0
+    assert _lambda_at(table, 1) == 0.0
     # oracle: direct sum of ln p over prime powers <= 100
     direct = 0.0
     for n in range(2, 101):
         f = trial_factor(n)
         if len(f) == 1:
             direct += math.log(f[0][0])
-    assert table.total() == pytest.approx(direct, rel=1e-12)
-    assert table.total() == pytest.approx(94.0453112, abs=1e-6)
+    psi = math.fsum(np.log(table.prime.astype(np.float64)))
+    assert psi == pytest.approx(direct, rel=1e-12)
+    assert psi == pytest.approx(94.0453112, abs=1e-6)
 
 
 def test_mangoldt_matches_trial_factorization_random():
-    table = mangoldt_sieve(1, 10**6, segment_size=1 << 15)
+    with mock.patch.object(integers, "SEGMENT", 1 << 15):
+        table = mangoldt_sieve(1, 10**6)
     rng = SplitMix64(23)
     for _ in range(1000):
         n = rng.randint(1, 10**6)
@@ -189,21 +198,24 @@ def test_mangoldt_matches_trial_factorization_random():
             assert int(table.n[i]) == n
             assert int(table.prime[i]) == p
             assert int(table.power[i]) == a
-            assert table.value(n) == pytest.approx(math.log(p), rel=1e-14)
+            assert _lambda_at(table, n) == pytest.approx(math.log(p), rel=1e-14)
         else:
             assert i == table.n.size or int(table.n[i]) != n
-            assert table.value(n) == 0.0
+            assert _lambda_at(table, n) == 0.0
 
 
 def test_mangoldt_segmentation_invariance():
-    a = mangoldt_sieve(1, 30000, segment_size=1 << 16)
-    b = mangoldt_sieve(1, 30000, segment_size=101)
+    with mock.patch.object(integers, "SEGMENT", 1 << 16):
+        a = mangoldt_sieve(1, 30000)
+    with mock.patch.object(integers, "SEGMENT", 101):
+        b = mangoldt_sieve(1, 30000)
     assert np.array_equal(a.n, b.n)
     assert np.array_equal(a.prime, b.prime)
     assert np.array_equal(a.power, b.power)
-    c = mangoldt_sieve(5000, 6000, segment_size=64)
+    with mock.patch.object(integers, "SEGMENT", 64):
+        c = mangoldt_sieve(5000, 6000)
     for n in range(5000, 6001):
-        assert c.value(n) == a.value(n)
+        assert _lambda_at(c, n) == _lambda_at(a, n)
 
 
 def test_mangoldt_rejects_bad_range():
@@ -216,7 +228,7 @@ PRIME_POWERS = [n for n in range(2, 5000) if len(trial_factor(n)) == 1]
 
 @st.composite
 def sieve_ranges(draw):
-    """(lo, hi, segment_size) with lo >= 1 (1 and 2 included), each end free,
+    """(lo, hi, SEGMENT) with lo >= 1 (1 and 2 included), each end free,
     on a prime power or on a segment edge, and segments from 1 odd integer up."""
     seg = draw(st.integers(1, 200))
     lo = draw(st.one_of(st.just(1), st.just(2), st.sampled_from(PRIME_POWERS), st.integers(1, 3000)))
@@ -241,11 +253,12 @@ def sieve_ranges(draw):
 @example((1, 10, 1))
 def test_mangoldt_sieve_matches_oracle(case):
     lo, hi, seg = case
-    table = mangoldt_sieve(lo, hi, segment_size=seg)
+    with mock.patch.object(integers, "SEGMENT", seg):
+        table = mangoldt_sieve(lo, hi)
     want = [n for n in range(lo, hi + 1) if oracles.mangoldt_value(n)]
     assert table.n.dtype == np.int64 and table.n.tolist() == want
     assert (table.prime ** table.power.astype(np.int64) == table.n).all()
-    assert all(table.value(n) == oracles.mangoldt_value(n) for n in range(lo, hi + 1))
+    assert all(_lambda_at(table, n) == oracles.mangoldt_value(n) for n in range(lo, hi + 1))
 
 
 def smooth_oracle(x, z, b):

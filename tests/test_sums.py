@@ -1,7 +1,6 @@
 """Evaluator tests: frozen example values, oracle agreement on seeded cases,
 exactness of the decomposition identity, census classification."""
 
-import inspect
 import math
 import sys
 import tracemalloc
@@ -22,7 +21,7 @@ from charsum.characters import (
     unit_group_basis,
 )
 from charsum.integers import divisor_count_sieve, divisors, euler_phi, factor, mangoldt_sieve
-from charsum import bounds, oracles, sums, util
+from charsum import bounds, integers, oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
     burgess_moment_2r,
@@ -128,7 +127,6 @@ def test_mangoldt_cache_grows_once_under_concurrent_reads():
 def test_mangoldt_arrays_peak_memory_per_prime_power():
     """A fresh read holds the prime powers, not the integers, up to x: the
     traced peak stays below 48 bytes per prime power plus two segments."""
-    segment = inspect.signature(mangoldt_sieve).parameters["segment_size"].default
     with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()):
         tracemalloc.start()
         try:
@@ -137,7 +135,7 @@ def test_mangoldt_arrays_peak_memory_per_prime_power():
         finally:
             tracemalloc.stop()
     assert n.size == 283146 + 393  # pi(4e6) primes and the higher prime powers
-    assert peak < 48 * n.size + 2 * segment
+    assert peak < 48 * n.size + 2 * integers.SEGMENT
 
 
 def test_mangoldt_arrays_rejects_x_beyond_physical_memory():
@@ -547,15 +545,16 @@ def test_burgess_sextic_examples():
     assert oracles.burgess_sextic_oracle(chi11, 1) == pytest.approx(10.0, abs=1e-9)
 
 
-def test_burgess_sextic_oracle_agreement_and_guards():
+def test_burgess_sextic_oracle_agreement_and_guards(monkeypatch):
     chi = [c for c in chars(131) if not c.is_principal][0]
     got = burgess_sextic(chi, 2)
     want = oracles.burgess_sextic_oracle(chi, 2)
     assert got == pytest.approx(want, rel=1e-9)
     with pytest.raises(PreconditionError):
         burgess_sextic(chi, 3)  # 3^6 > 131
+    monkeypatch.setattr(sums, "DEFAULT_WORK_BUDGET", 10)
     with pytest.raises(WorkBudgetError):
-        burgess_sextic(chi, 2, work_budget=10)
+        burgess_sextic(chi, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +625,12 @@ def test_census_preconditions_named():
     with pytest.raises(PreconditionError) as e:
         congruence_census(35, 7, 1, 1, 0, 2, 5)  # d >= Y
     assert e.value.name == "d<Y"
+
+
+def test_census_beyond_work_budget(monkeypatch):
+    monkeypatch.setattr(sums, "DEFAULT_WORK_BUDGET", 10)
+    with pytest.raises(WorkBudgetError, match=r"N\*Y_q = 45 exceeds budget 10"):
+        congruence_census(101, 1, 3, 5, 7, 5, 9)
 
 
 def test_rho_divisor_count_examples():
