@@ -80,6 +80,10 @@ SMOOTH_THETA = 1.0
 CASE_X_MAX = 10**4
 CASE_D_MAX = 10**3
 
+# divisor_moment_report's orders r of tau_r and moment exponents k
+MOMENT_R = (2, 3, 4, 5)
+MOMENT_K = (1, 2)
+
 # restricted_report checks the first RESTRICTED_MAX_NU squarefree nu | q1
 RESTRICTED_MAX_NU = 8
 
@@ -477,7 +481,11 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
                       coprime_max: int = 1000, recombination_cases: int = 20,
                       seed: int = 0) -> list[BoundCheckRecord]:
     """The full ASSERT suite: decomposition identity, orthogonality, Gauss
-    moduli, coprime-count deviation, divisor recombination."""
+    moduli, coprime-count deviation, divisor recombination.  A size that
+    would leave an ASSERT record with no case to check is rejected before
+    any work."""
+    for name, value in (("max_D", max_D), ("gauss_max_q", gauss_max_q), ("coprime_max", coprime_max)):
+        require(value >= 1, name, f"need {name} >= 1, so that its ASSERT checks at least one case, got {value}")
     records = []
     records.extend(hb_identity_records(hb_cases, seed))
     records.extend(character_table_records(max_D, gauss_max_q))
@@ -558,7 +566,8 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         else:
             rng = SplitMix64(SplitMix64(seed ^ D).next_u64())
             ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
-        n, lam = _mangoldt_arrays(x)
+        n, m = _mangoldt_arrays(x)
+        lam = np.ldexp(m, -53)
         if len(ls) * (len(n) + phi * max(1, int(math.log2(max(phi, 2))))) > DEFAULT_WORK_BUDGET:
             raise WorkBudgetError(f"theorem_report D={D} exceeds work budget")
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
@@ -638,15 +647,15 @@ def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-
     return records
 
 
-def divisor_moment_report(x_grid=(100, 1000, 10**4, 10**5), r_values=(2, 3, 4, 5),
-                          k_values=(1, 2)) -> list[BoundCheckRecord]:
-    """Moment records over an x-grid with the fitted constant (the observed
-    max ratio, i.e. the least constant making the envelope hold there)."""
+def divisor_moment_report(x_grid=(100, 1000, 10**4, 10**5)) -> list[BoundCheckRecord]:
+    """Moment records over an x-grid, for each r in MOMENT_R and k in
+    MOMENT_K, with the fitted constant (the observed max ratio, i.e. the
+    least constant making the envelope hold there)."""
     records = []
     x_max = max(x_grid)
-    for r in r_values:
+    for r in MOMENT_R:
         tau = tau_r_sieve(x_max, r)
-        for k in k_values:
+        for k in MOMENT_K:
             powered = tau.astype(object) ** k
             csum = np.cumsum(powered)
             fitted = 0.0
@@ -697,6 +706,7 @@ def tail_report(pairs=((30030, 30030), (510510, 510510), (9699690, 9699690), (30
 def restricted_report(D: int, x: int, seed: int = 0) -> list[BoundCheckRecord]:
     """|T(chi_q, nu)| against the quoted intermediate envelope, for the
     first non-principal character and squarefree nu | q1."""
+    require(x >= 2, "x", f"need x >= 2, where the envelope 10 x ln^5 x is positive, got {x}")
     basis = unit_group_basis(D)
     require(basis.phi > 1, "D", "need a non-principal character")
     chi = character_at(basis, 1)

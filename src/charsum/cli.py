@@ -11,6 +11,7 @@ whatever the number of CPUs ``report theorem`` spreads its moduli over.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -55,7 +56,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Exact character-sum evaluation and bound verification.",

@@ -338,10 +338,6 @@ class MangoldtTable:
     prime: np.ndarray
     power: np.ndarray
 
-    def prime_power_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, p, a) arrays over the prime powers in the range, ascending n."""
-        return self.n, self.prime, self.power
-
 
 def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
     """Segmented sieve of Lambda over [lo, hi] (Bays & Hudson 1977).

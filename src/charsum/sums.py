@@ -84,23 +84,24 @@ def _collect(terms, lo: int, hi: int) -> SumValue:
 
 
 # Bytes per prime power n <= x budgeted for growing the Lambda cache to x.
-# The cached n and log p, the sieved extension and the copies that append it
+# The cached n and m, the sieved extension and the copies that append it
 # peak near 32; the rest is margin.
 LAMBDA_BYTES = 48
 
 
 class _LambdaCache:
-    """The prime powers n <= ``top`` and their log p, for the largest x read
-    so far, and the last residue binning of them.  The arrays are replaced,
-    never written, so views handed out stay valid; the locks serialise
-    growth and binning, since theorem_report's pool threads read the cache
-    concurrently."""
+    """The prime powers n <= ``top``, for the largest x read so far, with
+    Lambda(n) as m = fl(log p) * 2**53, and the last residue binning of them.
+    log 2 > 1/2, so m is an integer, below 2**58 for p < 2**40, and
+    np.ldexp(m, -53) is fl(log p) exactly.  The arrays are replaced, never
+    written, so views handed out stay valid; the locks serialise growth and
+    binning, since theorem_report's pool threads read the cache concurrently."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.top = 1
         self.n = np.zeros(0, dtype=np.int64)
-        self.lam = np.zeros(0, dtype=np.float64)
+        self.m = np.zeros(0, dtype=np.int64)
         self.bins_lock = threading.Lock()
         self.bins = None  # ((x, L), (digits, count)) from _residue_bins
 
@@ -128,54 +129,62 @@ def _check_lambda_memory(x: int) -> None:
 
 
 def _mangoldt_arrays(x: int):
-    """(n, log p) arrays over prime powers n <= x; prefix views of one shared
-    cache, treat as read-only.  A larger x than any before sieves only the
-    new part of the range and appends it."""
+    """(n, m) arrays over prime powers n <= x, m = fl(log p) * 2**53 as
+    int64; prefix views of one shared cache, treat as read-only.  A larger
+    x than any before sieves only the new part of the range, takes m from
+    its primes block by block and appends both."""
     cache = _LAMBDA
     with cache.lock:
         if x > cache.top:
             _check_lambda_memory(x)
-            n, p, _ = mangoldt_sieve(cache.top + 1, x).prime_power_arrays()
-            lam = p.astype(np.float64)
-            del p, _
-            np.log(lam, out=lam)
-            # one array at a time, so the old n is freed before lam is copied
+            table = mangoldt_sieve(cache.top + 1, x)
+            n, p = table.n, table.prime
+            del table
+            # into a fresh array: converting p in place left the heap so that the
+            # appends below peaked 4 MB higher (ru_maxrss, tsum bench workload)
+            m = np.empty_like(p)
+            for a in range(0, m.size, 4 * BLOCK):
+                m[a : a + 4 * BLOCK] = np.ldexp(np.log(p[a : a + 4 * BLOCK]), 53)
+            del p
+            # one array at a time, so the old n is freed before m is copied
             size = cache.n.size
             cache.n = np.concatenate((cache.n, n)) if size else n
             del n
             try:
-                cache.lam = np.concatenate((cache.lam, lam)) if size else lam
+                cache.m = np.concatenate((cache.m, m)) if size else m
             except MemoryError:
                 cache.n = cache.n[:size]
                 raise
             cache.top = x
-        n, lam = cache.n, cache.lam
+        n, m = cache.n, cache.m
     cut = int(np.searchsorted(n, x, side="right"))
-    return n[:cut], lam[:cut]
+    return n[:cut], m[:cut]
 
 
 def mangoldt_weights(x: int) -> np.ndarray:
     """Lambda(0..x) as float64."""
     out = np.zeros(x + 1, dtype=np.float64)
     if x >= 2:
-        n, lam = _mangoldt_arrays(x)
-        out[n] = lam
+        n, m = _mangoldt_arrays(x)
+        out[n] = np.ldexp(m, -53)
     return out
 
 
 # ---------------------------------------------------------------------------
 # The Lambda kernel: exact residue bins and an exactly rounded dot product
 
-# log 2 > 1/2, so fl(log p) * 2**53 is an integer, below 2**58 for p < 2**40:
-# LIMBS digits of DIGIT bits.  Sums of such digits stay exact in float64
-# (below 2**53) over fewer than 2**33 prime powers.
+# The cached m < 2**58 are LIMBS digits of DIGIT bits.  Sums of such digits
+# stay exact in float64 (below 2**53) over fewer than 2**33 prime powers.
 DIGIT, LIMBS = 20, 3
 _DIGIT_MASK = (1 << DIGIT) - 1
+# The binning weighs each prime power by the two halves of m, below and from
+# bit HALF; up to CARRY such halves sum exactly in float64 before they are
+# carried into the digit rows.
+HALF, CARRY = 29, 1 << 24
 
 
-def _limbs(lam: np.ndarray) -> np.ndarray:
-    """The LIMBS digits of lam * 2**53, one row per digit."""
-    m = (lam * float(1 << 53)).astype(np.int64)
+def _limbs(m: np.ndarray) -> np.ndarray:
+    """The LIMBS digits of m, one row per digit."""
     return np.stack([(m >> (DIGIT * k)) & _DIGIT_MASK for k in range(LIMBS)])
 
 
@@ -203,20 +212,31 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bin_residues(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The binning behind ``_residue_bins``: one pass over the prime powers."""
-    n, lam = _mangoldt_arrays(x)
+    """The binning behind ``_residue_bins``: one pass over the prime powers,
+    three bincounts per block (the count and the two HALF-bit halves of m),
+    whose sums are carried into the digit rows every CARRY prime powers."""
+    n, m = _mangoldt_arrays(x)
     if n.size >= 1 << 33:
         raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
     # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
     digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
     count = np.zeros(L)
-    step = 4 * BLOCK
-    for a in range(0, n.size, step):
-        r = n[a : a + step] % L
-        count += np.bincount(r, minlength=L)
-        for k, row in enumerate(_limbs(lam[a : a + step])):
-            digits[k] += np.bincount(r, row, L)
-    return _carry(digits), count
+    step = min(4 * BLOCK, CARRY)
+    for c in range(0, n.size, CARRY):
+        low, high = np.zeros(L), np.zeros(L)
+        for a in range(c, min(c + CARRY, n.size), step):
+            b = min(a + step, c + CARRY)
+            r = n[a:b] - L * (n[a:b] // L)  # n mod L: numpy's // by a scalar is the fast one
+            count += np.bincount(r, minlength=L)
+            low += np.bincount(r, m[a:b] & ((1 << HALF) - 1), L)
+            high += np.bincount(r, m[a:b] >> HALF, L)
+        # low + high * 2**HALF in DIGIT-bit digits, DIGIT < HALF < 2 DIGIT
+        low, high = low.astype(np.int64), high.astype(np.int64)
+        digits[0] += low & _DIGIT_MASK
+        digits[1] += (low >> DIGIT) + ((high << (HALF - DIGIT)) & _DIGIT_MASK)
+        digits[2] += high >> (2 * DIGIT - HALF)
+        _carry(digits)
+    return digits, count
 
 
 def _carry(digits: np.ndarray) -> np.ndarray:
@@ -273,7 +293,7 @@ def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include=None) -> SumV
     the same bits."""
     if x < 2:
         return SumValue(0j, 0, 0.0)
-    n, lam = _mangoldt_arrays(x)
+    n, m = _mangoldt_arrays(x)
     q = len(table)
     if L < n.size:  # row i: the residue class i mod L
         digits, count = _residue_bins(x, L)
@@ -285,7 +305,7 @@ def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include=None) -> SumV
         inside = None if include is None else include(n)
         terms = n.size if include is None else int(np.count_nonzero(inside))
         keep = (table != 0)[(n - l) % q]
-        digits_of, g_of = (lambda i: _limbs(lam[i])), (lambda i: table[(n[i] - l) % q])
+        digits_of, g_of = (lambda i: _limbs(m[i])), (lambda i: table[(n[i] - l) % q])
     if inside is not None:
         keep &= inside
     value, mass = _exact_dot(digits_of, g_of, np.flatnonzero(keep))

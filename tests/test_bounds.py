@@ -106,8 +106,10 @@ def test_divisor_moment_check_small_values():
     assert math.isfinite(rec3.ratio) and rec3.ratio > 0
 
 
-def test_divisor_moment_report_fitted_constant():
-    recs = divisor_moment_report(x_grid=(100, 1000), r_values=(2,), k_values=(1,))
+def test_divisor_moment_report_fitted_constant(monkeypatch):
+    monkeypatch.setattr(bounds, "MOMENT_R", (2,))
+    monkeypatch.setattr(bounds, "MOMENT_K", (1,))
+    recs = divisor_moment_report(x_grid=(100, 1000))
     summary = recs[-1]
     assert summary.verdict == "observed-max"
     assert summary.lhs == pytest.approx(max(r.ratio for r in recs[:-1]), rel=1e-12)
@@ -296,7 +298,8 @@ def test_fft_error_bound_holds_with_margin(D):
     phi(1283) = 2 * 641 has a large prime factor, like phi(100489)."""
     x = math.ceil(D ** (5 / 6 + 0.05))
     basis = unit_group_basis(D)
-    n, lam = sums._mangoldt_arrays(x)
+    n, m = sums._mangoldt_arrays(x)
+    lam = np.ldexp(m, -53)
     bound = bounds.FFT_ERROR_C * (math.log2(basis.phi) + x // D) * 2.0**-53 * lam.sum()
     ls = [l for l in range(2, D) if math.gcd(l, D) == 1][:4]
     values = unit_group_transform(basis, n[None, :] - np.array(ls)[:, None], lam)

@@ -222,6 +222,13 @@ def _raise(exc):
     (["report", "shortsums", "--delta", "0.42"], 2, "'delta'"),
     (["report", "theorem", "--D", "105", "--delta", "0.5"], 2, "unrecognized arguments: --delta"),
     (["report", "burgess", "--seed", "1"], 2, "unrecognized arguments: --seed"),
+    (["report", "restricted", "--D", "105", "--x", "1"], 2, "'x'"),
+    (["report", "restricted", "--D", "105", "--x", "-5"], 2, "'x'"),
+    (["verify", "identities", "--max-D", "0", "--gauss-max-q", "0", "--hb-cases", "0",
+      "--coprime-max", "0", "--recombination-cases", "0"], 2, "'max_D'"),
+    (["verify", "identities", "--max-D", "0"], 2, "'max_D'"),
+    (["verify", "identities", "--gauss-max-q", "0"], 2, "'gauss_max_q'"),
+    (["verify", "identities", "--coprime-max", "-1"], 2, "'coprime_max'"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
@@ -286,3 +293,22 @@ def test_sum_without_chi_index_prints_every_character(argv, count, capsys, monke
     for i, line in enumerate(lines, 1):
         assert cli.main(argv + ["--chi-index", str(i)]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """cli.main builds its parser once per process, and a usage error, a
+    valid ``sum T`` and ``--help`` run in one process exit and print as
+    each does in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "100")
+    calls = (["sum", "T", "--D", "7", "--l", "1"],
+             ["sum", "T", "--D", "7", "--l", "1", "--x", "1000", "--chi-index", "1"],
+             ["--help"])
+    got = []
+    for argv in calls:
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    fresh = [run(*argv) for argv in calls]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    assert cli.build_parser() is cli.build_parser()

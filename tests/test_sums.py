@@ -60,8 +60,9 @@ def close(a, b, mass):
 
 
 def _fresh_lambda(x):
-    n, p, _ = mangoldt_sieve(1, x).prime_power_arrays()
-    return n.tobytes(), np.log(p.astype(np.float64)).tobytes()
+    """A fresh sieve's n and fl(log p) * 2**53, as bytes."""
+    table = mangoldt_sieve(1, x)
+    return table.n.tobytes(), (np.log(table.prime.astype(np.float64)) * 2.0**53).astype(np.int64).tobytes()
 
 
 def _read_lambda(read, cpus=1):
@@ -98,10 +99,10 @@ def test_mangoldt_cache_prefixes_equal_fresh_sieve(xs):
     want = {x: _fresh_lambda(x) for x in xs}
     for order in (xs, sorted(xs), sorted(xs, reverse=True)):
         got, sieved = _read_lambda(lambda: {x: sums._mangoldt_arrays(x) for x in order})
-        assert {x: (n.tobytes(), lam.tobytes()) for x, (n, lam) in got.items()} == want
+        assert {x: (n.tobytes(), m.tobytes()) for x, (n, m) in got.items()} == want
         assert _tiles(sieved, max(xs))
     got, sieved = _read_lambda(lambda: util.map_blocks(sums._mangoldt_arrays, xs), cpus=2)
-    assert [(n.tobytes(), lam.tobytes()) for n, lam in got] == [want[x] for x in xs]
+    assert [(n.tobytes(), m.tobytes()) for n, m in got] == [want[x] for x in xs]
     assert _tiles(sieved, max(xs))
 
 
@@ -110,7 +111,7 @@ def test_mangoldt_cache_grows_once_under_concurrent_reads():
     shuffled x: each sieved range starts where the cache ended, so a lost
     update (two threads growing from the same end) shows as an overlap."""
     xs = [2000 * k for k in range(1, 65)]
-    n_all, lam_all = _fresh_lambda(max(xs))
+    n_all, m_all = _fresh_lambda(max(xs))
     for trial in range(20):
         order = sorted(xs, key=lambda x: SplitMix64(trial ^ x).next_u64())
         interval = sys.getswitchinterval()
@@ -120,8 +121,8 @@ def test_mangoldt_cache_grows_once_under_concurrent_reads():
         finally:
             sys.setswitchinterval(interval)
         assert _tiles(sieved, max(xs))
-        for n, lam in got:
-            assert n.tobytes() == n_all[: n.nbytes] and lam.tobytes() == lam_all[: lam.nbytes]
+        for n, m in got:
+            assert n.tobytes() == n_all[: n.nbytes] and m.tobytes() == m_all[: m.nbytes]
 
 
 def test_mangoldt_arrays_peak_memory_per_prime_power():
@@ -233,13 +234,54 @@ def test_residue_bins_are_exact_digit_rows():
     carries reach a 4th row."""
     x, L = 5000, 3
     digits, count = sums._residue_bins(x, L)
-    n, lam = sums._mangoldt_arrays(x)
+    table = mangoldt_sieve(1, x)
+    n, lam = table.n, np.log(table.prime.astype(np.float64))
     assert len(digits) == 4 and digits[3].any()
     assert ((digits >= 0) & (digits < 2**20) & (digits == np.floor(digits))).all()
     for r in range(L):
         want = sum(Fraction(v) for v in lam[n % L == r].tolist()) * 2**53
         assert sum(int(d) << (20 * k) for k, d in enumerate(digits[:, r])) == want
         assert count[r] == np.count_nonzero(n % L == r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3000), st.integers(1, 1200), st.integers(-50, 50),
+       st.integers(1, 4), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example(1000, 4000, 7, 3, 4, 1 << 24, 0)  # L < pi*(x): the residue bins are the rows
+@example(1000, 4000, 1200, 3, 4, 1 << 24, 0)  # L >= pi*(5000) = 711: the prime powers are the rows
+@example(0, 2, 1, 0, 1, 1, 1)  # growth from an empty cache, L = 1, a carry per prime power
+@example(3000, 0, 5, 1, 1, 10, 2)  # blocks of 4 cut at carries every 10 prime powers
+def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, carry, seed):
+    """The Lambda cache grown from x1 to x2 = x1 + grow in one process holds
+    m = fl(log p) * 2**53 exactly, with np.ldexp(m, -53) equal to np.log(p)
+    bit for bit; at both x the residue bins (digits and counts, with carries
+    every ``carry`` prime powers) equal the exact Fraction sums, and
+    _lambda_sum equals the exact-product oracle on both row paths."""
+    x2 = x1 + grow
+    rng = np.random.default_rng(seed)
+    table = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * (rng.random(L) < 0.8)
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()), \
+            mock.patch.object(sums, "BLOCK", block), mock.patch.object(sums, "CARRY", carry):
+        for x in (x1, x2):
+            n, m = sums._mangoldt_arrays(x)
+            fresh = mangoldt_sieve(1, max(x, 1))
+            log_p = np.log(fresh.prime.astype(np.float64))
+            assert n.tobytes() == fresh.n.tobytes()
+            assert m.dtype == np.int64 and m.tolist() == [int(Fraction(v) * 2**53) for v in log_p.tolist()]
+            assert np.ldexp(m, -53).tobytes() == log_p.tobytes()
+
+            sums._LAMBDA.bins = None
+            digits, count = sums._residue_bins(x, L)
+            for r in range(L):
+                want = sum(Fraction(v) for v in log_p[n % L == r].tolist()) * 2**53
+                assert sum(int(d) << (20 * k) for k, d in enumerate(digits[:, r].tolist())) == want
+                assert count[r] == np.count_nonzero(n % L == r)
+            assert ((digits[:-1] >= 0) & (digits[:-1] < 2**20)).all()
+
+            inside = lambda r: r % L % 3 != 1  # noqa: E731
+            got = sums._lambda_sum(x, L, table, l, inside)
+            want = _kernel_oracle(x, L, lambda n: table[(n - l) % L], inside)
+            assert _bits(got) == want
 
 
 def test_residue_bins_fold_from_a_multiple(monkeypatch):
