@@ -254,10 +254,11 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
     tables = all_character_tables(basis)
     prim = basis.conductor_grid().reshape(-1) == q
     require(prim.any(), "q", f"no primitive characters mod {q}")
+    # column c of the z-th slice is tables[:, (c + z) % q], as a view
+    wrapped = tables[:, np.arange(q + Z, dtype=np.int64) % q]
     W = np.zeros_like(tables)
-    col = np.arange(q, dtype=np.int64)
     for z in range(1, Z + 1):
-        W += tables[:, (col + z) % q]
+        W += wrapped[:, z : z + q]
     moments = (np.abs(W) ** (2 * r)).sum(axis=1)
     lhs = float(moments[prim].max())
     ms = (time.perf_counter_ns() - t0) // 1_000_000
@@ -486,6 +487,15 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
     any work."""
     for name, value in (("max_D", max_D), ("gauss_max_q", gauss_max_q), ("coprime_max", coprime_max)):
         require(value >= 1, name, f"need {name} >= 1, so that its ASSERT checks at least one case, got {value}")
+    # character_table_records builds phi(D) x D table entries for every D up
+    # to the larger of the two; the sum grows as D^3, so it stops early
+    name, top = ("max_D", max_D) if max_D >= gauss_max_q else ("gauss_max_q", gauss_max_q)
+    entries = 0
+    for D in range(1, top + 1):
+        entries += euler_phi(factor(D)) * D
+        if entries > DEFAULT_WORK_BUDGET:
+            raise WorkBudgetError(f"{name} = {top} needs character tables of more than "
+                                  f"{entries} entries (D <= {D}), over the budget of {DEFAULT_WORK_BUDGET}")
     records = []
     records.extend(hb_identity_records(hb_cases, seed))
     records.extend(character_table_records(max_D, gauss_max_q))
@@ -519,6 +529,30 @@ TRANSFORM_BATCH = 1 << 18
 FFT_ERROR_C = 64.0
 
 
+def _near_top(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, row, column) of every entry of the 2-D ``values`` within
+    ``gap`` of its largest entry, in row-major order.  Only the rows whose
+    own maximum is that close are compared, so ``values`` is not copied."""
+    top = values.max(axis=1)
+    floor = top.max() - gap
+    rows = np.flatnonzero(top >= floor)
+    r, c = np.nonzero(values[rows] >= floor)
+    return values[rows[r], c], rows[r], c
+
+
+def _search_batch(values: np.ndarray, excluded: np.ndarray, gap: float):
+    """The filtered and the unfiltered search hits, in that order, of one
+    batch of transform values (rows: shifts, columns: half-lattice
+    indices), each as ``_near_top`` gives them with columns as half-lattice
+    indices.  The unfiltered class is every column but the principal 0th,
+    a view; the filtered class is what is left once the ``excluded``
+    columns are set to -inf in ``values``, in place.  No class is copied."""
+    v, r, c = _near_top(values[:, 1:], gap)
+    unfiltered = (v, r, c + 1)
+    values[:, excluded] = -np.inf
+    return _near_top(values, gap), unfiltered
+
+
 def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCheckRecord]:
     """For each modulus: max of |T(chi, l)| over non-principal characters
     and a seeded sample of shifts l, against x exp(-0.6 sqrt(ln D)).
@@ -531,7 +565,10 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
     and the conjugate of each, is evaluated exactly, and the exact maximum
     over them is the maximum over all characters and shifts.  The report
     bytes therefore depend neither on the FFT's rounding nor on the batch
-    size.
+    size.  The search (``_search_batch``) copies no class out of a batch.
+    For epsilon < 1/6, x < D, so each exact evaluation reads its character
+    at the prime powers only (``sums._lambda_sum``): no value table is
+    built, and the transform is nearly all of the cost.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded, each certified
@@ -575,18 +612,15 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         # search: the transform's characters (half of the lattice), filtered
         # and not; per class, every (value, shift position, half index)
         # within 2 bound of its batch's maximum
-        half_cond = cond[..., : half_shape[-1]].reshape(-1)
-        classes = (np.flatnonzero(half_cond > threshold), np.arange(1, half_cond.size))
+        excluded = np.flatnonzero(cond[..., : half_shape[-1]].reshape(-1) <= threshold)
         found = ([], [])
         shifts = np.array(ls, dtype=np.int64)
         rows = max(1, TRANSFORM_BATCH // phi)
         for a in range(0, len(ls), rows):
             values = unit_group_transform(basis, n[None, :] - shifts[a : a + rows, None], lam)
-            values = values.reshape(len(values), -1)
-            for cols, hits in zip(classes, found):
-                sub = values[:, cols]
-                r, c = np.nonzero(sub >= sub.max() - 2 * bound)
-                hits.append((sub[r, c], a + r, cols[c]))
+            batch = _search_batch(values.reshape(len(values), -1), excluded, 2 * bound)
+            for (v, r, c), hits in zip(batch, found):
+                hits.append((v, a + r, c))
 
         def candidates(hits):
             """(chi_index, l) of every search hit within 2 bound of the largest

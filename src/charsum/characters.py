@@ -234,50 +234,68 @@ class UnitGroupBasis:
 
     # -- vectorized caches -----------------------------------------------
 
+    def exponents_at(self, residues: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Shape (t, len(residues)), written into ``out`` when given; column
+        j is the exponent vector of the non-negative int64 residues[j] (-1
+        where a component is a non-unit)."""
+        emat = np.empty((len(self.factors), len(residues)), dtype=np.int64) if out is None else out
+        for i, f in enumerate(self.factors):
+            require(
+                f.dlog is not None,
+                "modulus",
+                f"component {f.pe} exceeds the discrete-log table limit "
+                f"({DLOG_TABLE_LIMIT}); only scalar evaluation is available",
+            )
+            emat[i] = f.dlog[residues % f.pe]
+        return emat
+
     def exponent_matrix(self) -> np.ndarray:
-        """Shape (t, D); column u is the exponent vector of u (-1 on non-units)."""
+        """Shape (t, D); column u is the exponent vector of u (-1 on non-units).
+        Cached for the value tables, which read every column of it."""
         if self._emat is None:
+            # allocated before the residues it is filled from: the other order
+            # left a hole under the cached matrix that raised the peak RSS of
+            # the bench tsum plan by 5 MB (ru_maxrss, 77.2 -> 82.5 MB)
             D = self.modulus.value
-            t = len(self.factors)
-            emat = np.empty((t, D), dtype=np.int64)
-            residues = np.arange(D, dtype=np.int64)
-            for i, f in enumerate(self.factors):
-                require(
-                    f.dlog is not None,
-                    "modulus",
-                    f"component {f.pe} exceeds the discrete-log table limit "
-                    f"({DLOG_TABLE_LIMIT}); only scalar evaluation is available",
-                )
-                emat[i] = f.dlog[residues % f.pe]
-            self._emat = emat
+            out = np.empty((len(self.factors), D), dtype=np.int64)
+            self._emat = self.exponents_at(np.arange(D, dtype=np.int64), out)
         return self._emat
 
+    def units_at(self, residues: np.ndarray, emat: np.ndarray) -> np.ndarray:
+        """Which of the non-negative int64 ``residues`` are units, given
+        their exponent matrix ``emat`` (``exponents_at``): those where every
+        component has a discrete log and, when 2 || D, which are odd, since
+        then the 2-part contributes no cyclic factor.  The one rule for
+        unit-ness, read by ``unit_mask``, ``unit_flat_index`` and
+        ``DirichletCharacter.values_at``."""
+        units = np.ones(len(residues), dtype=bool)
+        for row in emat:
+            units &= row >= 0
+        if self.modulus.value % 4 == 2:
+            units &= (residues & 1).astype(bool)
+        return units
+
     def unit_mask(self) -> np.ndarray:
+        """``units_at`` every residue, cached beside the exponent matrix."""
         if self._unit_mask is None:
-            # component tables alone are not enough: when 2 || D the 2-part
-            # contributes no cyclic factor yet even residues are non-units
-            mask = np.ones(self.modulus.value, dtype=bool)
-            for p in self.modulus.primes:
-                mask[::p] = False
-            self._unit_mask = mask
+            D = self.modulus.value
+            self._unit_mask = self.units_at(np.arange(D, dtype=np.int64), self.exponent_matrix())
         return self._unit_mask
 
     def unit_flat_index(self) -> np.ndarray:
         """Residue -> flat index into the exponent lattice (-1 on non-units)."""
         if self._flat_index is None:
-            D = self.modulus.value
-            if not self.factors:
-                flat = np.zeros(D, dtype=np.int64)
-                flat[~self.unit_mask()] = -1
-                self._flat_index = flat
-            else:
-                strides = np.ones(len(self.orders), dtype=np.int64)
-                for i in range(len(self.orders) - 2, -1, -1):
-                    strides[i] = strides[i + 1] * self.orders[i + 1]
-                # a non-unit's column may hold -1s; the mask overwrites it
-                flat = strides @ self.exponent_matrix()
-                flat[~self.unit_mask()] = -1
-                self._flat_index = flat
+            # not through the cached exponent_matrix: the transform alone
+            # needs no table, so its moduli keep no t x D matrix
+            residues = np.arange(self.modulus.value, dtype=np.int64)
+            emat = self.exponents_at(residues)
+            strides = np.ones(len(self.orders), dtype=np.int64)
+            for i in range(len(self.orders) - 2, -1, -1):
+                strides[i] = strides[i + 1] * self.orders[i + 1]
+            # a non-unit's column may hold -1s; the mask overwrites it
+            flat = strides @ emat
+            flat[~self.units_at(residues, emat)] = -1
+            self._flat_index = flat
         return self._flat_index
 
     def conductor_grid(self) -> np.ndarray:
@@ -369,6 +387,16 @@ class DirichletCharacter:
         if self._table is None:
             self._table = _value_tables(self.basis, np.array([self.exponents], dtype=np.int64))[0]
         return self._table
+
+    def values_at(self, residues: np.ndarray) -> np.ndarray:
+        """chi at each int64 entry of ``residues`` (taken mod D) as
+        complex128: the bits of ``value_table()[residues % D]``, without a
+        table."""
+        basis = self.basis
+        residues = np.asarray(residues, dtype=np.int64) % basis.modulus.value
+        emat = basis.exponents_at(residues)
+        vec = np.array([self.exponents], dtype=np.int64)
+        return _character_values(basis, vec, emat, basis.units_at(residues, emat))[0]
 
     def conjugate(self) -> "DirichletCharacter":
         exps = tuple((-a) % m for a, m in zip(self.exponents, self.basis.orders))
@@ -482,18 +510,50 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
 # Whole-group machinery (all characters at once)
 
 
+def _character_values(basis: UnitGroupBasis, vecs: np.ndarray, emat: np.ndarray,
+                      units: np.ndarray) -> np.ndarray:
+    """Values, shape (len(vecs), len(units)), of the characters whose
+    exponent vectors are the rows of ``vecs`` at the residues whose exponent
+    vectors are the columns of ``emat`` (-1 where a component is a
+    non-unit), ``units`` marking the unit columns: chi_e(u) =
+    exp(2 pi i k / E) with k = sum_j e_j (E / m_j) dlog_j(u) mod E, and 0
+    on non-units.  With at least E phases they are looked up in
+    one row of the E roots of unity; with fewer, each is exponentiated
+    itself, which is the row's entry bit for bit, since the complex exp
+    works element by element.  So the value at u is the same bits whatever
+    else is asked.
+
+    k is exact in int64 for every modulus with discrete-log tables.  The
+    unreduced sum of the terms e_j (E / m_j) dlog_j is below E sum_j m_j.
+    Where that fits, k is one product of the exponent vectors with emat;
+    it stops fitting only near D = 10^15 (three components near 10^5), far
+    past any value table.  There term j is taken as (e_j dlog_j mod m_j)
+    (E / m_j) < E, where e_j dlog_j < m_j^2 <= DLOG_TABLE_LIMIT^2, and the
+    running sum is reduced mod E after each term; a reduced sum plus a
+    term stays below 2E < 2^63, since every order is even and so E <=
+    phi(D) / 2 with two or more factors.  Taken everywhere, the
+    reductions doubled the time to build every table for D <= 500, so they
+    are kept to where they are needed.  Both give the same k."""
+    E = basis.exponent
+    if E * sum(basis.orders) < 1 << 63:
+        weights = np.array([E // m for m in basis.orders], dtype=np.int64)
+        phases = (vecs * weights) @ np.maximum(emat, 0) % E
+    else:
+        phases = np.zeros((len(vecs), len(units)), dtype=np.int64)
+        for j, m in enumerate(basis.orders):
+            phases += vecs[:, j, None] * np.maximum(emat[j], 0) % m * (E // m)
+            phases %= E
+    turn = 2j * np.pi / E
+    values = np.exp(turn * phases) if phases.size < E else np.exp(turn * np.arange(E))[phases]
+    values[:, ~units] = 0.0
+    return values
+
+
 def _value_tables(basis: UnitGroupBasis, vecs: np.ndarray) -> np.ndarray:
     """Value tables, shape (len(vecs), D), of the characters whose exponent
-    vectors are the rows of ``vecs``: chi_e(u) = exp(2 pi i k / E) with
-    k = sum_j e_j (E / m_j) dlog_j(u) mod E, looked up in one row of the E
-    roots of unity, and 0 on non-units."""
-    E = basis.exponent
-    weights = np.array([E // m for m in basis.orders], dtype=np.int64)
-    emat = basis.exponent_matrix()
-    phases = (vecs * weights) @ np.where(emat >= 0, emat, 0) % E
-    tables = np.exp((2j * np.pi / E) * np.arange(E))[phases]
-    tables[:, ~basis.unit_mask()] = 0.0
-    return tables
+    vectors are the rows of ``vecs``: ``_character_values`` at every
+    residue, from the basis's cached exponent matrix and unit mask."""
+    return _character_values(basis, vecs, basis.exponent_matrix(), basis.unit_mask())
 
 
 def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:

@@ -283,19 +283,24 @@ def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:
     return complex(re, im), mass / (1 << 53)
 
 
-def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include=None) -> SumValue:
-    """Sum of Lambda(n) table[(n - l) mod len(table)] over the prime powers
-    n <= x with include(n) (all when None), where len(table) divides L and
-    include maps an int64 array to a bool mask that depends only on each
-    entry mod L; term_count counts them, zero table values included.  The
-    dot product's rows are the residue bins or the prime powers themselves,
-    whichever are fewer, so include sees min(L, pi*(x)) entries; both give
-    the same bits."""
+def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -> SumValue:
+    """Sum of Lambda(n) chi(n - l) over the prime powers n <= x with
+    include(n) (all when None), where chi's modulus q divides L and include
+    maps an int64 array to a bool mask that depends only on each entry mod
+    L; term_count counts them, zero character values included.  The dot
+    product's rows are the residue bins or the prime powers themselves,
+    whichever are fewer, so include sees min(L, pi*(x)) entries.  Bin rows
+    read chi's value table; prime-power rows evaluate chi at n - l only, so
+    no table of q entries is built when pi*(x) <= L.  Both give the same
+    bits.  l is reduced mod L as a Python int first, so any integer shift
+    works."""
     if x < 2:
         return SumValue(0j, 0, 0.0)
     n, m = _mangoldt_arrays(x)
-    q = len(table)
+    l %= L
     if L < n.size:  # row i: the residue class i mod L
+        table = chi.value_table()
+        q = len(table)
         digits, count = _residue_bins(x, L)
         inside = None if include is None else include(np.arange(L, dtype=np.int64))
         terms = n.size if include is None else int(count.sum(where=inside))
@@ -304,8 +309,9 @@ def _lambda_sum(x: int, L: int, table: np.ndarray, l: int, include=None) -> SumV
     else:  # row i: the prime power n[i]
         inside = None if include is None else include(n)
         terms = n.size if include is None else int(np.count_nonzero(inside))
-        keep = (table != 0)[(n - l) % q]
-        digits_of, g_of = (lambda i: _limbs(m[i])), (lambda i: table[(n[i] - l) % q])
+        values = chi.values_at(n - l)
+        keep = values != 0
+        digits_of, g_of = (lambda i: _limbs(m[i])), (lambda i: values[i])
     if inside is not None:
         keep &= inside
     value, mass = _exact_dot(digits_of, g_of, np.flatnonzero(keep))
@@ -372,7 +378,7 @@ def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int) -> SumValue:
     """Sum of Lambda(n) chi(n - l) over n <= x."""
     D = chi.modulus
     require(math.gcd(l, D) == 1, "l", f"need gcd(l, D) = 1, got gcd({l}, {D}) > 1")
-    return _lambda_sum(x, D, chi.value_table(), l)
+    return _lambda_sum(x, D, chi, l)
 
 
 def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumValue:
@@ -385,7 +391,18 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumVal
     require(math.gcd(nu, q) == 1, "nu", f"need gcd(nu, q) = 1, got gcd({nu}, {q}) > 1")
     require(math.gcd(l, q * nu) == 1, "l", f"need gcd(l, q*nu) = 1")
     res = l % nu
-    return _lambda_sum(x, q * nu, chi_q.value_table(), l, lambda r: (np.gcd(r, q) == 1) & (r % nu == res))
+    return _lambda_sum(x, q * nu, chi_q, l, lambda r: (np.gcd(r, q) == 1) & (r % nu == res))
+
+
+# The window and bilinear sums index with int64 arrays of n.  Every factor
+# is reduced mod q (or nu) before it is multiplied, so products stay below
+# q**2 < 2**63 for any modulus with a value table.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _require_int64(name: str, lo: int, hi: int) -> None:
+    """PreconditionError naming ``name`` unless every n in [lo, hi] fits in int64."""
+    require(INT64_MIN <= lo and hi <= INT64_MAX, name, f"need {lo} <= n <= {hi} to fit in int64")
 
 
 def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int) -> SumValue:
@@ -394,11 +411,12 @@ def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: in
     require(math.gcd(eta, q) == 1, "eta", "need gcd(eta, q) = 1")
     require(math.gcd(d, k) == 1, "d,k", "need gcd(d, k) = 1")
     require(N >= 1, "N", "need N >= 1")
+    _require_int64("M,N", M - N + 1, M)
     table = chi_q.value_table()
-    shift = eta * k
+    d, shift = d % q, eta * k % q
 
     def block(a, b):
-        ns = np.arange(a, b, dtype=np.int64)
+        ns = np.arange(a, b, dtype=np.int64) % q
         return table[(ns * d + shift) % q]
 
     return _collect(block, M - N + 1, M + 1)
@@ -412,13 +430,15 @@ def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int) -> SumValue:
     hi = math.floor(u)
     if hi < lo:
         return SumValue(0j, 0, 0.0)
+    _require_int64("u,y", lo, hi)
+    require(nu <= INT64_MAX, "nu", f"need nu < 2^63, got {nu}")
     table = chi_q.value_table()
-    res = eta % nu
+    res, eta = eta % nu, eta % q
 
     def block(a, b):
         ns = np.arange(a, b, dtype=np.int64)
         mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
-        return table[(ns[mask] - eta) % q]
+        return table[(ns[mask] % q - eta) % q]
 
     return _collect(block, lo, hi + 1)
 
@@ -438,11 +458,14 @@ def double_sum(
     a_m b_n chi_q(mn - l), with (mn, q) = 1 and mn = l (mod nu)."""
     q = chi_q.modulus
     require(N <= U < 2 * N, "U", f"need N <= U < 2N, got N={N}, U={U}")
+    _require_int64("x,N", U + 1, min(x // max(M + 1, 1), 2 * N))
+    require(nu * nu <= INT64_MAX, "nu", f"need nu^2 < 2^63, got nu={nu}")
     if isinstance(a_m, str):
         a_m = coefficient_family(a_m)
     if isinstance(b_n, str):
         b_n = coefficient_family(b_n)
     table = chi_q.value_table()
+    l_nu, l_q = l % nu, l % q
 
     def block(m_lo, m_hi):
         chunks = []
@@ -457,11 +480,10 @@ def double_sum(
                 continue
             ns = np.arange(U + 1, hi_n + 1, dtype=np.int64)
             bv = np.array([b_n(int(v)) for v in ns], dtype=np.float64)
-            prods = m * ns
-            mask = (bv != 0) & ((prods - l) % nu == 0) & (np.gcd(ns, q) == 1)
+            mask = (bv != 0) & ((m % nu) * (ns % nu) % nu == l_nu) & (np.gcd(ns, q) == 1)
             sel = mask.nonzero()[0]
             if len(sel):
-                chunks.append(am * bv[sel] * table[(prods[sel] - l) % q])
+                chunks.append(am * bv[sel] * table[((m % q) * (ns[sel] % q) - l_q) % q])
         if not chunks:
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate(chunks)
@@ -823,7 +845,7 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
     lhs = shifted_prime_sum(chi, l, x)
     # terms with (n, q) > 1, evaluated against chi itself; the same residues
     # mod D as lhs, so it reads the same bins
-    corr = _lambda_sum(x, D, chi.value_table(), l, lambda r: np.gcd(r, q) != 1)
+    corr = _lambda_sum(x, D, chi, l, lambda r: np.gcd(r, q) != 1)
 
     pieces = []
     masses = [lhs.abs_term_sum, corr.abs_term_sum]

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from charsum import bounds, sums
+from charsum import bounds, characters, sums
 from charsum.bounds import (
     ASSERT,
     MONITOR,
@@ -258,6 +260,57 @@ def test_theorem_report_certifies_sampled_shifts():
         chi = character_at(unit_group_basis(D), p["chi_index"])
         assert rec.lhs == abs(shifted_prime_sum(chi, p["l"], p["x"]).value)
         assert conductor(chi).value > p["conductor_threshold"]
+
+
+def _search_by_class_copies(values, excluded, gap):
+    """theorem_report's search as it was first written: per class, a copy
+    of the class's columns and a 2-D nonzero over the copy."""
+    out = []
+    for cols in (np.setdiff1d(np.arange(values.shape[1]), excluded), np.arange(1, values.shape[1])):
+        sub = values[:, cols]
+        r, c = np.nonzero(sub >= sub.max() - gap)
+        out.append((sub[r, c], r, cols[c]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 200), st.integers(0, 2**32 - 1), st.integers(0, 30))
+@example(1, 2, 0, 0)  # one character besides the principal one
+@example(12, 200, 7, 30)
+def test_window_search_equals_class_copies(rows, cols, seed, ties):
+    """_search_batch returns exactly the (value, row, half index) hits of
+    copying each class out of the batch: planted values at the top, on the
+    2 bound floor (included) and one ulp below it (excluded), in the
+    filtered columns, in the excluded ones and in the principal column."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((rows, cols))
+    excluded = np.flatnonzero(rng.random(cols) < 0.4)
+    excluded = np.union1d(excluded, [0])
+    if excluded.size == cols:
+        excluded = excluded[:-1]
+    gap = 1e-3
+    top = values.max()
+    floor = top - gap
+    for value in rng.choice([top, floor, np.nextafter(floor, -np.inf), top + gap / 2], ties):
+        values[rng.integers(rows), rng.integers(cols)] = value
+    want = _search_by_class_copies(values, excluded, gap)
+    got = bounds._search_batch(values.copy(), excluded, gap)
+    for (gv, gr, gc), (wv, wr, wc) in zip(got, want):
+        assert gv.tobytes() == wv.tobytes()
+        assert gr.tolist() == wr.tolist() and gc.tolist() == wc.tolist()
+
+
+def test_theorem_report_builds_no_value_table(monkeypatch):
+    """At x = D^(5/6 + 0.05) < D the certified candidates take the
+    prime-power rows of the Lambda kernel, which evaluate each character at
+    n - l only: no value table of D entries is built."""
+
+    def no_table(*args):
+        raise AssertionError("a character value table was built")
+
+    monkeypatch.setattr(characters.DirichletCharacter, "value_table", no_table)
+    monkeypatch.setattr(characters, "_value_tables", no_table)
+    assert len(theorem_report([12600, 10007], seed=1)) == 2
 
 
 def test_theorem_report_bytes_do_not_depend_on_batch(monkeypatch):

@@ -278,6 +278,44 @@ def test_all_character_tables_match_value_table():
             assert stacked[i].tobytes() == chi.value_table().tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 5000), st.sampled_from([2**k for k in range(1, 18)]),
+                 st.sampled_from([3**9, 5**6, 7**5, 101**2, 180000])),
+       st.integers(0, 2**32), st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=50))
+@example(180000, 7, [0, 1, 2, 3, 6, 179999, 180000, -1, 2**62])
+@example(12, 1, [-12, -11, 0, 2, 3, 4, 6, 9])  # non-units of every component
+def test_values_at_equals_value_table_bits(D, pick, residues):
+    """DirichletCharacter.values_at gives, at any int64 residues (negative,
+    beyond D, non-units included), the bits of value_table() at those
+    residues mod D, and 0 exactly where the scalar path finds a non-unit."""
+    basis = unit_group_basis(D)
+    chi = character_at(basis, pick % basis.phi)
+    u = np.array(residues, dtype=np.int64)
+    got = chi.values_at(u)
+    assert got.tobytes() == chi.value_table()[u % D].tobytes()
+    assert (got == 0).tolist() == [chi(r).zero for r in residues]
+
+
+@pytest.mark.parametrize("D", [100003 * 100019 * 100043, 2 * 7**5 * 999983, 4 * 999983 * 999979])
+def test_values_at_beyond_table_size_equals_scalar_phases(D):
+    """Where no value table can be built, values_at gives exp(2 pi i k / E)
+    at the exact phase k / E of the scalar path, bit for bit, and 0 where
+    it finds a non-unit; at D near 1e15 the phases of the last characters,
+    summed unreduced, pass 2^63."""
+    basis = unit_group_basis(D)
+    E = basis.exponent
+    rng = np.random.default_rng(7)
+    nonunits = [p * 7 for p in factor(D).primes] + [D - p for p in factor(D).primes]
+    residues = np.array(rng.integers(0, D, 300).tolist() + [0, 1, D - 1] + nonunits, dtype=np.int64)
+    for index in (1, basis.phi // 3, basis.phi - 1):
+        chi = character_at(basis, index)
+        scalar = [chi(int(r)) for r in residues]
+        k = np.array([0 if v.zero else v.numerator * (E // v.denominator) for v in scalar], dtype=np.int64)
+        want = np.exp((2j * np.pi / E) * k)
+        want[[v.zero for v in scalar]] = 0
+        assert chi.values_at(residues).tobytes() == want.tobytes()
+
+
 def test_unit_group_transform_matches_direct_sums():
     rng = SplitMix64(11)
     for D in (1, 2, 12, 45, 101):

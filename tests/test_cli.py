@@ -39,6 +39,18 @@ def test_sum_T_prints_quadratic_value():
     assert "0.7985" in out.stdout
 
 
+@pytest.mark.parametrize("l", ["-9223372036854775806", "99999999999999999999"])
+def test_sum_shift_beyond_int64_is_taken_mod_D(l, capsys):
+    """A shift outside int64 prints the line of the shift it is congruent
+    to mod D (both are 1 mod 7, as 8 is) and exits 0."""
+    argv = ["sum", "T", "--D", "7", "--x", "100", "--chi-index", "1", "--l"]
+    assert cli.main(argv + [l]) == 0
+    got = capsys.readouterr().out
+    assert "T=8.859228941526688-2.574854550857001j" in got
+    assert cli.main(argv + ["8"]) == 0
+    assert capsys.readouterr().out == got
+
+
 def test_sum_precondition_exit_2_names_violation():
     out = run("sum", "T", "--D", "10", "--l", "5", "--x", "100")
     assert out.returncode == 2
@@ -229,21 +241,26 @@ def _raise(exc):
     (["verify", "identities", "--max-D", "0"], 2, "'max_D'"),
     (["verify", "identities", "--gauss-max-q", "0"], 2, "'gauss_max_q'"),
     (["verify", "identities", "--coprime-max", "-1"], 2, "'coprime_max'"),
+    # phi(D) x D table entries over D <= 5000: about 2.5e10, checked before any table
+    (["verify", "identities", "--max-D", "5000"], 2, "max_D = 5000 needs character tables"),
+    (["verify", "identities", "--gauss-max-q", "2000"], 2, "gauss_max_q = 2000 needs character tables"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
-    a message and no traceback, before any Lambda is sieved; any other
-    crash exits 3; exit 1 stays for ASSERT failures."""
-    sieved = []
+    a message and no traceback, before any Lambda is sieved or character
+    table built; any other crash exits 3; exit 1 stays for ASSERT
+    failures."""
+    sieved, tables = [], []
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
     monkeypatch.setattr(sums, "mangoldt_sieve", lambda *a: sieved.append(a))
+    monkeypatch.setattr(bounds, "all_character_tables", lambda *a: tables.append(a))
     for fault in (MemoryError(), RuntimeError("injected fault")):
         if type(fault).__name__ in message:
             monkeypatch.setattr(cli, "_cmd_factor", lambda args, fault=fault: _raise(fault))
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    assert sieved == []
+    assert sieved == [] and tables == []
 
 
 @pytest.mark.parametrize("argv, seed, delta", [

@@ -184,6 +184,27 @@ def test_shifted_prime_sum_rejects_noncoprime_shift():
         shifted_prime_sum(chi, 5, 100)
 
 
+@pytest.mark.parametrize("D", [999983 * 999979, 2 * 7**5 * 999983, 100003 * 100019 * 100043])
+def test_shifted_prime_sum_beyond_table_size_reads_points_only(D):
+    """With pi*(x) <= D the kernel evaluates chi at the prime powers only:
+    at D near 1e12 and 1e15 (every component within the discrete-log table
+    limit) nothing of D entries is allocated, and the sum matches the
+    oracle.  At 1e15 the last character's phases, summed unreduced over
+    the three components, pass 2^63."""
+    basis = unit_group_basis(D)
+    sums._mangoldt_arrays(3000)
+    for index in (12345, basis.phi - 1):
+        chi = character_at(basis, index)
+        tracemalloc.start()
+        try:
+            got = shifted_prime_sum(chi, 3, 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert close(got.value, oracles.shifted_prime_sum_oracle(chi, 3, 3000), got.abs_term_sum)
+
+
 # ---------------------------------------------------------------------------
 # The Lambda kernel against the exact-product oracle
 
@@ -244,6 +265,20 @@ def test_residue_bins_are_exact_digit_rows():
         assert count[r] == np.count_nonzero(n % L == r)
 
 
+class _TableCharacter:
+    """Any complex weight table mod L, read as the kernel reads a character:
+    the whole table on the bin path, entries at n - l on the other."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def value_table(self):
+        return self.table
+
+    def values_at(self, residues):
+        return self.table[residues % len(self.table)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 3000), st.integers(0, 3000), st.integers(1, 1200), st.integers(-50, 50),
        st.integers(1, 4), st.integers(1, 64), st.integers(0, 2**32 - 1))
@@ -279,7 +314,7 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
             assert ((digits[:-1] >= 0) & (digits[:-1] < 2**20)).all()
 
             inside = lambda r: r % L % 3 != 1  # noqa: E731
-            got = sums._lambda_sum(x, L, table, l, inside)
+            got = sums._lambda_sum(x, L, _TableCharacter(table), l, inside)
             want = _kernel_oracle(x, L, lambda n: table[(n - l) % L], inside)
             assert _bits(got) == want
 
@@ -547,6 +582,55 @@ def test_double_sum_precondition():
     chi_q = induce_primitive([c for c in chars(11) if not c.is_principal][0])
     with pytest.raises(PreconditionError):
         double_sum(chi_q, coeff_one, coeff_one, 4, 8, 20, 1, 1, 1000)  # U >= 2N
+
+
+# ---------------------------------------------------------------------------
+# Window and bilinear sums near the int64 limit
+
+NEAR_INT64 = st.one_of(st.integers(2**62, 2**63 - 1), st.integers(-(2**63) + 64, -(2**62)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([7, 45, 101, 1024]), st.integers(0, 10**6), NEAR_INT64, st.integers(1, 40),
+       st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64), st.integers(1, 6), st.integers(1, 3))
+@example(7, 0, 2**62, 5, 3, 1, 1, 1)  # chi(3n + 1) over 5 n: the product 3n overflowed
+@example(7, 0, 2**63 - 1, 40, 2**63, -(2**63), 5, 3)  # the top of int64, factors beyond it
+@example(45, 3, -(2**63) + 64, 40, 7, 2**63 + 1, 2, 1)  # the bottom of int64
+def test_window_and_bilinear_sums_near_int64_match_oracles(D, pick, M, N, d, eta, nu, M2):
+    """short_sum, sy_sum and double_sum with n, m n, d, eta and l near or
+    beyond 2^63 equal the Python-integer oracles: every factor is reduced
+    mod q (or nu) before it is multiplied in int64."""
+    basis = unit_group_basis(D)
+    chi = character_at(basis, 1 + pick % (basis.phi - 1))
+    eta = next(v for v in range(eta, eta + D) if math.gcd(v, D) == 1)
+    nu = next(v for v in range(nu, nu + D) if math.gcd(v, D) == 1)
+
+    got = short_sum(chi, M, N, d, 1, eta)
+    assert close(got.value, oracles.short_sum_oracle(chi, M, N, d, 1, eta), got.abs_term_sum)
+    got = sy_sum(chi, M, N, eta, nu)
+    assert close(got.value, oracles.sy_sum_oracle(chi, M, N, eta, nu), got.abs_term_sum)
+    # m in (M2, 2 M2] and n in (U, x // m]: about N terms for m = M2 + 1
+    big, l = abs(M) // 2, eta * d
+    x = (M2 + 1) * (big + N)
+    got = double_sum(chi, coeff_mobius, coeff_one, M2, big, big, nu, l, x)
+    want = oracles.double_sum_oracle(chi, coeff_mobius, coeff_one, M2, big, big, nu, l, x)
+    assert close(got.value, want, got.abs_term_sum)
+
+
+def test_window_and_bilinear_sums_reject_n_beyond_int64():
+    """A window or range of n that int64 cannot hold is a precondition
+    error naming the inputs that set it."""
+    chi = character_at(unit_group_basis(7), 1)
+    for call, name in (
+        (lambda: short_sum(chi, 2**63, 5, 1, 1, 1), "'M,N'"),
+        (lambda: short_sum(chi, -(2**63) + 2, 5, 1, 1, 1), "'M,N'"),
+        (lambda: sy_sum(chi, 2**63 + 5, 10, 1, 1), "'u,y'"),
+        (lambda: sy_sum(chi, 100, 10, 1, 2**63 + 1), "'nu'"),
+        (lambda: double_sum(chi, coeff_one, coeff_one, 1, 2**63, 2**63, 1, 1, 2**70), "'x,N'"),
+        (lambda: double_sum(chi, coeff_one, coeff_one, 1, 8, 9, 2**32 + 1, 1, 100), "'nu'"),
+    ):
+        with pytest.raises(PreconditionError, match=name):
+            call()
 
 
 # ---------------------------------------------------------------------------
