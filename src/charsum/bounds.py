@@ -40,6 +40,7 @@ from .sums import (
     DEFAULT_WORK_BUDGET,
     CongruenceInstance,
     _mangoldt_arrays,
+    _prime_power_bound,
     bin_lambda,
     char_twist_weight,
     congruence_census,
@@ -520,12 +521,13 @@ TRANSFORM_BATCH = 1 << 18
 # like log2(phi) u M (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., 2002, sec. 24.1); a residue gathers at most x // D + 1 prime
 # powers before the transform.  The constant is generous: it also covers
-# pocketfft's Bluestein path (three transforms and two chirp products, taken
-# at phi(100489) = 2^2 * 79 * 317), the rounding of the character values
-# and of log p in the exact kernel, and the final |.|.  The largest
-# |FFT - exact| / (log2(phi) u M) seen, over about 36,000 values at the 16
-# bench moduli (every character at some shifts for D = 10007, 49999 and
-# 100489), is 0.18.
+# pocketfft's Bluestein path for a prime length (three transforms and two
+# chirp products, taken on the prime axes 641 and 317 of the split lattices
+# (641, 78) of phi(49999) and (317, 316) of phi(100489)), the rounding of
+# the character values and of log p in the exact kernel, and the final |.|.
+# The largest |FFT - exact| / (log2(phi) u M) seen is 0.075 over every
+# character at two shifts at D = 49999 and 100489 (150,000 values), and
+# 0.18 at D = 1283, whose factor of order 2 * 641 keeps one axis.
 FFT_ERROR_C = 64.0
 
 
@@ -589,6 +591,18 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         if phi <= 1:
             log.warning("theorem_report: D=%d has no non-principal characters, skipped", D)
             return None
+        if phi <= 64:
+            ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
+        else:
+            rng = SplitMix64(SplitMix64(seed ^ D).next_u64())
+            ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
+        # before the conductor grid (8 phi bytes), the Lambda sieve and the
+        # transform plan are built
+        work = len(ls) * (_prime_power_bound(x) + phi * max(1, int(math.log2(max(phi, 2)))))
+        if work > DEFAULT_WORK_BUDGET:
+            raise WorkBudgetError(f"report theorem at D = {D} needs about {work} operations "
+                                  f"({len(ls)} shifts over phi = {phi} characters), "
+                                  f"more than the budget of {DEFAULT_WORK_BUDGET}")
         threshold = math.exp(math.sqrt(2.0 * math.log(D)))
         orders = basis.orders
         half_shape = orders[:-1] + (orders[-1] // 2 + 1,)
@@ -598,15 +612,8 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         if not pass_filter.any():
             log.warning("theorem_report: no conductor above %.3f for D=%d, skipped", threshold, D)
             return None
-        if phi <= 64:
-            ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
-        else:
-            rng = SplitMix64(SplitMix64(seed ^ D).next_u64())
-            ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
         n, m = _mangoldt_arrays(x)
         lam = np.ldexp(m, -53)
-        if len(ls) * (len(n) + phi * max(1, int(math.log2(max(phi, 2))))) > DEFAULT_WORK_BUDGET:
-            raise WorkBudgetError(f"theorem_report D={D} exceeds work budget")
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
 
         # search: the transform's characters (half of the lattice), filtered

@@ -47,9 +47,11 @@ from charsum.util import SplitMix64
 
 ACCEPT_SEED = 7
 
-# D grid for the main-sum report: ten primes and ten composites up to 1e5
+# D grid for the main-sum report: twelve primes and ten composites up to
+# 1e5.  557, 40009 and 49999 run the transform on a split lattice (the
+# factors 139, 1667 and 641 of phi get their own axis)
 THEOREM_MODULI = (
-    101, 211, 401, 1009, 2003, 5003, 10007, 20011, 40009, 99991,
+    101, 211, 401, 557, 1009, 2003, 5003, 10007, 20011, 40009, 49999, 99991,
     105, 729, 1024, 1155, 4725, 9240, 15015, 30030, 45045, 99990,
 )
 
@@ -338,7 +340,8 @@ def test_criterion_7_monitored_reports():
 
 def test_criterion_8_determinism_across_pool_widths(monkeypatch):
     """theorem_report runs its moduli on a pool as wide as the CPUs; the
-    criterion 7 reports must not depend on that width."""
+    criterion 7 reports, split-lattice moduli among them, must not depend
+    on that width."""
     t0 = time.monotonic()
     artifacts = {}
     for width in (1, 4):

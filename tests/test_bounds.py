@@ -344,11 +344,32 @@ def test_theorem_report_tolerates_fft_error_within_its_bound(monkeypatch):
     assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
 
 
-@pytest.mark.parametrize("D", [1283, 2520])
+def test_theorem_report_bytes_do_not_depend_on_the_lattice_layout(monkeypatch):
+    """557 (phi = 4 * 139), 787 (phi = 6 * 131) and 49999 (phi = 78 * 641)
+    run on a split lattice; forcing every factor back to one axis leaves
+    the report bytes as they are."""
+    moduli = [557, 787, 49999]
+    header = {"command": "report theorem"}
+    characters._cached_basis.cache_clear()
+    try:
+        assert all(unit_group_basis(D).transform_plan().gather is not None for D in moduli)
+        base = render_records(theorem_report(moduli, seed=1), "jsonl", header)
+        monkeypatch.setattr(characters, "SPLIT_MIN_PRIME", 2**62)
+        characters._cached_basis.cache_clear()
+        assert all(unit_group_basis(D).transform_plan().gather is None for D in moduli)
+        assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
+    finally:
+        # no basis planned under the patched threshold outlives the test
+        characters._cached_basis.cache_clear()
+
+
+@pytest.mark.parametrize("D", [557, 1283, 2520])
 def test_fft_error_bound_holds_with_margin(D):
     """|FFT value - exact value| over every character at four shifts stays
     below 1/64 of theorem_report's bound, i.e. below log2(phi) u M.
-    phi(1283) = 2 * 641 has a large prime factor, like phi(100489)."""
+    phi(557) = 4 * 139 is laid out as the lattice (139, 4), as phi(100489)
+    = 4 * 79 * 317 is as (317, 316); phi(1283) = 2 * 641 stays one axis,
+    through pocketfft's Bluestein path."""
     x = math.ceil(D ** (5 / 6 + 0.05))
     basis = unit_group_basis(D)
     n, m = sums._mangoldt_arrays(x)

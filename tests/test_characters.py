@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum import oracles
+from charsum import characters, oracles
 from charsum.characters import (
     DLOG_TABLE_LIMIT,
     CharacterValue,
@@ -339,6 +339,49 @@ def test_unit_group_transform_matches_direct_sums():
                     if math.gcd(u, max(D, 1)) == 1
                 )
                 assert abs(row[e] - abs(direct)) < 1e-9 * (1 + np.abs(w).sum())
+
+
+@pytest.mark.parametrize("D", [557, 1671])
+def test_split_transform_matches_direct_sums(D):
+    """phi(557) = 4 * 139: the factor of order 556 is laid out as the
+    lattice (139, 4), on its own (D = 557) and beside an order-2 factor
+    (D = 1671 = 3 * 557).  Each value equals |sum of chi(u) w(u)| from the
+    value tables, at the character or its conjugate."""
+    basis = UnitGroupBasis(factor(D))
+    assert basis.transform_plan().shape == basis.orders[:-1] + (139, 4)
+    rng = np.random.default_rng(D)
+    weights = rng.random((2, D))
+    residues = np.broadcast_to(np.arange(D), (2, D))
+    spectrum = unit_group_transform(basis, residues, weights)
+    orders = basis.orders
+    assert spectrum.shape == (2, *orders[:-1], orders[-1] // 2 + 1)
+    direct = np.abs(weights @ all_character_tables(basis).T)
+    for i, chi in enumerate(enumerate_characters(basis)):
+        e = chi.exponents if chi.exponents[-1] <= orders[-1] // 2 else chi.conjugate().exponents
+        assert np.allclose(spectrum[(slice(None), *e)], direct[:, i], rtol=0, atol=1e-12 * D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 20000), st.sampled_from([3, 5, 7, 11, 128]), st.sampled_from([2, 4]))
+@example(557, 128, 4)
+@example(2 * 5 * 7 * 11 * 13, 3, 2)
+def test_split_and_one_dimensional_layouts_agree(D, min_prime, min_cofactor):
+    """The transform on the lattice the split thresholds give equals the
+    one-dimensional layout's, within rounding.  Lowering the thresholds
+    splits most cyclic factors of the generated moduli; the 1-D layout is
+    forced by a threshold no prime reaches."""
+    rng = np.random.default_rng(D)
+    residues = rng.integers(0, 3 * D, (3, 200))
+    weights = rng.random(200)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "SPLIT_MIN_PRIME", min_prime)
+        mp.setattr(characters, "SPLIT_MIN_COFACTOR", min_cofactor)
+        split = unit_group_transform(UnitGroupBasis(factor(D)), residues, weights)
+        mp.setattr(characters, "SPLIT_MIN_PRIME", 2**62)
+        flat = UnitGroupBasis(factor(D))
+        assert flat.transform_plan().gather is None
+    one_axis = unit_group_transform(flat, residues, weights)
+    assert np.allclose(split, one_axis, rtol=0, atol=1e-12 * weights.sum())
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from charsum import bounds, cli, sums
+from charsum import bounds, characters, cli, sums
 
 CLI = [sys.executable, "-m", "charsum.cli"]
 
@@ -244,16 +244,21 @@ def _raise(exc):
     # phi(D) x D table entries over D <= 5000: about 2.5e10, checked before any table
     (["verify", "identities", "--max-D", "5000"], 2, "max_D = 5000 needs character tables"),
     (["verify", "identities", "--gauss-max-q", "2000"], 2, "gauss_max_q = 2000 needs character tables"),
+    # phi = 10^9 + 6: the conductor grid alone would take 8 GB
+    (["report", "theorem", "--D-list", "1000000007"], 2, "more than the budget of 1000000000"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
     a message and no traceback, before any Lambda is sieved or character
-    table built; any other crash exits 3; exit 1 stays for ASSERT
-    failures."""
+    table or conductor grid built; any other crash exits 3; exit 1 stays
+    for ASSERT failures."""
     sieved, tables = [], []
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
     monkeypatch.setattr(sums, "mangoldt_sieve", lambda *a: sieved.append(a))
     monkeypatch.setattr(bounds, "all_character_tables", lambda *a: tables.append(a))
+    if code == 2:
+        monkeypatch.setattr(characters.UnitGroupBasis, "conductor_grid",
+                            lambda basis: _raise(AssertionError("conductor grid built before the check")))
     for fault in (MemoryError(), RuntimeError("injected fault")):
         if type(fault).__name__ in message:
             monkeypatch.setattr(cli, "_cmd_factor", lambda args, fault=fault: _raise(fault))
