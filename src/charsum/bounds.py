@@ -21,6 +21,7 @@ from .characters import (
     all_character_tables,
     character_at,
     induce_primitive,
+    roots_of_unity,
     unit_group_basis,
     unit_group_transform,
 )
@@ -421,8 +422,7 @@ def character_table_records(max_D: int = 500, max_q: int = 200) -> list[BoundChe
         if D <= max_q:
             prim = basis.conductor_grid().reshape(-1) == D
             if prim.any():
-                phases = np.exp((2j * np.pi / D) * np.arange(D))
-                taus = (tables[prim] * phases[None, :]).sum(axis=1)
+                taus = (tables[prim] * roots_of_unity(np.arange(D), D)[None, :]).sum(axis=1)
                 count += int(prim.sum())
                 dev = float((np.abs(np.abs(taus) ** 2 - D) / D).max())
                 if dev > gauss_dev:
@@ -563,14 +563,16 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
     whose ``chi_index`` and ``l`` go into the parameters (ties go to the
     smallest (chi_index, l)).  A batched real unit-group transform
     (``unit_group_transform``) only searches: every (chi, l) whose |FFT
-    value| lies within twice its error bound (FFT_ERROR_C) of the largest,
-    and the conjugate of each, is evaluated exactly, and the exact maximum
-    over them is the maximum over all characters and shifts.  The report
-    bytes therefore depend neither on the FFT's rounding nor on the batch
-    size.  The search (``_search_batch``) copies no class out of a batch.
-    For epsilon < 1/6, x < D, so each exact evaluation reads its character
-    at the prime powers only (``sums._lambda_sum``): no value table is
-    built, and the transform is nearly all of the cost.
+    value| lies within twice its error bound (FFT_ERROR_C) of the largest
+    is evaluated exactly, and the exact maximum over them is the maximum
+    over all characters and shifts.  A hit stands for chi and conj chi,
+    whose exact |T| are equal bit for bit; it is evaluated at the smaller
+    index of the two.  The report bytes therefore depend neither on the
+    FFT's rounding nor on the batch size.  The search (``_search_batch``)
+    copies no class out of a batch.  For epsilon < 1/6, x < D, so each
+    exact evaluation reads its character at the prime powers only
+    (``sums._lambda_sum``): no value table is built, and the transform is
+    nearly all of the cost.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded, each certified
@@ -631,14 +633,14 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
 
         def candidates(hits):
             """(chi_index, l) of every search hit within 2 bound of the largest
-            value, and of its conjugate."""
+            value, the hit's character taken as the smaller index of it and
+            its conjugate: their exact |T| are equal bit for bit."""
             vals, pos, idx = (np.concatenate(parts) for parts in zip(*hits))
             sel = vals >= vals.max() - 2 * bound
             e = np.unravel_index(idx[sel], half_shape)
             conj = tuple((-c) % m for c, m in zip(e, orders))
-            chis = np.concatenate((np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders)))
-            at = shifts[pos[sel]].tolist()
-            return set(zip(chis.tolist(), at + at))
+            chis = np.minimum(np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders))
+            return set(zip(chis.tolist(), shifts[pos[sel]].tolist()))
 
         # certify: evaluate every candidate exactly, one character table at a time
         filtered, unfiltered = (candidates(f) for f in found)

@@ -509,9 +509,19 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     q = chi.modulus
     if q == 1:
         return 1.0 + 0.0j
-    table = chi.value_table()
-    phases = np.exp((2j * np.pi / q) * np.arange(q))
-    return complex_fsum(table * phases)
+    return complex_fsum(chi.value_table() * roots_of_unity(np.arange(q), q))
+
+
+def roots_of_unity(k: np.ndarray, E: int) -> np.ndarray:
+    """exp(2 pi i k / E) for int64 k in [0, E), element by element: np.exp
+    at min(k, E - k), conjugated where k > E / 2, so the root at E - k is
+    bit for bit the conjugate of the one at k; 1, i, -1 and -i are exact."""
+    k = np.asarray(k, dtype=np.int64)
+    j = np.minimum(k, E - k)
+    z = np.exp((2j * np.pi / E) * j)
+    z[4 * j == E] = 1j
+    z[2 * j == E] = -1.0
+    return np.conjugate(z, out=z, where=k > E - k)
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +534,11 @@ def _character_values(basis: UnitGroupBasis, vecs: np.ndarray, emat: np.ndarray,
     exponent vectors are the rows of ``vecs`` at the residues whose exponent
     vectors are the columns of ``emat`` (-1 where a component is a
     non-unit), ``units`` marking the unit columns: chi_e(u) =
-    exp(2 pi i k / E) with k = sum_j e_j (E / m_j) dlog_j(u) mod E, and 0
-    on non-units.  With at least E phases they are looked up in
-    one row of the E roots of unity; with fewer, each is exponentiated
-    itself, which is the row's entry bit for bit, since the complex exp
-    works element by element.  So the value at u is the same bits whatever
-    else is asked.
+    ``roots_of_unity(k, E)`` with k = sum_j e_j (E / m_j) dlog_j(u) mod E,
+    and 0 on non-units.  With at least E phases they are looked up in one
+    row of the E roots of unity; with fewer, each is computed itself, which
+    is the row's entry bit for bit, since ``roots_of_unity`` works element
+    by element.  So the value at u is the same bits whatever else is asked.
 
     k is exact in int64 for every modulus with discrete-log tables.  The
     unreduced sum of the terms e_j (E / m_j) dlog_j is below E sum_j m_j.
@@ -551,8 +560,7 @@ def _character_values(basis: UnitGroupBasis, vecs: np.ndarray, emat: np.ndarray,
         for j, m in enumerate(basis.orders):
             phases += vecs[:, j, None] * np.maximum(emat[j], 0) % m * (E // m)
             phases %= E
-    turn = 2j * np.pi / E
-    values = np.exp(turn * phases) if phases.size < E else np.exp(turn * np.arange(E))[phases]
+    values = roots_of_unity(phases, E) if phases.size < E else roots_of_unity(np.arange(E), E)[phases]
     values[:, ~units] = 0.0
     return values
 

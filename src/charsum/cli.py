@@ -14,13 +14,14 @@ import argparse
 import functools
 import json
 import logging
+import os
 import sys
 
 from . import bounds, reports
 from .characters import character_at, conductor, enumerate_characters, unit_group_basis
 from .integers import factor
 from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
-from .util import PreconditionError, WorkBudgetError
+from .util import PreconditionError, WorkBudgetError, require
 
 log = logging.getLogger("charsum")
 
@@ -314,6 +315,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
+        if getattr(args, "output", None):  # checked before any report work
+            out = os.path.abspath(args.output)
+            require(not os.path.isdir(out) and os.access(os.path.dirname(out), os.W_OK | os.X_OK), "output",
+                    f"cannot write {args.output}: need a file name in a writable directory")
         if args.command == "factor":
             return _cmd_factor(args)
         if args.command == "chars":

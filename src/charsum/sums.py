@@ -2,15 +2,15 @@
 restricted variant, short and double character sums, Burgess moments, the
 congruence-solution census and the weighted-decomposition identity.
 
-The Lambda-weighted sums go through one kernel, ``_lambda_sum``: Lambda is
-binned by n mod L exactly, once per (x, L), and meets the weights in one
-exactly rounded dot product.  Its value is the correctly rounded exact sum
-of the exact products fl(log p) * g(n mod L); ``abs_term_sum`` is the exact
-sum of Lambda(n) over the n with g(n mod L) != 0.  The other evaluators add
-their terms, in blocks of ``BLOCK`` indices, into one ``util.ComplexSum``
-rounded once.  No value depends on the block size or on how terms are
-grouped.  Equality tolerances downstream scale with ``abs_term_sum``, not
-with the (possibly heavily cancelled) value.
+Every character sum is sum_r W_r chi(r) over exact weights W_r per residue
+class r (or per prime power), reduced by one exactly rounded dot product,
+``_exact_dot``: the correctly rounded exact sum of the products.  The
+Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per (x, L), the
+window sums count their n per class, the bilinear sum adds a_m b_n per
+class.  ``abs_term_sum`` is the exact sum of |w| over the terms w chi(.)
+with chi(.) != 0; equality tolerances downstream scale with it.  Since the
+roots of unity are conjugate-symmetric, T(conj chi) = conj T(chi) bit for
+bit, and T is real for a real chi.  No value depends on a block size.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .integers import (
     omega,
 )
 from .util import (
-    ComplexSum,
     ExactSum,
     PreconditionError,
     SplitMix64,
@@ -64,23 +63,6 @@ class SumValue:
     value: complex
     term_count: int
     abs_term_sum: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "term_count": self.term_count,
-            "abs_term_sum": self.abs_term_sum,
-        }
-
-
-def _collect(terms, lo: int, hi: int) -> SumValue:
-    """Add ``terms(a, b)`` for consecutive blocks [a, b) of [lo, hi) into one
-    accumulator and round once."""
-    total = ComplexSum()
-    for a in range(lo, hi, BLOCK):
-        total.add(terms(a, min(a + BLOCK, hi)))
-    value, mass = total.result()
-    return SumValue(value, total.count, mass)
 
 
 # Bytes per prime power n <= x budgeted for growing the Lambda cache to x.
@@ -183,9 +165,11 @@ _DIGIT_MASK = (1 << DIGIT) - 1
 HALF, CARRY = 29, 1 << 24
 
 
-def _limbs(m: np.ndarray) -> np.ndarray:
-    """The LIMBS digits of m, one row per digit."""
-    return np.stack([(m >> (DIGIT * k)) & _DIGIT_MASK for k in range(LIMBS)])
+def _limbs(w: np.ndarray) -> np.ndarray:
+    """The LIMBS digits of the int64 w, one row per digit, the top one
+    signed: each below 2**DIGIT in magnitude while |w| < 2**(DIGIT LIMBS)."""
+    low = [(w >> (DIGIT * k)) & _DIGIT_MASK for k in range(LIMBS - 1)]
+    return np.stack(low + [w >> (DIGIT * (LIMBS - 1))])
 
 
 def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,21 +242,21 @@ def bin_lambda(x: int, L: int) -> None:
         _residue_bins(x, L)
 
 
-def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:
+def _exact_dot(digits_of, g_of, sel: np.ndarray, scale: int = 53) -> tuple[complex, float]:
     """Correctly rounded sums over i in ``sel`` of S_i * g_i and of S_i, where
-    S_i * 2**53 = sum_k digits_of(i)[k] << (DIGIT * k), digits below 2**DIGIT,
-    and g_i = g_of(i) is complex.
+    S_i * 2**scale = sum_k digits_of(i)[k] << (DIGIT * k), digits below
+    2**DIGIT in magnitude (scale 0 for integer weights), and g_i = g_of(i).
 
     Each float64 part of g_i splits into a 27-bit and a 26-bit half, so each
-    digit * 2**(DIGIT k - 53) * half has at most 47 significant bits and is
-    exact (Dekker 1971); ExactSum rounds their sum once (Ogita, Rump & Oishi
-    2005).  Rows go in chunks of BLOCK // 8, which bounds the temporaries."""
+    digit * 2**(DIGIT k - scale) * half has at most 47 significant bits and
+    is exact (Dekker 1971); ExactSum rounds their sum once (Ogita, Rump &
+    Oishi 2005).  Rows go in chunks of BLOCK // 8 to bound the temporaries."""
     total, mass, step = ExactSum(2), 0, max(1, BLOCK // 8)
     for a in range(0, sel.size, step):
         i = sel[a : a + step]
         d = digits_of(i)
         mass += sum(int(s) << (DIGIT * k) for k, s in enumerate(d.sum(axis=1).tolist()))
-        d = d * np.ldexp(1.0, DIGIT * np.arange(len(d)) - 53)[:, None]
+        d = d * np.ldexp(1.0, DIGIT * np.arange(len(d)) - scale)[:, None]
         g = g_of(i)
         parts = np.stack((g.real, g.imag))
         m, e = np.frexp(parts)
@@ -280,7 +264,7 @@ def _exact_dot(digits_of, g_of, sel: np.ndarray) -> tuple[complex, float]:
         halves = np.stack((hi, parts - hi), axis=1)[:, :, None, :]  # lane, half, 1, row
         total.add((halves * d).reshape(2, -1))
     re, im = total.values()
-    return complex(re, im), mass / (1 << 53)
+    return complex(re, im), mass / (1 << scale)
 
 
 def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -> SumValue:
@@ -394,10 +378,11 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumVal
     return _lambda_sum(x, q * nu, chi_q, l, lambda r: (np.gcd(r, q) == 1) & (r % nu == res))
 
 
-# The window and bilinear sums index with int64 arrays of n.  Every factor
-# is reduced mod q (or nu) before it is multiplied, so products stay below
-# q**2 < 2**63 for any modulus with a value table.
+# The window and bilinear sums take their n in int64.  Every factor is
+# reduced mod q (or nu) before it is multiplied, and they need q**2 < 2**63,
+# so products stay in int64.
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+COUNT_LIMBS = 4  # base-2**DIGIT digits of a window's weight, at most 2**64 + 1
 
 
 def _require_int64(name: str, lo: int, hi: int) -> None:
@@ -405,26 +390,38 @@ def _require_int64(name: str, lo: int, hi: int) -> None:
     require(INT64_MIN <= lo and hi <= INT64_MAX, name, f"need {lo} <= n <= {hi} to fit in int64")
 
 
+def _periodic_sum(chi_q: DirichletCharacter, count: int, args: np.ndarray, inside=None) -> SumValue:
+    """Sum of chi_q(a_t) over 0 <= t < count with inside_t (all when None),
+    where a_t and inside_t depend on t mod q only and are args[j] and
+    inside[j] at t = j < min(count, q).  Row j is met count // q times, once
+    more when j < count % q: ``weights`` holds the digits of both counts."""
+    full, extra = divmod(count, chi_q.modulus)
+    inside = np.ones(args.size, dtype=bool) if inside is None else inside
+    values = chi_q.values_at(args)
+    weights = np.array([[(w >> (DIGIT * k)) & _DIGIT_MASK for w in (full, full + 1)]
+                        for k in range(COUNT_LIMBS)], dtype=np.int64)
+    value, mass = _exact_dot(lambda i: weights[:, (i < extra).astype(np.intp)], lambda i: values[i],
+                             np.flatnonzero(inside & (values != 0)), scale=0)
+    terms = full * int(np.count_nonzero(inside)) + int(np.count_nonzero(inside[:extra]))
+    return SumValue(value, terms, mass)
+
+
 def short_sum(chi_q: DirichletCharacter, M: int, N: int, d: int, k: int, eta: int) -> SumValue:
     """Sum of chi_q(n*d + eta*k) over the window M - N < n <= M."""
     q = chi_q.modulus
+    require(q * q <= INT64_MAX, "q", f"need q^2 < 2^63, got q={q}")
     require(math.gcd(eta, q) == 1, "eta", "need gcd(eta, q) = 1")
     require(math.gcd(d, k) == 1, "d,k", "need gcd(d, k) = 1")
     require(N >= 1, "N", "need N >= 1")
     _require_int64("M,N", M - N + 1, M)
-    table = chi_q.value_table()
-    d, shift = d % q, eta * k % q
-
-    def block(a, b):
-        ns = np.arange(a, b, dtype=np.int64) % q
-        return table[(ns * d + shift) % q]
-
-    return _collect(block, M - N + 1, M + 1)
+    n = ((M - N + 1) % q + np.arange(min(N, q), dtype=np.int64)) % q
+    return _periodic_sum(chi_q, N, (n * (d % q) + eta * k % q) % q)
 
 
 def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int) -> SumValue:
     """Sum of chi_q(n - eta) over u - y < n <= u with (n, q) = 1, n = eta (mod nu)."""
     q = chi_q.modulus
+    require(q * q <= INT64_MAX, "q", f"need q^2 < 2^63, got q={q}")
     require(math.gcd(eta * nu, q) == 1, "eta*nu", "need gcd(eta*nu, q) = 1")
     lo = math.floor(u - y) + 1
     hi = math.floor(u)
@@ -432,15 +429,11 @@ def sy_sum(chi_q: DirichletCharacter, u, y, eta: int, nu: int) -> SumValue:
         return SumValue(0j, 0, 0.0)
     _require_int64("u,y", lo, hi)
     require(nu <= INT64_MAX, "nu", f"need nu < 2^63, got {nu}")
-    table = chi_q.value_table()
-    res, eta = eta % nu, eta % q
-
-    def block(a, b):
-        ns = np.arange(a, b, dtype=np.int64)
-        mask = (np.gcd(ns, q) == 1) & (ns % nu == res)
-        return table[(ns[mask] % q - eta) % q]
-
-    return _collect(block, lo, hi + 1)
+    # the window's n = eta (mod nu) are n0 + nu t, 0 <= t < count
+    n0 = lo + (eta - lo) % nu
+    count = (hi - n0) // nu + 1
+    n = (n0 % q + nu % q * np.arange(min(count, q), dtype=np.int64)) % q
+    return _periodic_sum(chi_q, count, (n - eta % q) % q, np.gcd(n, q) == 1)
 
 
 def double_sum(
@@ -455,40 +448,45 @@ def double_sum(
     x: int,
 ) -> SumValue:
     """Bilinear sum over M < m <= 2M, U < n <= min(x/m, 2N) of
-    a_m b_n chi_q(mn - l), with (mn, q) = 1 and mn = l (mod nu)."""
+    a_m b_n chi_q(mn - l), with (mn, q) = 1 and mn = l (mod nu).  The
+    products a_m b_n, each coefficient evaluated once, are added per class
+    (mn - l) mod q, exactly while sum |a_m b_n| < 2**53; then one exact dot
+    product."""
     q = chi_q.modulus
+    require(q * q <= INT64_MAX, "q", f"need q^2 < 2^63, got q={q}")
     require(N <= U < 2 * N, "U", f"need N <= U < 2N, got N={N}, U={U}")
-    _require_int64("x,N", U + 1, min(x // max(M + 1, 1), 2 * N))
+    top = min(x // max(M + 1, 1), 2 * N)
+    _require_int64("x,N", U + 1, top)
     require(nu * nu <= INT64_MAX, "nu", f"need nu^2 < 2^63, got nu={nu}")
-    if isinstance(a_m, str):
-        a_m = coefficient_family(a_m)
-    if isinstance(b_n, str):
-        b_n = coefficient_family(b_n)
-    table = chi_q.value_table()
-    l_nu, l_q = l % nu, l % q
-
-    def block(m_lo, m_hi):
-        chunks = []
-        for m in range(m_lo, m_hi):
-            if math.gcd(m, q) != 1:
-                continue
-            am = a_m(m)
-            if am == 0:
-                continue
-            hi_n = min(x // m, 2 * N)
-            if hi_n <= U:
-                continue
-            ns = np.arange(U + 1, hi_n + 1, dtype=np.int64)
-            bv = np.array([b_n(int(v)) for v in ns], dtype=np.float64)
-            mask = (bv != 0) & ((m % nu) * (ns % nu) % nu == l_nu) & (np.gcd(ns, q) == 1)
-            sel = mask.nonzero()[0]
-            if len(sel):
-                chunks.append(am * bv[sel] * table[((m % q) * (ns[sel] % q) - l_q) % q])
-        if not chunks:
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate(chunks)
-
-    return _collect(block, M + 1, 2 * M + 1)
+    a_m, b_n = (coefficient_family(c) if isinstance(c, str) else c for c in (a_m, b_n))
+    ns = np.arange(U + 1, top + 1, dtype=np.int64)
+    bs = np.array([b_n(v) for v in ns.tolist()], dtype=np.float64)
+    keep = (bs != 0) & (np.gcd(ns, q) == 1)
+    ns, bs = ns[keep], bs[keep]
+    n_q, n_nu, l_q, l_nu = ns % q, ns % nu, l % q, l % nu
+    weight, mass, terms = np.zeros(q), np.zeros(q), 0
+    for m in range(M + 1, 2 * M + 1):
+        if math.gcd(m, q) != 1:
+            continue
+        am = a_m(m)
+        if am == 0:
+            continue
+        cut = int(np.searchsorted(ns, min(x // m, top), side="right"))  # n <= x / m
+        sel = np.flatnonzero(m % nu * n_nu[:cut] % nu == l_nu)
+        r = (m % q * n_q[sel] - l_q) % q
+        w = am * bs[sel]
+        np.add.at(weight, r, w)
+        np.add.at(mass, r, np.abs(w))
+        terms += sel.size
+    # rounding is monotone: the float total reaches 2**53 when the exact one does
+    require(mass.sum() < 1 << 53, "a_m,b_n",
+            f"need sum |a_m b_n| < 2^53 for exact weights, got about {mass.sum():.6g}")
+    rows = np.flatnonzero(mass)
+    values = chi_q.values_at(rows)
+    rows, values = rows[values != 0], values[values != 0]
+    value, _ = _exact_dot(lambda i: _limbs(weight[rows[i]].astype(np.int64)), lambda i: values[i],
+                          np.arange(rows.size), scale=0)
+    return SumValue(value, terms, float(mass[rows].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +723,7 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
         sign = 1 if k % 2 == 1 else -1
         binom = math.comb(r, k)
         terms = coeff * farr
-        raw, mass = ComplexSum().add(terms).result()
+        raw, mass = complex_fsum(terms), exact_sum(np.abs(terms))
         parts.append(SumValue(sign * binom * raw, int(np.count_nonzero(terms)), binom * mass))
         labels.append(f"head depth {k} (weight {sign * binom})")
 
@@ -735,11 +733,12 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
     tail = dirichlet_convolve(tail, lam_w)
     tail_terms = tail * farr
     tail_sign = 1 if r % 2 == 0 else -1
-    tail_sum, tail_mass = ComplexSum().add(tail_terms).result()
+    tail_sum, tail_mass = complex_fsum(tail_terms), exact_sum(np.abs(tail_terms))
     parts.append(SumValue(tail_sign * tail_sum, int(np.count_nonzero(tail_terms)), tail_mass))
     labels.append(f"tail (weight {tail_sign})")
 
-    lhs, lhs_mass = ComplexSum().add(lam_w * farr).result()
+    lhs_terms = lam_w * farr
+    lhs, lhs_mass = complex_fsum(lhs_terms), exact_sum(np.abs(lhs_terms))
     total = complex_fsum([p.value for p in parts])
     abs_mass = exact_sum([p.abs_term_sum for p in parts]) + lhs_mass
     return HBDecomposition(parts, labels, lhs, total, abs(total - lhs), abs_mass)

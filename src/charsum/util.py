@@ -3,11 +3,13 @@ summation and the thread pool that ``bounds.theorem_report`` runs its moduli
 on.
 
 Summation policy: every sum that feeds an equality check goes through one
-exact accumulator, ``ExactSum``.  It bins the float64 terms by binary
-exponent into buckets whose float64 sums stay exact, moves the buckets into a
-Python integer before they could round, and rounds that integer once at the
-end.  The result is the correctly rounded sum, equal to ``math.fsum`` of the
-same terms, so it does not depend on term order or on how the terms are split
+exact accumulator, ``ExactSum``: the character sums through the exact dot
+product of ``sums._exact_dot``, float terms through ``exact_sum`` and
+``complex_fsum``.  It bins the float64 terms by binary exponent into buckets
+whose float64 sums stay exact, moves the buckets into a Python integer
+before they could round, and rounds that integer once at the end.  The
+result is the correctly rounded sum, equal to ``math.fsum`` of the same
+terms, so it does not depend on term order or on how the terms are split
 across ``add`` calls.
 """
 
@@ -223,23 +225,6 @@ class ExactSum:
             else:
                 out.append(total / _UNIT)
         return out
-
-
-class ComplexSum(ExactSum):
-    """ExactSum of complex terms over three lanes: real part, imaginary
-    part and absolute value (the mass that equality tolerances scale with)."""
-
-    def __init__(self):
-        super().__init__(3)
-
-    def add(self, terms) -> "ComplexSum":
-        z = np.asarray(terms, dtype=np.complex128).ravel()
-        return super().add(np.stack((z.real, z.imag, np.abs(z))))
-
-    def result(self) -> tuple[complex, float]:
-        """(exactly rounded sum, exactly rounded mass)."""
-        re, im, mass = self.values()
-        return complex(re, im), mass
 
 
 def exact_sum(values) -> float:

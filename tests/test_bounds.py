@@ -241,6 +241,18 @@ def test_theorem_report_matches_per_character_maximum():
     assert rec.parameters["lhs_unfiltered"] == every[0]
 
 
+@pytest.mark.parametrize("D", [99, 110])
+def test_theorem_report_takes_the_smaller_index_of_a_conjugate_pair(D):
+    """The transform holds one character of each conjugate pair; at these
+    moduli the maximiser's partner has the smaller index, which the report
+    must name, as the brute force over every character does."""
+    rec = theorem_report([D], epsilon=0.05, seed=0)[0]
+    ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
+    past, every = _theorem_maxima(D, rec.parameters["x"], ls)
+    assert (rec.lhs, rec.parameters["chi_index"], rec.parameters["l"]) == past
+    assert rec.parameters["lhs_unfiltered"] == every[0]
+
+
 def test_theorem_report_certifies_sampled_shifts():
     """phi > 64: the report samples 64 shifts.  Its lhs is the exact
     maximum over every character at those shifts, and |shifted_prime_sum|

@@ -27,6 +27,7 @@ from charsum.characters import (
     induce_primitive,
     is_primitive,
     principal_character,
+    roots_of_unity,
     unit_group_basis,
     unit_group_transform,
 )
@@ -298,7 +299,7 @@ def test_values_at_equals_value_table_bits(D, pick, residues):
 
 @pytest.mark.parametrize("D", [100003 * 100019 * 100043, 2 * 7**5 * 999983, 4 * 999983 * 999979])
 def test_values_at_beyond_table_size_equals_scalar_phases(D):
-    """Where no value table can be built, values_at gives exp(2 pi i k / E)
+    """Where no value table can be built, values_at gives roots_of_unity
     at the exact phase k / E of the scalar path, bit for bit, and 0 where
     it finds a non-unit; at D near 1e15 the phases of the last characters,
     summed unreduced, pass 2^63."""
@@ -311,7 +312,7 @@ def test_values_at_beyond_table_size_equals_scalar_phases(D):
         chi = character_at(basis, index)
         scalar = [chi(int(r)) for r in residues]
         k = np.array([0 if v.zero else v.numerator * (E // v.denominator) for v in scalar], dtype=np.int64)
-        want = np.exp((2j * np.pi / E) * k)
+        want = roots_of_unity(k, E)
         want[[v.zero for v in scalar]] = 0
         assert chi.values_at(residues).tobytes() == want.tobytes()
 

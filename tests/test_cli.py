@@ -1,9 +1,11 @@
 """CLI contract tests: subcommand surface, exit codes, determinism of
 report files, named precondition diagnostics."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +48,7 @@ def test_sum_shift_beyond_int64_is_taken_mod_D(l, capsys):
     argv = ["sum", "T", "--D", "7", "--x", "100", "--chi-index", "1", "--l"]
     assert cli.main(argv + [l]) == 0
     got = capsys.readouterr().out
-    assert "T=8.859228941526688-2.574854550857001j" in got
+    assert "T=8.85922894152671-2.5748545508569998j" in got
     assert cli.main(argv + ["8"]) == 0
     assert capsys.readouterr().out == got
 
@@ -246,6 +248,10 @@ def _raise(exc):
     (["verify", "identities", "--gauss-max-q", "2000"], 2, "gauss_max_q = 2000 needs character tables"),
     # phi = 10^9 + 6: the conductor grid alone would take 8 GB
     (["report", "theorem", "--D-list", "1000000007"], 2, "more than the budget of 1000000000"),
+    # a report path in a missing directory is refused before the report is made
+    (["report", "smooth", "--output", "/nonexistent/dir/r.jsonl"], 2, "'output'"),
+    (["report", "restricted", "--D", "105", "--x", "1000", "--output", "/nonexistent/dir/r.jsonl"], 2,
+     "cannot write /nonexistent/dir/r.jsonl"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
@@ -334,3 +340,23 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
     assert [code for code, _, _ in got] == [2, 0, 0]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_benchmark_tracer_hooks_still_exist(tmp_path):
+    """bench/tracer.py patches charsum by name (util.complex_fsum,
+    DirichletCharacter.value_table and its _table slot, the evaluators and
+    the report entry points): it installs, records spans over `sum T` and
+    `report shortsums`, and restores every original."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        assert cli.main(["sum", "T", "--D", "45", "--l", "2", "--x", "1000", "--chi-index", "1"]) == 0
+        assert cli.main(["report", "shortsums", "--output", str(tmp_path / "s.jsonl")]) == 0
+    finally:
+        trace.restore()
+    assert tracer.installed_wrappers() == []
+    assert tracer.layer_metrics(trace.spans)["sums.terms"] > 0

@@ -3,6 +3,7 @@ exactness of the decomposition identity, census classification."""
 
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charsum.characters import (
+    DirichletCharacter,
     character_at,
     enumerate_characters,
     induce_primitive,
@@ -249,6 +251,28 @@ def test_lambda_sums_equal_exact_product_oracle(D, pick, l, x, nu_pick):
     assert (corr.real.hex(), corr.imag.hex()) == want[:2]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 2000), st.integers(0, 10**6), st.integers(-900, 900), st.integers(0, 6000))
+@example(45, 1, 2, 5000)  # D = 45 < pi*(5000) = 711: the residue bins are the rows
+@example(1009, 5, 2, 3000)  # D = 1009 > pi*(3000) = 446: the prime powers are the rows
+@example(12600, 7, 1, 2000)  # a real character mod D with a 2-part of order 8
+def test_conjugate_and_real_characters_are_exact(D, pick, l, x):
+    """T(conj chi, l) == conj T(chi, l) bit for bit, and Im T == 0.0 for a
+    real chi, whichever rows the kernel uses: the weights are real and the
+    roots of unity conjugate-symmetric.  (== tells floats apart bit for
+    bit, except 0.0 from -0.0.)"""
+    basis = unit_group_basis(D)
+    l = next(v for v in range(l, l + D) if math.gcd(v, D) == 1)
+    chi = character_at(basis, pick % basis.phi)
+    got, bar = shifted_prime_sum(chi, l, x), shifted_prime_sum(chi.conjugate(), l, x)
+    assert bar.value == got.value.conjugate()
+    assert (bar.term_count, bar.abs_term_sum) == (got.term_count, got.abs_term_sum)
+    # exponent m/2 or 0 on each factor, by the bits of pick: a real character
+    real = DirichletCharacter(basis, [m // 2 * (pick >> j & 1) for j, m in enumerate(basis.orders)])
+    assert real == real.conjugate()
+    assert shifted_prime_sum(real, l, x).value.imag == 0.0
+
+
 def test_residue_bins_are_exact_digit_rows():
     """Each residue class's digits hold exactly the sum of fl(log p) * 2**53
     over its prime powers, in 20-bit digits, and at L = 3, x = 5000 the
@@ -450,23 +474,16 @@ def test_short_sum_full_period_vanishes_with_coprime_step():
         assert abs(got.value) < 1e-9 * 45
 
 
-def _reference(terms) -> tuple:
-    """math.fsum over the whole term array: value, abs_term_sum, term_count."""
-    t = np.asarray(terms, dtype=np.complex128)
-    value = complex(math.fsum(t.real), math.fsum(t.imag))
-    return value.real.hex(), value.imag.hex(), math.fsum(np.abs(t)).hex(), int(t.size)
-
-
-def _exact_reference(lam, g) -> tuple:
-    """The Lambda kernel's contract by Fraction: the exact products lam * g
+def _exact_reference(w, g) -> tuple:
+    """The evaluators' contract by Fraction: the exact products w * g
     summed and rounded once (real and imaginary parts), the exact sum of
-    lam where g != 0, and the number of terms."""
-    lam = np.asarray(lam, dtype=np.float64).tolist()
+    |w| where g != 0, and the number of terms."""
+    w = np.asarray(w, dtype=np.float64).tolist()
     g = np.asarray(g, dtype=np.complex128)
-    re = sum((Fraction(a) * Fraction(b) for a, b in zip(lam, g.real.tolist())), Fraction(0))
-    im = sum((Fraction(a) * Fraction(b) for a, b in zip(lam, g.imag.tolist())), Fraction(0))
-    mass = sum((Fraction(a) for a, b in zip(lam, g.tolist()) if b != 0), Fraction(0))
-    return float(re).hex(), float(im).hex(), float(mass).hex(), len(lam)
+    re = sum((Fraction(a) * Fraction(b) for a, b in zip(w, g.real.tolist())), Fraction(0))
+    im = sum((Fraction(a) * Fraction(b) for a, b in zip(w, g.imag.tolist())), Fraction(0))
+    mass = sum((abs(Fraction(a)) for a, b in zip(w, g.tolist()) if b != 0), Fraction(0))
+    return float(re).hex(), float(im).hex(), float(mass).hex(), len(w)
 
 
 def _bits(got) -> tuple:
@@ -476,12 +493,12 @@ def _bits(got) -> tuple:
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("block", [1, 17, 4096, None, 1 << 20])
 def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
-    """Every evaluator equals its reference bit for bit: the two Lambda sums
-    the exact-product reference, the others math.fsum over their
-    concatenated term array.  This holds whatever the block size (None keeps
-    the default; 1 << 20 puts every term in one block), also when ``width``
-    copies run at once on util.map_blocks threads, as the evaluators do
-    inside theorem_report."""
+    """Every evaluator equals the exact-product reference bit for bit: the
+    Lambda sums with weights Lambda(n), the window sums with weight 1 per n
+    and the bilinear sum with weight a_m b_n per (m, n).  This holds
+    whatever the block size (None keeps the default; 1 << 20 puts every
+    term in one block), also when ``width`` copies run at once on
+    util.map_blocks threads, as the evaluators do inside theorem_report."""
     if block is not None:
         monkeypatch.setattr(sums, "BLOCK", block)
     monkeypatch.setattr(util, "usable_cpus", lambda: width)
@@ -501,21 +518,22 @@ def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
 
     M, N, d, k, eta = 900, 700, 3, 2, 5
     ns = np.arange(M - N + 1, M + 1)
-    want.append(_reference(chi_q.value_table()[(ns * d + eta * k) % q]))
+    want.append(_exact_reference(np.ones(ns.size), chi_q.value_table()[(ns * d + eta * k) % q]))
 
     u, y = 1500.5, 700
     ns = np.arange(math.floor(u - y) + 1, math.floor(u) + 1)
     ns = ns[(np.gcd(ns, q) == 1) & (ns % nu == eta % nu)]
-    want.append(_reference(chi_q.value_table()[(ns - eta) % q]))
+    want.append(_exact_reference(np.ones(ns.size), chi_q.value_table()[(ns - eta) % q]))
 
     a_m, b_n = coeff_tau5_family(7), coeff_mobius
     M2, N2, U, nu2, x2 = 20, 25, 30, 2, 900
-    terms = []
+    weights, args = [], []
     for m in range(M2 + 1, 2 * M2 + 1):
         for v in range(U + 1, min(x2 // m, 2 * N2) + 1):
             if math.gcd(m * v, q) == 1 and (m * v - l) % nu2 == 0 and a_m(m) and b_n(v):
-                terms.append(a_m(m) * float(b_n(v)) * chi_q.value_table()[(m * v - l) % q])
-    want.append(_reference(terms))
+                weights.append(a_m(m) * b_n(v))
+                args.append((m * v - l) % q)
+    want.append(_exact_reference(weights, chi_q.value_table()[args]))
 
     def evaluate(_):
         return [
@@ -584,6 +602,23 @@ def test_double_sum_precondition():
         double_sum(chi_q, coeff_one, coeff_one, 4, 8, 20, 1, 1, 1000)  # U >= 2N
 
 
+def test_double_sum_rejects_coefficient_mass_beyond_exact_weights():
+    """The per-class weights are exact while sum |a_m b_n| < 2^53: at 2^53
+    the sum is a precondition error naming the coefficients, just below it
+    the value equals the exact-product reference."""
+    chi_q = character_at(unit_group_basis(11), 3)
+    M, N, U, x = 4, 8, 9, 1000
+    pairs = [(m, n) for m in range(M + 1, 2 * M + 1) for n in range(U + 1, min(x // m, 2 * N) + 1)
+             if m * n % 11]
+    big = 2**53 // len(pairs)
+    with pytest.raises(PreconditionError, match="'a_m,b_n'"):
+        double_sum(chi_q, lambda m: -big - 1, coeff_one, M, N, U, 1, 1, x)
+    got = double_sum(chi_q, lambda m: -big, coeff_one, M, N, U, 1, 1, x)
+    table = chi_q.value_table()
+    want = _exact_reference([-big] * len(pairs), table[[(m * n - 1) % 11 for m, n in pairs]])
+    assert _bits(got) == want
+
+
 # ---------------------------------------------------------------------------
 # Window and bilinear sums near the int64 limit
 
@@ -615,6 +650,38 @@ def test_window_and_bilinear_sums_near_int64_match_oracles(D, pick, M, N, d, eta
     got = double_sum(chi, coeff_mobius, coeff_one, M2, big, big, nu, l, x)
     want = oracles.double_sum_oracle(chi, coeff_mobius, coeff_one, M2, big, big, nu, l, x)
     assert close(got.value, want, got.abs_term_sum)
+
+
+def test_window_sums_over_long_windows_weigh_each_class_by_its_count():
+    """short_sum over N = 10^12 and sy_sum over y = 10^13 with nu = 10^9 + 7
+    weigh each class mod q by its count of n: each equals the exact-product
+    reference over the classes, in under a second and with memory that
+    grows with q, not with the window."""
+    q = 1009
+    chi = character_at(unit_group_basis(q), 123)
+    table = chi.value_table()
+    M, N, d, k, eta = 5 * 10**12 + 3, 10**12, 3, 2, 5
+    lo = M - N + 1
+    counts = [(M - r) // q - (lo - 1 - r) // q for r in range(q)]
+    short_want = _exact_reference(counts, table[[(r * d + eta * k) % q for r in range(q)]])
+    u, y, nu = 3 * 10**13 + 17, 10**13, 10**9 + 7
+    per_class = [0] * q
+    for n in range(u - y + 1 + (eta - (u - y + 1)) % nu, u + 1, nu):
+        per_class[n % q] += math.gcd(n, q) == 1
+    sy_want = _exact_reference(per_class, table[[(r - eta) % q for r in range(q)]])
+
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        short, sy = short_sum(chi, M, N, d, k, eta), sy_sum(chi, u, y, eta, nu)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _bits(short)[:3] == short_want[:3] and short.term_count == N
+    assert _bits(sy)[:3] == sy_want[:3] and sy.term_count == sum(per_class)
+    assert seconds < 1.0
+    assert peak < 2**20 + 1024 * q
 
 
 def test_window_and_bilinear_sums_reject_n_beyond_int64():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from charsum import util
 from charsum.util import (
-    ComplexSum,
     ExactSum,
     PreconditionError,
     SplitMix64,
@@ -147,17 +146,6 @@ def test_flush_path_matches_fsum(xs, limit, pieces):
         assert one._pending <= limit and split._pending <= limit
         check_like_fsum(xs, lambda: one.values()[0])
         check_like_fsum(xs, lambda: split.values()[0])
-
-
-@given(st.lists(st.tuples(moderate, moderate), max_size=40), st.integers(0, 40))
-def test_complex_sum_lanes(pairs, cut):
-    z = np.array([complex(a, b) for a, b in pairs], dtype=np.complex128)
-    acc = ComplexSum().add(z[:cut]).add(z[cut:])
-    value, mass = acc.result()
-    assert acc.count == len(z)
-    assert same(value.real, math.fsum(z.real.tolist()))
-    assert same(value.imag, math.fsum(z.imag.tolist()))
-    assert same(mass, math.fsum(np.abs(z).tolist()))
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 1023, 1024, 5000])
