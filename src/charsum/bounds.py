@@ -588,6 +588,8 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
                 f"need a finite epsilon with x = D^(5/6 + epsilon) below 2^{MANGOLDT_CAP_BITS}, "
                 f"the Lambda sieve's cap; got epsilon={epsilon} at D={D}")
         x = math.ceil(D**exponent)
+        require(x >= 2, "epsilon", f"need x = D^(5/6 + epsilon) >= 2 for a Lambda sum, "
+                f"got x = {x} at D={D}, epsilon={epsilon}")
         basis = unit_group_basis(D)
         phi = basis.phi
         if phi <= 1:
@@ -671,12 +673,17 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
 
 def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-4) -> list[BoundCheckRecord]:
     """Moment-vs-envelope ratios over primes q <= q_max, plus a summary
-    record carrying the observed maximum ratio."""
+    record carrying the observed maximum ratio.  The phi(q) x q table
+    entries over the primes are checked against DEFAULT_WORK_BUDGET before
+    any table is built."""
+    primes = [int(p) for p in primes_up_to(q_max) if p >= 3]
+    entries = sum((q - 1) * q for q in primes)
+    if entries > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetError(f"q_max = {q_max} needs character tables of {entries} entries, "
+                              f"over the budget of {DEFAULT_WORK_BUDGET}")
     records = []
     worst = 0.0
-    for q in (int(p) for p in primes_up_to(q_max)):
-        if q < 3:
-            continue
+    for q in primes:
         rec = burgess_check_2r(q, min(Z, q - 1), r, delta)
         worst = max(worst, rec.ratio)
         records.append(rec)

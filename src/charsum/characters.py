@@ -308,43 +308,36 @@ class UnitGroupBasis:
 
     def conductor_grid(self) -> np.ndarray:
         """Conductor of every character, indexed by exponent vector: the
-        product over the cyclic factors of each component's conductor.
-
-        A component with exponent e has order order / gcd(e, order), so its
-        conductor depends only on v = min(v_p(e), v_p(order)): p^(a - v)
-        on an odd p^a (1 at e = 0), and 4 * 2^(k - 2 - v) on the (sign,
-        five) pair of 2^k, k >= 3 (1 when the sign exponent is 0 too)."""
+        product over the cyclic factors of ``_factor_conductor``."""
         if self._conductor_grid is None:
-            shape = self.orders if self.factors else (1,)
-            grid = np.ones(shape, dtype=np.int64)
+            grid = np.ones(self.orders if self.factors else (1,), dtype=np.int64)
             t = len(self.factors)
+
+            def axis(n, at):  # range(n) along axis ``at`` of the grid
+                return np.arange(n).reshape([n if j == at else 1 for j in range(t)])
+
             for i, f in enumerate(self.factors):
-                if f.kind == "sign":
-                    continue  # folded into the "five" factor that follows it
-                dims = [1] * t
-                dims[i] = f.order
-                if f.kind == "four":
-                    contrib = np.array([1, 4], dtype=np.int64)
-                elif f.kind == "five":
-                    v = _capped_valuation(f.order, 2, f.power - 2)
-                    contrib = np.stack((4 << (f.power - 2 - v),) * 2)  # rows: sign exponent
-                    contrib[0, 0] = 1
-                    dims[i - 1] = 2
-                else:
-                    contrib = f.prime ** (f.power - _capped_valuation(f.order, f.prime, f.power - 1))
-                    contrib[0] = 1
-                grid = grid * contrib.reshape(dims)
+                sign = axis(2, i - 1) if f.kind == "five" else 0
+                grid = grid * _factor_conductor(f, axis(f.order, i), sign)
             self._conductor_grid = grid
         return self._conductor_grid
 
 
-def _capped_valuation(order: int, p: int, cap: int) -> np.ndarray:
-    """min(v_p(e), cap) for e in range(order), where p^cap divides order,
-    by strided slices."""
-    v = np.zeros(order, dtype=np.int64)
-    for k in range(1, cap + 1):
-        v[:: p**k] += 1
-    return v
+def _factor_conductor(f: _CyclicFactor, e, sign=0):
+    """The conductor that cyclic factor f contributes at exponent e (an int
+    or an int64 array; ``sign`` is the exponent of the "sign" factor before
+    a "five" one, which it contributes for both).  A component with exponent
+    e has order order / gcd(e, order), so its conductor depends only on
+    v = min(v_p(e), v_p(order)): p^(a - v) on an odd p^a and on 4 (1 at
+    e = 0), and 4 * 2^(k - 2 - v) on the (sign, five) pair of 2^k, k >= 3
+    (1 when the sign exponent is 0 too)."""
+    if f.kind == "sign":
+        return 1  # folded into the "five" factor that follows it
+    p, cap = (2, f.power - 2) if f.kind == "five" else (f.prime, f.power - 1)
+    v = sum(e % p**k == 0 for k in range(1, cap + 1))
+    if f.kind == "five":
+        return np.where((e == 0) & (sign == 0), 1, 4 << (f.power - 2 - v))
+    return np.where(e == 0, 1, p ** (f.power - v))
 
 
 @lru_cache(maxsize=256)
@@ -455,10 +448,9 @@ def character_at(basis: UnitGroupBasis, index: int) -> DirichletCharacter:
 
 def conductor(chi: DirichletCharacter) -> FactoredInteger:
     """Smallest q | D such that chi is trivial on units congruent to 1 mod q."""
-    grid = chi.basis.conductor_grid()
-    if not chi.basis.factors:
-        return factor(1)
-    return factor(int(grid[chi.exponents]))
+    exps = chi.exponents
+    return factor(math.prod(int(_factor_conductor(f, e, exps[i - 1]))
+                            for i, (f, e) in enumerate(zip(chi.basis.factors, exps))))
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:

@@ -4,7 +4,8 @@ congruence-solution census and the weighted-decomposition identity.
 
 Every character sum is sum_r W_r chi(r) over exact weights W_r per residue
 class r (or per prime power), reduced by one exactly rounded dot product,
-``_exact_dot``: the correctly rounded exact sum of the products.  The
+``_exact_dot``: the correctly rounded exact sum of the products, computed
+in integers from the weights' digits and the values' fixed-point limbs.  The
 Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per (x, L), the
 window sums count their n per class, the bilinear sum adds a_m b_n per
 class.  ``abs_term_sum`` is the exact sum of |w| over the terms w chi(.)
@@ -35,12 +36,14 @@ from .integers import (
     omega,
 )
 from .util import (
-    ExactSum,
+    LIMB,
+    UNIT,
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
     complex_fsum,
     exact_sum,
+    fixed_point,
     physical_memory,
     require,
 )
@@ -245,26 +248,28 @@ def bin_lambda(x: int, L: int) -> None:
 def _exact_dot(digits_of, g_of, sel: np.ndarray, scale: int = 53) -> tuple[complex, float]:
     """Correctly rounded sums over i in ``sel`` of S_i * g_i and of S_i, where
     S_i * 2**scale = sum_k digits_of(i)[k] << (DIGIT * k), digits below
-    2**DIGIT in magnitude (scale 0 for integer weights), and g_i = g_of(i).
+    2**DIGIT in magnitude (scale 0 for integer weights), and g_i = g_of(i),
+    finite complex values (character values) whose parts span fewer than
+    971 binary orders in a chunk (``fixed_point``).
 
-    Each float64 part of g_i splits into a 27-bit and a 26-bit half, so each
-    digit * 2**(DIGIT k - scale) * half has at most 47 significant bits and
-    is exact (Dekker 1971); ExactSum rounds their sum once (Ogita, Rump &
-    Oishi 2005).  Rows go in chunks of BLOCK // 8 to bound the temporaries."""
-    total, mass, step = ExactSum(2), 0, max(1, BLOCK // 8)
+    Per chunk of BLOCK // 8 rows ``fixed_point`` turns the parts of g into
+    integer limbs, and one int64 product, digits @ limbs, sums the products:
+    each is below 2**(DIGIT + LIMB) = 2**45, a chunk's sum below 2**56.
+    Python ints add the chunks, and one int / int division rounds the total
+    once."""
+    totals, mass, step = [0, 0], 0, max(1, BLOCK // 8)
     for a in range(0, sel.size, step):
         i = sel[a : a + step]
-        d = digits_of(i)
-        mass += sum(int(s) << (DIGIT * k) for k, s in enumerate(d.sum(axis=1).tolist()))
-        d = d * np.ldexp(1.0, DIGIT * np.arange(len(d)) - scale)[:, None]
+        d = np.asarray(digits_of(i), dtype=np.int64)
+        mass += sum(int(t) << (DIGIT * k) for k, t in enumerate(d.sum(axis=1).tolist()))
         g = g_of(i)
-        parts = np.stack((g.real, g.imag))
-        m, e = np.frexp(parts)
-        hi = np.ldexp(np.trunc(m * float(1 << 27)), e - 27)
-        halves = np.stack((hi, parts - hi), axis=1)[:, :, None, :]  # lane, half, 1, row
-        total.add((halves * d).reshape(2, -1))
-    re, im = total.values()
-    return complex(re, im), mass / (1 << scale)
+        limbs, s = fixed_point(np.stack((g.real, g.imag)))
+        products = d @ limbs.reshape(-1, i.size).T  # digit k, (limb, lane)
+        for k, row in enumerate(products.tolist()):
+            for j, v in enumerate(row):
+                totals[j % 2] += v << (DIGIT * k + LIMB * (j // 2) + UNIT - s)
+    unit = 1 << (UNIT + scale)
+    return complex(totals[0] / unit, totals[1] / unit), mass / (1 << scale)
 
 
 def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -> SumValue:

@@ -3,14 +3,17 @@ summation and the thread pool that ``bounds.theorem_report`` runs its moduli
 on.
 
 Summation policy: every sum that feeds an equality check goes through one
-exact accumulator, ``ExactSum``: the character sums through the exact dot
+exact reduction in integers: the character sums through the exact dot
 product of ``sums._exact_dot``, float terms through ``exact_sum`` and
-``complex_fsum``.  It bins the float64 terms by binary exponent into buckets
-whose float64 sums stay exact, moves the buckets into a Python integer
-before they could round, and rounds that integer once at the end.  The
-result is the correctly rounded sum, equal to ``math.fsum`` of the same
-terms, so it does not depend on term order or on how the terms are split
-across ``add`` calls.
+``complex_fsum``.  ``fixed_point`` scales a block of float64 terms by a
+power of two into exact integers and splits them into int64 limbs; the
+limbs are summed (or multiplied by integer digits) in int64, the blocks are
+added in a Python integer, and one int / int division rounds the total
+once.  The result is the correctly rounded sum, equal to ``math.fsum`` of
+the same terms, so it does not depend on term order; where fsum raises on
+a running sum that overflows and later terms cancel, the limbs return the
+exact sum.  When a block has a non-finite entry, or exponents that span
+more than one float64 scaling holds, ``math.fsum`` sums the terms itself.
 """
 
 from __future__ import annotations
@@ -120,125 +123,67 @@ def map_blocks(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-# np.frexp writes a finite nonzero x as m * 2**e with 0.5 <= |m| < 1 and
-# -1073 <= e <= 1024 (zero, inf and nan come back with e = 0); bucket k of a
-# lane holds exponent e = k - _EXP_OFFSET.
-_EXP_OFFSET = 1073
-_NBUCKETS = 2098
-# a term is m * 2**e = (hi + lo) * 2**(e - 26) with hi = trunc(m * 2**26),
-# |hi| < 2**26, and lo * 2**27 an integer below 2**27 in magnitude
-_HI_SCALE = float(1 << 26)
-_LO_SCALE = float(1 << 27)
-# flushed sums are integers in units of the smallest subnormal's lowest bit
-_UNIT = 1 << (_EXP_OFFSET + 53)
-# a bucket that has received at most this many parts, each below 2**27 in
-# its unit, sums to less than 2**52 units, so its float64 sum is exact
-FLUSH_TERMS = 1 << 25
-# below this many terms the one-shot helpers call math.fsum directly, which
-# is faster there (the crossover is ~1000-2000 terms on a 2-CPU x86 box);
-# both paths return the same correctly rounded value
-SMALL_SUM = 1024
+# base-2**LIMB digits of the scaled parts in ``fixed_point``
+LIMB = 25
+# every finite float64 is a multiple of 2**-1074, so fixed_point scales by at
+# most 2**UNIT (53 minus the least frexp exponent, -1073), and sums kept in
+# units of 2**-UNIT are integers
+UNIT = 1126
+# rows per fixed_point block in the one-shot sums: bounds the limb arrays
+ROWS = 1 << 16
 
 
-class ExactSum:
-    """Exactly rounded sum of float64 values in ``lanes`` independent lanes
-    (a small superaccumulator, Neal 2015).
+def fixed_point(parts: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(limbs, s) with parts * 2**s = sum_k limbs[k] * 2**(LIMB k) exactly,
+    for a float64 array ``parts``; limbs is int64 of shape (K,) + parts.shape,
+    every limb in [0, 2**LIMB) but the signed top one, which is at most
+    2**LIMB in magnitude.  s = 53 - the least frexp exponent of the nonzero
+    entries, so parts * 2**s are integers; np.floor peels them into limbs
+    exactly.  None when an entry is not finite, or when the exponents span
+    too much for the scaled parts to stay below float64's 2**1024."""
+    mag = np.abs(parts)
+    top = float(mag.max(initial=0.0))
+    if not math.isfinite(top):
+        return None
+    low = math.frexp(float(mag.min(initial=top, where=mag > 0)))[1]  # 0 when all are 0
+    bits = math.frexp(top)[1] - low + 53  # |parts| * 2**s < 2**bits
+    if bits > 1024:
+        return None
+    s = 53 - low
+    v = np.ldexp(parts, s)
+    limbs = np.empty((-(-bits // LIMB),) + parts.shape, dtype=np.int64)
+    for k in range(len(limbs) - 1):
+        high = np.floor(v * 2.0**-LIMB)
+        limbs[k] = v - high * 2.0**LIMB
+        v = high
+    limbs[-1] = v
+    return limbs, s
 
-    ``add`` bins every term by its binary exponent, as a 26-bit integer part
-    and a 27-bit fraction part, with ``np.bincount``.  The float64 buckets
-    stay exact until FLUSH_TERMS terms have arrived; before that they are
-    moved into one Python int per lane.  ``values`` rounds each int once with
-    int / int true division, which is correctly rounded, so every lane equals
-    ``math.fsum`` of its terms, however they were split across ``add`` calls.
 
-    inf and nan follow ``math.fsum``: nan wins, and inf + -inf raises
-    ValueError.  A finite sum that overflows raises OverflowError, as fsum
-    does; fsum also raises when a running sum overflows and a later term
-    cancels it, where this accumulator returns the exact result.
-    """
-
-    def __init__(self, lanes: int = 1):
-        self.lanes = lanes
-        self.count = 0  # terms added per lane
-        self._pending = 0  # terms per lane held in the float buckets
-        self._buckets = np.zeros((lanes, 2, _NBUCKETS))
-        self._exact = [0] * lanes  # flushed sums in units of 1 / _UNIT
-        self._special = np.zeros((lanes, 3), dtype=bool)  # +inf, -inf, nan seen
-        self._base = np.arange(lanes)[:, None] * (2 * _NBUCKETS) + _EXP_OFFSET
-
-    def add(self, values) -> "ExactSum":
-        """Add terms: shape (lanes, n), or (n,) for a single lane."""
-        values = np.asarray(values, dtype=np.float64).reshape(self.lanes, -1)
-        n = values.shape[1]
-        for a in range(0, n, FLUSH_TERMS):
-            chunk = values[:, a : a + FLUSH_TERMS]
-            if self._pending + chunk.shape[1] > FLUSH_TERMS:
-                self._flush()
-            self._bin(chunk)
-        self.count += n
-        return self
-
-    def _bin(self, chunk: np.ndarray) -> None:
-        m, e = np.frexp(chunk)
-        scaled = m * _HI_SCALE
-        hi = np.trunc(scaled)
-        idx = (e + self._base).ravel()
-        size = self.lanes * 2 * _NBUCKETS
-        with np.errstate(invalid="ignore"):  # inf - inf in a poisoned lane
-            lo = scaled - hi
-        sums = np.bincount(idx, hi.ravel(), size)
-        sums += np.bincount(idx + _NBUCKETS, lo.ravel(), size)
-        sums = sums.reshape(self._buckets.shape)
-        # finite terms keep every bucket finite; inf and nan poison theirs
-        bad = ~np.isfinite(sums).all(axis=(1, 2))
-        for lane in np.flatnonzero(bad):
-            v = chunk[lane]
-            self._special[lane] |= (np.isposinf(v).any(), np.isneginf(v).any(), np.isnan(v).any())
-            sums[lane] = 0.0
-        self._buckets += sums
-        self._pending += chunk.shape[1]
-
-    def _flush(self) -> None:
-        """Move the float buckets into the per-lane Python ints."""
-        hi = self._buckets[:, 0]
-        lo = self._buckets[:, 1] * _LO_SCALE
-        for lane in range(self.lanes):
-            nz = np.flatnonzero((hi[lane] != 0) | (lo[lane] != 0))
-            total = self._exact[lane]
-            for k, h, f in zip(nz.tolist(), hi[lane, nz].tolist(), lo[lane, nz].tolist()):
-                total += ((int(h) << 27) + int(f)) << k
-            self._exact[lane] = total
-        self._buckets[:] = 0.0
-        self._pending = 0
-
-    def values(self) -> list[float]:
-        """The correctly rounded sum of every lane."""
-        self._flush()
-        out = []
-        for total, (pos, neg, nan) in zip(self._exact, self._special.tolist()):
-            if pos and neg:
-                raise ValueError("-inf + inf in fsum")
-            if nan:
-                out.append(math.nan)
-            elif pos or neg:
-                out.append(math.inf if pos else -math.inf)
-            else:
-                out.append(total / _UNIT)
-        return out
+def _lane_sums(lanes: np.ndarray) -> list[float]:
+    """The correctly rounded sum of each row of the float64 (lanes, n)
+    array: its limbs summed in int64 per block of ROWS, the blocks in one
+    Python int per lane in units of 2**-UNIT, rounded once by int / int
+    true division.  ``math.fsum`` sums every lane when a block has no
+    ``fixed_point`` form."""
+    totals = [0] * len(lanes)
+    for a in range(0, lanes.shape[1], ROWS):
+        fixed = fixed_point(lanes[:, a : a + ROWS])
+        if fixed is None:
+            return [math.fsum(lane.tolist()) for lane in lanes]
+        limbs, s = fixed
+        for k, sums in enumerate(limbs.sum(axis=-1).tolist()):
+            for lane, v in enumerate(sums):
+                totals[lane] += v << (LIMB * k + UNIT - s)
+    return [t / (1 << UNIT) for t in totals]
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of real values, equal to ``math.fsum``."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size < SMALL_SUM:
-        return math.fsum(arr.tolist())
-    return ExactSum().add(arr).values()[0]
+    return _lane_sums(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
 
 
 def complex_fsum(values) -> complex:
     """Exactly rounded complex sum (real and imaginary parts independently)."""
     arr = np.asarray(values, dtype=np.complex128).ravel()
-    if arr.size < SMALL_SUM:
-        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
-    re, im = ExactSum(2).add(np.stack((arr.real, arr.imag))).values()
-    return complex(re, im)
+    return complex(*_lane_sums(np.stack((arr.real, arr.imag))))

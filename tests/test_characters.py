@@ -3,6 +3,7 @@ induction, Gauss sums.  Oracles are definition-level loops."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,32 @@ def test_conductor_formula_matches_definition():
     for D in (1, 2, 4, 8, 16, 32, 12, 24, 45, 60, 72, 100, 120, 200):
         for chi in chars(D):
             assert conductor(chi).value == conductor_oracle(chi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000))
+@example(4096)
+@example(8 * 9 * 25 * 7)
+def test_conductor_of_one_character_equals_the_grid(D):
+    """conductor(chi) reads each cyclic factor at chi's own exponent; it is
+    the grid's entry at every character."""
+    basis = unit_group_basis(D)
+    grid = basis.conductor_grid().reshape(-1)
+    assert [conductor(chi).value for chi in enumerate_characters(basis)] == grid.tolist()
+
+
+def test_conductor_of_one_character_builds_no_grid():
+    """At D = 10^7 + 19 the grid would hold phi(D) int64 entries (80 MB);
+    one character's conductor stays below 1 MiB."""
+    chi = character_at(unit_group_basis(10**7 + 19), 12345)
+    tracemalloc.start()
+    try:
+        value = conductor(chi).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 10**7 + 19 and peak < 1 << 20
+    assert chi.basis._conductor_grid is None
 
 
 def test_induce_primitive_fixed_point_and_agreement():

@@ -252,6 +252,10 @@ def _raise(exc):
     (["report", "smooth", "--output", "/nonexistent/dir/r.jsonl"], 2, "'output'"),
     (["report", "restricted", "--D", "105", "--x", "1000", "--output", "/nonexistent/dir/r.jsonl"], 2,
      "cannot write /nonexistent/dir/r.jsonl"),
+    # x = ceil(100003^(5/6 - 1)) = 1: no Lambda sum, refused before the basis
+    (["report", "theorem", "--D", "100003", "--eps", "-1"], 2, "'epsilon'"),
+    # phi(q) x q table entries over the primes q <= 5000: about 5e9
+    (["report", "burgess", "--q-max", "5000"], 2, "q_max = 5000 needs character tables"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with

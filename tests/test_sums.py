@@ -383,8 +383,8 @@ def test_restricted_report_bins_lambda_once(monkeypatch):
 def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
     """One shifted_prime_sum at D = 99991, x = 4e6 (binned: L < pi*(x)) with
     a warm Lambda cache and value table stays below 160 bytes per residue:
-    the dot product feeds ExactSum in chunks, not all 8 L lane terms at
-    once."""
+    the dot product turns the values into limbs and multiplies them by the
+    digits in chunks of BLOCK // 8 rows, not all L rows at once."""
     x = 4 * 10**6
     sums._mangoldt_arrays(x)
     chi = character_at(unit_group_basis(99991), 7)
@@ -488,6 +488,43 @@ def _exact_reference(w, g) -> tuple:
 
 def _bits(got) -> tuple:
     return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
+
+
+def test_exact_dot_int64_headroom():
+    """A digit times a limb is below 2**45, and a chunk of BLOCK // 8 such
+    products, like a block of ROWS limbs in the one-shot sums, below 2**63."""
+    assert max((sums.BLOCK // 8) << (sums.DIGIT + util.LIMB), util.ROWS << util.LIMB) < 2**63
+
+
+# a root of unity exp(2 pi i k / E) for E up to 2**64: parts down to 2**-62
+roots = st.builds(lambda k, E: complex(math.cos(2 * math.pi * (k % E) / E), math.sin(2 * math.pi * (k % E) / E)),
+                  st.integers(0, 2**64), st.sampled_from([3, 7, 1 << 20, 10**12 + 39, 2**62, 2**64]))
+# parts from 2**-250 to 2**253 in magnitude, or 0
+moderate = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-250, 200))
+moderate_complex = st.builds(complex, moderate, moderate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 60), st.sampled_from([0, 53]), st.sampled_from([8, 64, None]),
+       st.data())
+def test_exact_dot_equals_fraction_oracle(limbs, rows, scale, block, data):
+    """_exact_dot against Fraction: signed digits up to 2**20 - 1 in
+    magnitude, values that are roots of unity of large order or moderate
+    floats, with the chunk size set by BLOCK."""
+    digit = st.integers(-(2**sums.DIGIT) + 1, 2**sums.DIGIT - 1)
+    d = np.array(data.draw(st.lists(st.lists(digit, min_size=rows, max_size=rows),
+                                    min_size=limbs, max_size=limbs)), dtype=np.int64).reshape(limbs, rows)
+    g = np.array(data.draw(st.lists(st.one_of(roots, moderate_complex), min_size=rows, max_size=rows)),
+                 dtype=np.complex128)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(sums, "BLOCK", block)
+        value, mass = sums._exact_dot(lambda i: d[:, i], lambda i: g[i], np.arange(rows), scale)
+    S = [sum(Fraction(int(d[k, r]) << (sums.DIGIT * k)) for k in range(limbs)) / 2**scale for r in range(rows)]
+    re = sum((S[r] * Fraction(g[r].real) for r in range(rows)), Fraction(0))
+    im = sum((S[r] * Fraction(g[r].imag) for r in range(rows)), Fraction(0))
+    assert (value.real.hex(), value.imag.hex()) == (float(re).hex(), float(im).hex())
+    assert mass.hex() == float(sum(S, Fraction(0))).hex()
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -1,8 +1,8 @@
-"""The exact accumulator against math.fsum on generated inputs (full exponent
-range, subnormals, cancellation, zeros, specials), invariance under how the
-terms are split across ``add`` calls and under flushes, the one-shot helpers
-on both sides of the small-input cutoff, map_blocks, and
-SplitMix64.distinct."""
+"""The exact reduction against math.fsum on generated inputs (full exponent
+range, subnormals, cancellation, zeros, specials, overflow), for
+``exact_sum`` and ``complex_fsum`` alike; invariance under term order and
+under how the blocks cut the terms; ``fixed_point`` itself; both paths of
+the one-shot helpers; map_blocks and SplitMix64.distinct."""
 
 import math
 import sys
@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 from charsum import util
 from charsum.util import (
-    ExactSum,
     PreconditionError,
     SplitMix64,
     complex_fsum,
     exact_sum,
+    fixed_point,
 )
 
 INF = math.inf
 MAX = sys.float_info.max
+TINY = math.ldexp(1.0, -1074)
 
 # integer mantissa times 2**e reaches every finite float64, subnormals included
 scaled = st.builds(
@@ -44,6 +45,10 @@ def cancelling(draw):
 
 zeros = st.lists(st.sampled_from([0.0, -0.0]), max_size=30)
 inputs = st.one_of(st.lists(finite, max_size=60), cancelling(), zeros)
+# real and imaginary parts, the same number of each
+complex_inputs = inputs.flatmap(
+    lambda xs: st.tuples(st.just(xs), st.lists(finite, min_size=len(xs), max_size=len(xs)))
+)
 
 
 def same(a: float, b: float) -> bool:
@@ -51,116 +56,151 @@ def same(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def check_like_fsum(xs, compute) -> None:
-    """``compute()`` must return math.fsum(xs), or raise what it raises."""
-    try:
-        want = math.fsum(xs)
-    except OverflowError:
-        # fsum also fails when a running sum overflows and later terms
-        # cancel it; the accumulator then returns the correctly rounded
-        # exact sum, and fails only when that overflows too
+def as_complex(re, im) -> np.ndarray:
+    """The complex array with these parts, bit for bit (re + 1j * im turns
+    -0.0 into 0.0 and inf into nan)."""
+    z = np.empty(len(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def check_like_fsum(lanes, compute) -> None:
+    """``compute()`` must return math.fsum of every lane, or raise what it
+    raises.  fsum also fails when a running sum overflows and later terms
+    cancel it; the limbs then give the correctly rounded exact sum, and
+    fail only when that overflows too, or when the lanes have no
+    fixed-point form and fsum is the fallback."""
+    limbs = fixed_point(np.array(lanes, dtype=np.float64).reshape(len(lanes), -1)) is not None
+    want = []
+    for xs in lanes:
         try:
-            want = float(sum(map(Fraction, xs), Fraction(0)))
+            want.append(math.fsum(xs))
         except OverflowError:
-            with pytest.raises(OverflowError):
-                compute()
-            return
-    assert same(compute(), want)
+            try:
+                if not limbs:
+                    raise
+                want.append(float(sum(map(Fraction, xs), Fraction(0))))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    compute()
+                return
+    got = compute()
+    assert all(same(g, w) for g, w in zip(got, want))
 
 
 @given(inputs)
 def test_exact_sum_equals_fsum(xs):
-    check_like_fsum(xs, lambda: ExactSum().add(np.array(xs, dtype=np.float64)).values()[0])
+    check_like_fsum([xs], lambda: [exact_sum(xs)])
+
+
+@given(complex_inputs)
+def test_complex_fsum_equals_fsum(parts):
+    z = as_complex(*parts)
+    check_like_fsum(parts, lambda: (lambda v: [v.real, v.imag])(complex_fsum(z)))
 
 
 def test_exact_sum_empty_and_zeros():
-    assert same(ExactSum().values()[0], math.fsum([]))
-    assert same(ExactSum().add([]).values()[0], 0.0)
-    assert same(ExactSum().add([-0.0, -0.0]).values()[0], math.fsum([-0.0, -0.0]))
-    tiny = math.ldexp(1.0, -1074)
-    assert same(ExactSum().add([tiny, -tiny]).values()[0], math.fsum([tiny, -tiny]))
+    assert same(exact_sum([]), math.fsum([]))
+    assert same(exact_sum([-0.0, -0.0]), math.fsum([-0.0, -0.0]))
+    assert same(exact_sum([TINY, -TINY]), math.fsum([TINY, -TINY]))
+    got = complex_fsum(as_complex([-0.0] * 3, [-0.0] * 3))
+    assert same(got.real, math.fsum([-0.0] * 3)) and same(got.imag, math.fsum([-0.0] * 3))
 
 
 def test_exact_sum_extremes():
-    tiny = math.ldexp(1.0, -1074)
-    xs = [MAX, -MAX, tiny, tiny, 1e-310, -0.0, 2.0**-1022]
-    assert same(ExactSum().add(xs).values()[0], math.fsum(xs))
+    xs = [MAX, -MAX, TINY, TINY, 1e-310, -0.0, 2.0**-1022]
+    assert same(exact_sum(xs), math.fsum(xs))
     with pytest.raises(OverflowError):
-        ExactSum().add([MAX, MAX]).values()
+        exact_sum([MAX, MAX])
+    with pytest.raises(OverflowError):
+        complex_fsum(as_complex([1.0, 1.0], [MAX, MAX]))
+    # a running sum past MAX that later terms cancel: fsum raises, the limbs
+    # give the exact sum
+    assert exact_sum([MAX, MAX, -MAX]) == MAX
     # halfway cases round to even exactly as fsum does
     for xs in ([1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-105], [1.0 + 2.0**-52, 2.0**-53]):
-        assert same(ExactSum().add(xs).values()[0], math.fsum(xs))
+        assert same(exact_sum(xs), math.fsum(xs))
 
 
-@given(inputs, st.lists(st.integers(0, 60), max_size=6), st.randoms(use_true_random=False))
-def test_successive_adds_in_any_order_and_partition(xs, cuts, rnd):
-    arr = np.array(xs, dtype=np.float64)
-    edges = sorted({0, len(arr), *(c for c in cuts if c <= len(arr))})
-    parts = [arr[a:b] for a, b in zip(edges, edges[1:])]
-    rnd.shuffle(parts)
-    total = ExactSum()
-    for p in parts:
-        total.add(p)
-    assert total.count == len(xs)
-    check_like_fsum(xs, lambda: total.values()[0])
+@given(inputs, st.integers(1, 61), st.randoms(use_true_random=False))
+def test_exact_sum_any_order_and_blocks(xs, rows, rnd):
+    """The sum depends neither on the order of the terms nor on how the
+    blocks of ROWS terms cut them."""
+    xs = list(xs)
+    rnd.shuffle(xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(util, "ROWS", rows)
+        check_like_fsum([xs], lambda: [exact_sum(xs)])
 
 
 special = st.sampled_from([INF, -INF, math.nan])
 
 
-@given(st.lists(st.one_of(moderate, special), max_size=40), st.integers(0, 40))
-def test_specials_follow_fsum(xs, cut):
-    halves = (np.array(xs[:cut], dtype=np.float64), np.array(xs[cut:], dtype=np.float64))
-    acc = ExactSum().add(halves[0]).add(halves[1])
+@given(st.lists(st.one_of(moderate, special), max_size=40))
+def test_specials_follow_fsum(xs):
     try:
         want = math.fsum(xs)
     except ValueError:  # inf + -inf
         with pytest.raises(ValueError):
-            acc.values()
+            exact_sum(xs)
         return
-    got = acc.values()[0]
+    got = exact_sum(xs)
     assert (math.isnan(got) and math.isnan(want)) or same(got, want)
 
 
 def test_specials_in_one_lane_leave_the_others_exact():
-    acc = ExactSum(3).add(np.array([[1.0, INF, 2.0], [0.1, 0.2, 0.3], [1.0, -INF, math.nan]]))
-    re, mid, bad = acc.values()
-    assert re == INF and mid == math.fsum([0.1, 0.2, 0.3]) and math.isnan(bad)
+    got = complex_fsum(as_complex([1.0, INF, 2.0], [0.1, 0.2, 0.3]))
+    assert got.real == INF and got.imag == math.fsum([0.1, 0.2, 0.3])
+    got = complex_fsum(as_complex([0.1, 0.2, 0.3], [1.0, -INF, math.nan]))
+    assert got.real == math.fsum([0.1, 0.2, 0.3]) and math.isnan(got.imag)
     with pytest.raises(ValueError, match="inf"):
-        ExactSum().add([INF]).add([-INF]).values()
-
-
-@settings(max_examples=60)
-@given(st.lists(finite, min_size=1, max_size=60), st.integers(1, 7), st.integers(1, 4))
-def test_flush_path_matches_fsum(xs, limit, pieces):
-    """Past FLUSH_TERMS the float buckets move into the exact ints; lower the
-    limit so that a short input crosses it many times, within one add and
-    between successive adds."""
-    arr = np.array(xs, dtype=np.float64)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(util, "FLUSH_TERMS", limit)
-        one = ExactSum().add(arr)
-        split = ExactSum()
-        for chunk in np.array_split(arr, pieces):
-            split.add(chunk)
-        assert one._pending <= limit and split._pending <= limit
-        check_like_fsum(xs, lambda: one.values()[0])
-        check_like_fsum(xs, lambda: split.values()[0])
+        complex_fsum(as_complex([INF, -INF], [0.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 1023, 1024, 5000])
 def test_one_shot_helpers_both_paths(n):
+    """The limbs, in one block and in blocks of 1000, and the math.fsum
+    fallback give the same bits."""
     rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 100, n)
     z = x + 1j * rng.standard_normal(n)
     want = math.fsum(x.tolist())
     want_z = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
-    for cutoff in (0, n + 1):  # accumulator path, then the math.fsum path
+    for patch in ({}, {"ROWS": 1000}, {"fixed_point": lambda parts: None}):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(util, "SMALL_SUM", cutoff)
+            for name, value in patch.items():
+                mp.setattr(util, name, value)
             assert same(exact_sum(x), want)
             got = complex_fsum(z)
             assert same(got.real, want_z.real) and same(got.imag, want_z.imag)
+
+
+@given(st.lists(finite, max_size=40), st.integers(1, 3))
+def test_fixed_point_limbs_are_exact(xs, lanes):
+    """parts * 2**s = sum_k limbs[k] * 2**(LIMB k) exactly, limbs in
+    [0, 2**LIMB) but the signed top one; None exactly when the scaled parts
+    would pass float64's range."""
+    parts = np.array(xs * lanes, dtype=np.float64).reshape(lanes, -1)
+    got = fixed_point(parts)
+    nonzero = [abs(v) for v in xs if v != 0]
+    if nonzero and math.frexp(max(nonzero))[1] - math.frexp(min(nonzero))[1] + 53 > 1024:
+        assert got is None
+        return
+    limbs, s = got
+    assert limbs.shape[1:] == parts.shape and limbs.dtype == np.int64
+    assert (limbs[:-1] >= 0).all() and (limbs[:-1] < 2**util.LIMB).all()
+    assert (abs(limbs[-1]) <= 2**util.LIMB).all()
+    for lane in range(lanes):
+        for j, v in enumerate(xs):
+            value = sum(int(limbs[k, lane, j]) << (util.LIMB * k) for k in range(len(limbs)))
+            assert Fraction(value) == Fraction(v) * Fraction(2) ** s
+
+
+def test_fixed_point_refuses_specials_and_wide_spans():
+    for bad in ([1.0, INF], [math.nan], [-INF], [MAX, TINY]):
+        assert fixed_point(np.array(bad)) is None
+    limbs, _ = fixed_point(np.array([0.0, -0.0]))
+    assert limbs.shape[1:] == (2,) and not limbs.any()
 
 
 # ---------------------------------------------------------------------------
