@@ -2,13 +2,12 @@
 character sums over shifted primes, with ASSERT/MONITOR bound reports."""
 
 from .characters import (
-    CharacterValue,
     DirichletCharacter,
     UnitGroupBasis,
     character_from_json,
     conductor,
     enumerate_characters,
-    gauss_sum,
+    gauss_sums,
     induce_primitive,
     is_primitive,
     principal_character,
@@ -17,25 +16,20 @@ from .characters import (
 from .integers import (
     FactoredInteger,
     MangoldtTable,
-    NotInvertibleError,
     divisors,
     euler_phi,
     factor,
     mangoldt_sieve,
     mobius,
-    mod_inverse,
     omega,
     smooth_count,
     tau_r,
-    truncated_mobius,
 )
 from .sums import (
     CongruenceInstance,
     SumValue,
     burgess_moment_2r,
-    burgess_sextic,
     congruence_census,
-    coprime_count_check,
     double_sum,
     hb_decompose,
     mobius_recombination,
@@ -49,7 +43,6 @@ from .bounds import (
     BoundCheckRecord,
     big_divisor_tail,
     burgess_check_2r,
-    divisor_moment_check,
     identities_verify,
     lemma8_rhs,
     lemma8_verify,

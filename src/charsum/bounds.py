@@ -20,8 +20,8 @@ import numpy as np
 from .characters import (
     all_character_tables,
     character_at,
+    gauss_sums,
     induce_primitive,
-    roots_of_unity,
     unit_group_basis,
     unit_group_transform,
 )
@@ -206,19 +206,6 @@ def restricted_envelope_rhs(q: int, nu: int, x: int) -> float:
 # Single-check records
 
 
-def divisor_moment_check(x: int, r: int, k: int) -> BoundCheckRecord:
-    """Exact sum of tau_r^k(n) over n <= x against x (ln x)^(r^k - 1)."""
-    require(x >= 2, "x", "need x >= 2")
-    require(2 <= r <= 5, "r", "need r in 2..5")
-    require(k in (1, 2), "k", "need k in {1, 2}")
-    (tau, ms) = _timed(tau_r_sieve, x, r)
-    lhs = int((tau[: x + 1].astype(object) ** k).sum())
-    return make_record(
-        "DIVISOR_MOMENT", {"x": x, "r": r, "k": k}, lhs, divisor_moment_rhs(x, r, k), MONITOR,
-        runtime_ms=ms,
-    )
-
-
 def smooth_rhs_product(b: int) -> float:
     """prod over p | b of (1 - 1/p)."""
     out = 1.0
@@ -399,7 +386,8 @@ def hb_identity_records(cases: int = 50, seed: int = 0) -> list[BoundCheckRecord
 def character_table_records(max_D: int = 500, max_q: int = 200) -> list[BoundCheckRecord]:
     """ORTHOGONALITY: the worst orthogonality defect over D <= max_D,
     asserted at 1e-9 phi.  GAUSS_MODULUS: | |tau(chi_q)|^2 - q | < 1e-6 q
-    over every primitive character mod q <= max_q.
+    over every primitive character mod q <= max_q, with tau exactly
+    rounded by ``gauss_sums``.
 
     One pass over the moduli builds each one's character tables once for
     both checks.  The first record's runtime includes the tables of D <=
@@ -422,7 +410,7 @@ def character_table_records(max_D: int = 500, max_q: int = 200) -> list[BoundChe
         if D <= max_q:
             prim = basis.conductor_grid().reshape(-1) == D
             if prim.any():
-                taus = (tables[prim] * roots_of_unity(np.arange(D), D)[None, :]).sum(axis=1)
+                taus = np.array(gauss_sums(basis, tables, prim))
                 count += int(prim.sum())
                 dev = float((np.abs(np.abs(taus) ** 2 - D) / D).max())
                 if dev > gauss_dev:
@@ -676,6 +664,7 @@ def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-
     record carrying the observed maximum ratio.  The phi(q) x q table
     entries over the primes are checked against DEFAULT_WORK_BUDGET before
     any table is built."""
+    require(q_max >= 3, "q_max", f"need q_max >= 3, so that at least one prime is checked, got {q_max}")
     primes = [int(p) for p in primes_up_to(q_max) if p >= 3]
     entries = sum((q - 1) * q for q in primes)
     if entries > DEFAULT_WORK_BUDGET:
@@ -867,6 +856,7 @@ def constants_report(q_max: int = 1000) -> list[BoundCheckRecord]:
     least c_omega making omega(q) <= c ln q / ln ln q hold, and both the
     least upper and greatest lower constant for phi(q) ln ln q / 2q).
     """
+    require(q_max >= 3, "q_max", f"need q_max >= 3, the first modulus of the grid, got {q_max}")
     worst_omega = 0.0
     worst_omega_q = 3
     max_phi = 0.0

@@ -6,8 +6,11 @@ The unit group (Z/D)* is decomposed into cyclic factors in a fixed canonical
 order: the 2-part first (nothing for 2, one order-2 factor generated by -1
 for 4, the pair (-1, 5) with orders (2, 2^{k-2}) for 2^k with k >= 3), then
 one factor per odd prime power p^a generated by its least primitive root.
-A character is an exponent vector against that basis and evaluates to exact
-roots of unity: floating point only enters when sums are accumulated.
+A character is an exponent vector against that basis.  ``chi(n)`` returns
+the exact phase of chi(n), a Fraction k / E in [0, 1) for the group
+exponent E with chi(n) = e(k / E), or None on a non-unit.  Value tables
+hold the roots of unity of ``roots_of_unity``, the one root formula:
+floating point only enters there and when sums are accumulated.
 """
 
 from __future__ import annotations
@@ -15,56 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .integers import FactoredInteger, as_factored, factor
-from .util import PreconditionError, complex_fsum, require
-
-
-@dataclass(frozen=True)
-class CharacterValue:
-    """Exact character value: zero, or the root of unity e(numerator/denominator)."""
-
-    numerator: int
-    denominator: int
-    zero: bool = False
-
-    @staticmethod
-    def zero_value() -> "CharacterValue":
-        return CharacterValue(0, 1, True)
-
-    @staticmethod
-    def root(numerator: int, denominator: int) -> "CharacterValue":
-        require(denominator >= 1, "denominator", "must be positive")
-        num = numerator % denominator
-        g = math.gcd(num, denominator)
-        return CharacterValue(num // g, denominator // g)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.zero and self.numerator == 0
-
-    def __mul__(self, other: "CharacterValue") -> "CharacterValue":
-        if self.zero or other.zero:
-            return CharacterValue.zero_value()
-        den = math.lcm(self.denominator, other.denominator)
-        num = self.numerator * (den // self.denominator) + other.numerator * (
-            den // other.denominator
-        )
-        return CharacterValue.root(num, den)
-
-    def conjugate(self) -> "CharacterValue":
-        if self.zero:
-            return self
-        return CharacterValue.root(-self.numerator, self.denominator)
-
-    def to_complex(self) -> complex:
-        if self.zero:
-            return 0.0 + 0.0j
-        angle = 2.0 * math.pi * self.numerator / self.denominator
-        return complex(math.cos(angle), math.sin(angle))
+from .util import _lane_sums, require
 
 
 # components up to this size get a full lookup table; beyond it the scalar
@@ -373,15 +333,14 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def __call__(self, n: int) -> CharacterValue:
+    def __call__(self, n: int) -> Fraction | None:
+        """The phase of chi(n): the Fraction k / E in [0, 1) with chi(n) =
+        e(k / E), or None when gcd(n, D) > 1."""
         ev = self.basis.exponents_of(n)
         if ev is None:
-            return CharacterValue.zero_value()
+            return None
         E = self.basis.exponent
-        num = 0
-        for a, e, m in zip(self.exponents, ev, self.basis.orders):
-            num += a * e * (E // m)
-        return CharacterValue.root(num, E)
+        return Fraction(sum(a * e * (E // m) for a, e, m in zip(self.exponents, ev, self.basis.orders)) % E, E)
 
     def value_table(self) -> np.ndarray:
         """chi on residues 0..D-1 as complex128 (cached on the character)."""
@@ -484,24 +443,28 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     basis_q = unit_group_basis(q)
     exps = []
     for (g, m) in basis_q.generators:
-        u = _lift_unit(g, q, chi.basis.modulus)
-        v = chi(u)
-        require(not v.zero, "chi", "lift landed on a non-unit")  # cannot happen
-        num = v.numerator * m
-        require(num % v.denominator == 0, "chi", "value is not an order-m root")
-        exps.append((num // v.denominator) % m)
+        # the lift is a unit, and chi there is an m-th root of unity
+        k = chi(_lift_unit(g, q, chi.basis.modulus)) * m
+        require(k.denominator == 1, "chi", "value is not an order-m root")  # cannot happen
+        exps.append(int(k))
     out = DirichletCharacter(basis_q, tuple(exps))
     assert conductor(out).value == q
     return out
 
 
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum_a chi(a) e(a/q) for primitive chi mod q."""
-    require(is_primitive(chi), "chi", "gauss_sum needs a primitive character")
-    q = chi.modulus
-    if q == 1:
-        return 1.0 + 0.0j
-    return complex_fsum(chi.value_table() * roots_of_unity(np.arange(q), q))
+def gauss_sums(basis: UnitGroupBasis, tables: np.ndarray, rows) -> list[complex]:
+    """tau(chi) = sum_a chi(a) e(a/q) for the characters mod q at ``rows``
+    (indices or a mask) of ``tables``, the value tables of every character
+    mod q in enumeration order (``all_character_tables(basis)``); each must
+    be primitive.  Both parts of each tau are exactly rounded: one
+    ``_lane_sums`` reduces the real and the imaginary parts of the products
+    as stacked lanes."""
+    q = basis.modulus.value
+    require(bool((basis.conductor_grid().reshape(-1)[rows] == q).all()), "chi",
+            "gauss_sums needs primitive characters")
+    products = tables[rows] * roots_of_unity(np.arange(q), q)
+    sums = _lane_sums(np.concatenate((products.real, products.imag)))
+    return [complex(re, im) for re, im in zip(sums[: len(products)], sums[len(products) :])]
 
 
 def roots_of_unity(k: np.ndarray, E: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Exact integer substrate: factorization, multiplicative functions, the von
-Mangoldt sieve, smooth counting and modular inverses.
+Mangoldt sieve and smooth counting.
 
 Everything here is exact integer arithmetic; the sieved tables of mu, tau
 and tau_r come from one vectorized least-prime-factor walk.  The von
@@ -28,10 +28,6 @@ SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class NotInvertibleError(ValueError):
-    """Requested modular inverse does not exist: gcd(a, m) > 1."""
 
 
 def _eratosthenes(n: int) -> np.ndarray:
@@ -196,36 +192,6 @@ def divisors(f) -> list[int]:
     for p, a in as_factored(f).factors:
         divs = [d * p**e for d in divs for e in range(a + 1)]
     return sorted(divs)
-
-
-def truncated_mobius(n: int, u1: int) -> int:
-    """Sum of mu(d) over divisors d of n with d <= u1.
-
-    Equals [n == 1] once u1 >= n (full Mobius sum).  Only squarefree
-    divisors contribute, so we walk subsets of the distinct primes.
-    """
-    require(n >= 1, "n", "must be positive")
-    require(u1 >= 1, "u1", "must be positive")
-    primes = as_factored(n).primes
-    total = 0
-    stack = [(0, 1, 1)]  # (next prime index, product so far, mu sign)
-    while stack:
-        i, prod, sign = stack.pop()
-        total += sign
-        for j in range(i, len(primes)):
-            nxt = prod * primes[j]
-            if nxt <= u1:
-                stack.append((j + 1, nxt, -sign))
-    return total
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Least nonnegative x with a*x = 1 (mod m); raises NotInvertibleError."""
-    require(m >= 1, "m", "modulus must be positive")
-    try:
-        return pow(a, -1, m)
-    except ValueError as exc:
-        raise NotInvertibleError(f"{a} has no inverse modulo {m}") from exc
 
 
 def smooth_count(x: int, z: int, b=1) -> int:

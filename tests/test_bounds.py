@@ -18,7 +18,6 @@ from charsum.bounds import (
     burgess_check_2r,
     census_records,
     constants_report,
-    divisor_moment_check,
     divisor_moment_report,
     double_sum_report,
     identities_verify,
@@ -97,14 +96,13 @@ def test_big_divisor_tail_requires_divisibility():
 
 
 def test_divisor_moment_check_small_values():
-    rec = divisor_moment_check(2, 2, 1)
-    assert rec.lhs == 3  # tau(1) + tau(2)
-    rec10 = divisor_moment_check(10, 2, 1)
-    assert rec10.lhs == 27
-    assert rec10.mode == MONITOR
-    direct = sum(tau_r(n, 3) for n in range(1, 1001))
-    rec3 = divisor_moment_check(1000, 3, 1)
-    assert rec3.lhs == direct
+    recs = {(r.parameters["x"], r.parameters["r"], r.parameters["k"]): r
+            for r in divisor_moment_report(x_grid=(2, 10, 1000)) if "summary" not in r.parameters}
+    assert recs[2, 2, 1].lhs == 3  # tau(1) + tau(2)
+    assert recs[10, 2, 1].lhs == 27
+    assert recs[10, 2, 1].mode == MONITOR
+    rec3 = recs[1000, 3, 1]
+    assert rec3.lhs == sum(tau_r(n, 3) for n in range(1, 1001))
     assert math.isfinite(rec3.ratio) and rec3.ratio > 0
 
 

@@ -4,6 +4,7 @@ induction, Gauss sums.  Oracles are definition-level loops."""
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from charsum import characters, oracles
 from charsum.characters import (
     DLOG_TABLE_LIMIT,
-    CharacterValue,
     DirichletCharacter,
     UnitGroupBasis,
     _dlog_table_cyclic,
@@ -24,7 +24,7 @@ from charsum.characters import (
     character_from_json,
     conductor,
     enumerate_characters,
-    gauss_sum,
+    gauss_sums,
     induce_primitive,
     is_primitive,
     principal_character,
@@ -40,12 +40,18 @@ def chars(D):
     return list(enumerate_characters(unit_group_basis(D)))
 
 
+def times(a, b):
+    """The phase of a product of character values: phases add mod 1, and a
+    non-unit (None) makes the product 0."""
+    return None if a is None or b is None else (a + b) % 1
+
+
 def conductor_oracle(chi):
     """Definition: smallest q | D with chi trivial on units = 1 (mod q)."""
     D = chi.modulus
     for q in divisors(factor(D)):
         if all(
-            chi(u).is_one
+            chi(u) == 0
             for u in range(1, max(D, 1) + 1, q)
             if math.gcd(u, max(D, 1)) == 1
         ):
@@ -122,17 +128,17 @@ def test_character_count_matches_phi_sampled():
 
 def test_eval_examples():
     chi0 = principal_character(12)
-    assert chi0(7).is_one
-    assert chi0(6).zero
+    assert chi0(7) == 0
+    assert chi0(6) is None
     # quadratic character mod 5 via Euler criterion oracle
-    quad = [c for c in chars(5) if not c.is_principal and (c(2) * c(2)).is_one]
+    quad = [c for c in chars(5) if not c.is_principal and 2 * c(2) % 1 == 0]
     assert len(quad) == 1
     chi = quad[0]
-    assert chi(2).to_complex() == pytest.approx(-1.0)
+    assert chi(2) == Fraction(1, 2)
+    assert oracles.character_value(chi(2)) == pytest.approx(-1.0)
     for n in range(1, 5):
         ls = pow(n, (5 - 1) // 2, 5)  # Euler criterion
-        want = 1.0 if ls == 1 else -1.0
-        assert chi(n).to_complex() == pytest.approx(want)
+        assert chi(n) == (0 if ls == 1 else Fraction(1, 2))
 
 
 def test_eval_zero_exactly_on_shared_factors():
@@ -140,7 +146,9 @@ def test_eval_zero_exactly_on_shared_factors():
         for chi in chars(D):
             for n in range(-5, 2 * D):
                 v = chi(n)
-                assert v.zero == (math.gcd(n % D, D) > 1)
+                assert (v is None) == (math.gcd(n % D, D) > 1)
+                # otherwise a phase k / E in [0, 1)
+                assert v is None or (0 <= v < 1 and chi.basis.exponent % v.denominator == 0)
 
 
 def test_complete_multiplicativity_exact():
@@ -151,18 +159,16 @@ def test_complete_multiplicativity_exact():
             chi = cs[rng.below(len(cs))]
             u = rng.randint(1, 10 * D)
             v = rng.randint(1, 10 * D)
-            assert chi(u * v) == chi(u) * chi(v)
+            assert chi(u * v) == times(chi(u), chi(v))
 
 
 def test_character_value_arithmetic():
-    a = CharacterValue.root(1, 3)
-    b = CharacterValue.root(1, 6)
-    assert a * b == CharacterValue.root(1, 2)
-    assert (a * a * a).is_one
-    z = CharacterValue.zero_value()
-    assert (a * z).zero
-    assert abs(abs(b.to_complex()) - 1.0) < 1e-12
-    assert a.conjugate() == CharacterValue.root(2, 3)
+    """chi(n) conj chi(n) = 1 on units: the phases add up to 0 mod 1."""
+    for D in (7, 24, 45):
+        for chi in chars(D):
+            bar = chi.conjugate()
+            for n in range(D):
+                assert times(chi(n), bar(n)) == (None if math.gcd(n, D) > 1 else 0)
 
 
 def test_conductor_examples_and_oracle():
@@ -263,27 +269,38 @@ def test_induced_character_has_period_q():
 
 
 def test_gauss_sum_trivial_and_quadratic():
-    assert gauss_sum(principal_character(1)) == pytest.approx(1.0)
-    quad = [c for c in chars(5) if not c.is_principal and (c(2) * c(2)).is_one][0]
-    tau = gauss_sum(quad)
+    basis = unit_group_basis(1)
+    assert gauss_sums(basis, all_character_tables(basis), [0]) == [1.0]
+    basis = unit_group_basis(5)
+    quad = [i for i, c in enumerate(chars(5)) if not c.is_principal and 2 * c(2) % 1 == 0]
+    [tau] = gauss_sums(basis, all_character_tables(basis), quad)
     # classical value sqrt(5) for the quadratic character mod 5
     assert tau == pytest.approx(math.sqrt(5.0), abs=1e-12)
     assert abs(tau) ** 2 == pytest.approx(5.0, rel=1e-12)
 
 
 def test_gauss_sum_modulus_sweep_small():
+    """Every primitive character mod q <= 60, one block per modulus, each
+    tau the exactly rounded sum of its products (math.fsum per part)."""
     for q in range(1, 61):
-        for chi in chars(q):
-            if not is_primitive(chi):
-                continue
-            tau = gauss_sum(chi)
+        basis = unit_group_basis(q)
+        tables = all_character_tables(basis)
+        prim = [i for i, chi in enumerate(chars(q)) if is_primitive(chi)]
+        taus = gauss_sums(basis, tables, prim)
+        assert len(taus) == len(prim)
+        for i, tau in zip(prim, taus):
             assert abs(abs(tau) ** 2 - q) < 1e-6 * q
+            products = tables[i] * roots_of_unity(np.arange(q), q)
+            assert tau == complex(math.fsum(products.real), math.fsum(products.imag))
 
 
 def test_gauss_sum_rejects_imprimitive():
-    chi = principal_character(12)
+    basis = unit_group_basis(12)
+    tables = all_character_tables(basis)
     with pytest.raises(PreconditionError):
-        gauss_sum(chi)
+        gauss_sums(basis, tables, [0])  # the principal character mod 12
+    with pytest.raises(PreconditionError):
+        gauss_sums(basis, tables, np.ones(basis.phi, dtype=bool))
 
 
 def test_orthogonality_small_sweep():
@@ -321,7 +338,7 @@ def test_values_at_equals_value_table_bits(D, pick, residues):
     u = np.array(residues, dtype=np.int64)
     got = chi.values_at(u)
     assert got.tobytes() == chi.value_table()[u % D].tobytes()
-    assert (got == 0).tolist() == [chi(r).zero for r in residues]
+    assert (got == 0).tolist() == [chi(r) is None for r in residues]
 
 
 @pytest.mark.parametrize("D", [100003 * 100019 * 100043, 2 * 7**5 * 999983, 4 * 999983 * 999979])
@@ -338,9 +355,9 @@ def test_values_at_beyond_table_size_equals_scalar_phases(D):
     for index in (1, basis.phi // 3, basis.phi - 1):
         chi = character_at(basis, index)
         scalar = [chi(int(r)) for r in residues]
-        k = np.array([0 if v.zero else v.numerator * (E // v.denominator) for v in scalar], dtype=np.int64)
+        k = np.array([0 if v is None else int(v * E) for v in scalar], dtype=np.int64)
         want = roots_of_unity(k, E)
-        want[[v.zero for v in scalar]] = 0
+        want[[v is None for v in scalar]] = 0
         assert chi.values_at(residues).tobytes() == want.tobytes()
 
 
@@ -362,7 +379,7 @@ def test_unit_group_transform_matches_direct_sums():
                 e = chi.conjugate().exponents
             for row, w in zip(spectrum, weights):
                 direct = sum(
-                    chi(u).to_complex() * w[u]
+                    oracles.character_value(chi(u)) * w[u]
                     for u in range(D)
                     if math.gcd(u, max(D, 1)) == 1
                 )
@@ -473,7 +490,7 @@ def test_large_component_uses_bsgs_fallback():
         assert basis.exponents_of(pow(g, k, p)) == (k,)
     chi = DirichletCharacter(basis, (1,))
     u, v = 123456, 654321
-    assert chi(u * v) == chi(u) * chi(v)
-    assert chi(p + 1).is_one
+    assert chi(u * v) == times(chi(u), chi(v))
+    assert chi(p + 1) == 0
     with pytest.raises(PreconditionError):
         basis.exponent_matrix()

@@ -256,6 +256,9 @@ def _raise(exc):
     (["report", "theorem", "--D", "100003", "--eps", "-1"], 2, "'epsilon'"),
     # phi(q) x q table entries over the primes q <= 5000: about 5e9
     (["report", "burgess", "--q-max", "5000"], 2, "q_max = 5000 needs character tables"),
+    # grids with no modulus to check: no prime q >= 3, no q >= 3
+    (["report", "burgess", "--q-max", "2"], 2, "'q_max'"),
+    (["report", "constants", "--q-max", "2"], 2, "'q_max'"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with

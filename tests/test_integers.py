@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from charsum import integers, oracles
 from charsum.integers import (
     FactoredInteger,
-    NotInvertibleError,
     dirichlet_convolve,
     divisor_count_sieve,
     divisors,
@@ -20,12 +19,10 @@ from charsum.integers import (
     mangoldt_sieve,
     mobius,
     mobius_sieve,
-    mod_inverse,
     omega,
     smooth_count,
     tau_r,
     tau_r_sieve,
-    truncated_mobius,
 )
 from charsum.util import PreconditionError, SplitMix64
 
@@ -298,39 +295,6 @@ def test_smooth_count_with_coprimality_and_monotonicity():
         cur = smooth_count(500, z, 1)
         assert cur >= prev
         prev = cur
-
-
-def egcd(a, b):
-    if a == 0:
-        return b, 0, 1
-    g, x, y = egcd(b % a, a)
-    return g, y - (b // a) * x, x
-
-
-def test_mod_inverse():
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(3, 10) == 7
-    g, x, _ = egcd(17, 3120)
-    assert g == 1 and x % 3120 == 2753
-    assert mod_inverse(17, 3120) == 2753
-    with pytest.raises(NotInvertibleError):
-        mod_inverse(6, 9)
-
-
-def test_truncated_mobius():
-    assert truncated_mobius(1, 5) == 1
-    # oracle: direct divisor enumeration
-    assert sum(mobius(factor(d)) for d in (1, 2)) == 0
-    assert truncated_mobius(6, 2) == 0
-    for n in (1, 2, 17, 36, 360):
-        assert truncated_mobius(n, n) == (1 if n == 1 else 0)
-        assert truncated_mobius(n, 10 * n) == (1 if n == 1 else 0)
-    rng = SplitMix64(99)
-    for _ in range(100):
-        n = rng.randint(1, 4000)
-        u1 = rng.randint(1, 80)
-        direct = sum(mobius(factor(d)) for d in divisors(factor(n)) if d <= u1)
-        assert truncated_mobius(n, u1) == direct
 
 
 def test_sieved_tables_match_pointwise_definitions():

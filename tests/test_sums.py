@@ -1,6 +1,7 @@
 """Evaluator tests: frozen example values, oracle agreement on seeded cases,
 exactness of the decomposition identity, census classification."""
 
+import json
 import math
 import sys
 import time
@@ -23,18 +24,15 @@ from charsum.characters import (
     unit_group_basis,
 )
 from charsum.integers import divisor_count_sieve, divisors, euler_phi, factor, mangoldt_sieve
-from charsum import bounds, integers, oracles, sums, util
+from charsum import bounds, cli, integers, oracles, sums, util
 from charsum.sums import (
     CongruenceInstance,
     burgess_moment_2r,
-    burgess_sextic,
     char_twist_weight,
     coeff_mobius,
     coeff_one,
     coeff_tau5_family,
     congruence_census,
-    coprime_count,
-    coprime_count_check,
     coprime_count_sweep,
     double_sum,
     hb_decompose,
@@ -453,7 +451,7 @@ def test_short_sum_single_term():
     chi_q = induce_primitive([c for c in chars(13) if not c.is_principal][0])
     got = short_sum(chi_q, M=20, N=1, d=3, k=2, eta=5)
     assert got.term_count == 1
-    assert got.value == pytest.approx(chi_q(20 * 3 + 5 * 2).to_complex())
+    assert got.value == pytest.approx(oracles.character_value(chi_q(20 * 3 + 5 * 2)))
 
 
 def test_short_sum_full_period_vanishes():
@@ -619,7 +617,7 @@ def test_double_sum_degenerate_outer_range():
     # M-range (1, 2] has the single m = 2
     got = double_sum(chi_q, coeff_one, coeff_one, 1, 8, 9, 1, 1, 10**6)
     inner = sum(
-        chi_q(2 * n - 1).to_complex()
+        oracles.character_value(chi_q(2 * n - 1))
         for n in range(10, 17)
         if math.gcd(2 * n, 11) == 1
     )
@@ -765,26 +763,6 @@ def test_burgess_moment_direct_loop_q13():
     got = burgess_moment_2r(chi, 3, 2)
     want = oracles.burgess_moment_2r_oracle(chi, 3, 2)
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_burgess_sextic_examples():
-    chi7 = [c for c in chars(7) if not c.is_principal][0]
-    assert burgess_sextic(chi7, 1) == pytest.approx(6.0, abs=1e-9)
-    chi11 = [c for c in chars(11) if not c.is_principal][0]
-    assert burgess_sextic(chi11, 1) == pytest.approx(10.0, abs=1e-9)
-    assert oracles.burgess_sextic_oracle(chi11, 1) == pytest.approx(10.0, abs=1e-9)
-
-
-def test_burgess_sextic_oracle_agreement_and_guards(monkeypatch):
-    chi = [c for c in chars(131) if not c.is_principal][0]
-    got = burgess_sextic(chi, 2)
-    want = oracles.burgess_sextic_oracle(chi, 2)
-    assert got == pytest.approx(want, rel=1e-9)
-    with pytest.raises(PreconditionError):
-        burgess_sextic(chi, 3)  # 3^6 > 131
-    monkeypatch.setattr(sums, "DEFAULT_WORK_BUDGET", 10)
-    with pytest.raises(WorkBudgetError):
-        burgess_sextic(chi, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -935,26 +913,6 @@ def test_hb_rejects_bad_window():
 # Coprime counting
 
 
-def test_coprime_count_check_examples():
-    chk = coprime_count_check(12, 10)
-    assert chk.count == 3
-    assert chk.deviation == Fraction(1, 3)
-    assert chk.bound == 4
-    for q in (7, 12, 90):
-        for mult in (1, 3):
-            assert coprime_count_check(q, q * mult).deviation == 0
-    chk1 = coprime_count_check(1, 57)
-    assert chk1.deviation == 0 and chk1.bound == 1
-
-
-def test_coprime_count_matches_oracle():
-    rng = SplitMix64(55)
-    for _ in range(100):
-        q = rng.randint(1, 400)
-        U = rng.randint(0, 600)
-        assert coprime_count(q, U) == oracles.coprime_count_oracle(q, U)
-
-
 def test_coprime_count_sweep_small():
     checked, worst = coprime_count_sweep(60, 60)
     assert checked == 60 * 60
@@ -973,16 +931,24 @@ def test_coprime_count_sweep_matches_loop_oracle(q_max, u_max):
     assert type(got[0]) is int and type(got[1]) is Fraction
 
 
-def test_coprime_count_sweep_names_first_failing_pair(monkeypatch):
-    # an overstated phi makes the deviation grow with U until the bound fails
+def test_coprime_count_sweep_failure_fails_its_record(monkeypatch, tmp_path):
+    """An overstated phi makes the deviation grow with U past the bound:
+    the sweep still returns its worst ratio, as the oracle does, and
+    `verify identities` writes COPRIME_COUNT as a failed ASSERT and exits
+    1, not 3."""
     wrong_phi = lambda f: euler_phi(f) + 1  # noqa: E731
     monkeypatch.setattr(sums, "euler_phi", wrong_phi)
     monkeypatch.setattr(oracles, "euler_phi", wrong_phi)
-    with pytest.raises(AssertionError) as got:
-        coprime_count_sweep(5, 60)
-    with pytest.raises(AssertionError) as want:
-        oracles.coprime_count_sweep_oracle(5, 60)
-    assert str(got.value) == str(want.value) == "deviation bound failed at q=1, U=2"
+    got = coprime_count_sweep(5, 60)
+    assert got == oracles.coprime_count_sweep_oracle(5, 60)
+    assert got[1] > 1
+    path = tmp_path / "identities.jsonl"
+    argv = ["verify", "identities", "--max-D", "5", "--gauss-max-q", "5", "--hb-cases", "1",
+            "--coprime-max", "5", "--recombination-cases", "1", "--output", str(path)]
+    assert cli.main(argv) == 1
+    verdicts = {r["lemma_tag"]: r["verdict"] for r in map(json.loads, path.read_text().splitlines()[1:])}
+    assert verdicts == {"HB_DECOMP": "pass", "ORTHOGONALITY": "pass", "GAUSS_MODULUS": "pass",
+                        "COPRIME_COUNT": "fail", "T_RECOMBINATION": "pass"}
 
 
 # ---------------------------------------------------------------------------
