@@ -4,13 +4,10 @@ character sums over shifted primes, with ASSERT/MONITOR bound reports."""
 from .characters import (
     DirichletCharacter,
     UnitGroupBasis,
-    character_from_json,
     conductor,
     enumerate_characters,
     gauss_sums,
     induce_primitive,
-    is_primitive,
-    principal_character,
     unit_group_basis,
 )
 from .integers import (

@@ -43,6 +43,7 @@ from .sums import (
     _mangoldt_arrays,
     _prime_power_bound,
     bin_lambda,
+    burgess_moment_2r,
     char_twist_weight,
     congruence_census,
     coprime_count_sweep,
@@ -160,7 +161,7 @@ def big_divisor_tail(q: int, D: int) -> tuple[float, float]:
 
 
 def burgess_2r_rhs(q: int, Z: int, r: int, delta: float) -> float:
-    return Z**r * q + Z ** (2 * r) * q ** (0.5 + delta)
+    return float(Z) ** r * q + float(Z) ** (2 * r) * q ** (0.5 + delta)
 
 
 def divisor_moment_rhs(x: int, r: int, k: int) -> float:
@@ -233,28 +234,39 @@ def smooth_bound_check(x: int, z: int, b: int = 1) -> BoundCheckRecord:
 
 
 def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckRecord:
-    """Max over primitive characters of the 2r-th window moment against
-    Z^r q + Z^(2r) q^(1/2+delta)."""
-    fq = factor(q)
-    require(mobius(fq) != 0 or r == 2, "q", "need squarefree q or r = 2")
-    require(Z >= 1 and r >= 1, "Z,r", "need Z >= 1 and r >= 1")
+    """Max over primitive chi of ``burgess_moment_2r`` against Z^r q + Z^(2r)
+    q^(1/2+delta).  As in ``theorem_report``, a ``unit_group_transform`` of
+    the windows (row s: residues s + 1..s + Z) searches, and every primitive
+    chi within twice its error bound of the top is evaluated exactly."""
+    require(mobius(factor(q)) != 0 or r == 2, "q", "need squarefree q or r = 2")
+    _require_finite_moments(q, Z, r)
     t0 = time.perf_counter_ns()
     basis = unit_group_basis(q)
-    tables = all_character_tables(basis)
-    prim = basis.conductor_grid().reshape(-1) == q
-    require(prim.any(), "q", f"no primitive characters mod {q}")
-    # column c of the z-th slice is tables[:, (c + z) % q], as a view
-    wrapped = tables[:, np.arange(q + Z, dtype=np.int64) % q]
-    W = np.zeros_like(tables)
-    for z in range(1, Z + 1):
-        W += wrapped[:, z : z + q]
-    moments = (np.abs(W) ** (2 * r)).sum(axis=1)
-    lhs = float(moments[prim].max())
+    prim = np.flatnonzero(_half_lattice(basis.conductor_grid()) == q)
+    require(prim.size > 0, "q", f"no primitive characters mod {q}")
+    # a row's mass is Z and its counts are exact, so each |W| is off by at
+    # most e, and each moment, q powers below (Z + e)^(2r), by at most bound;
+    # FFT_ERROR_C's margin also covers the rounding of the powers' sums
+    e = FFT_ERROR_C * math.log2(basis.phi) * 2.0**-53 * Z
+    bound = 2 * r * q * (Z + e) ** (2 * r - 1) * e
+    windows = np.arange(q)[:, None] + np.arange(1, Z + 1)
+    rows = max(1, TRANSFORM_BATCH // basis.phi)
+    moments = sum((unit_group_transform(basis, windows[a : a + rows], 1.0) ** (2 * r)).sum(axis=0)
+                  for a in range(0, q, rows)).reshape(-1)[prim]
+    hits = _chi_index(prim[moments >= moments.max() - 2 * bound], basis.orders)
+    lhs = max(burgess_moment_2r(character_at(basis, i), Z, r) for i in set(hits.tolist()))
     ms = (time.perf_counter_ns() - t0) // 1_000_000
     return make_record(
         "BURGESS_2R", {"q": q, "Z": Z, "r": r, "delta": delta},
         lhs, burgess_2r_rhs(q, Z, r, delta), MONITOR, runtime_ms=ms,
     )
+
+
+def _require_finite_moments(q: int, Z: int, r: int) -> None:
+    """The 2r-th moments of q windows of length Z are at most q Z^(2r); below
+    2^1023 they stay finite, with a bit to spare for the search's rounding."""
+    require(Z >= 1 and r >= 1, "Z,r", "need Z >= 1 and r >= 1")
+    require(math.log2(q) + 2 * r * math.log2(Z) < 1023, "r", f"need q Z^(2r) < 2^1023, got q={q}, Z={Z}, r={r}")
 
 
 def _tau_prefix_max(n: int) -> np.ndarray:
@@ -497,7 +509,7 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 # Monitored reports
 
 
-# float64 lattice entries per unit_group_transform batch in theorem_report:
+# float64 lattice entries per unit_group_transform batch in the reports:
 # 2 MB, below the 4 MB from which numpy asks for transparent huge pages, so
 # the batches add no huge pages to the peak RSS
 TRANSFORM_BATCH = 1 << 18
@@ -517,6 +529,18 @@ TRANSFORM_BATCH = 1 << 18
 # character at two shifts at D = 49999 and 100489 (150,000 values), and
 # 0.18 at D = 1283, whose factor of order 2 * 641 keeps one axis.
 FFT_ERROR_C = 64.0
+
+
+def _half_lattice(grid: np.ndarray) -> np.ndarray:
+    """A lattice grid cut to the half lattice of ``unit_group_transform``, flat."""
+    return grid[..., : grid.shape[-1] // 2 + 1].reshape(-1)
+
+
+def _chi_index(idx: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """The smaller enumeration index of chi and conj chi at each half-lattice index."""
+    e = np.unravel_index(idx, orders[:-1] + (orders[-1] // 2 + 1,))
+    conj = tuple((-c) % m for c, m in zip(e, orders))
+    return np.minimum(np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders))
 
 
 def _near_top(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -596,8 +620,6 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
                                   f"({len(ls)} shifts over phi = {phi} characters), "
                                   f"more than the budget of {DEFAULT_WORK_BUDGET}")
         threshold = math.exp(math.sqrt(2.0 * math.log(D)))
-        orders = basis.orders
-        half_shape = orders[:-1] + (orders[-1] // 2 + 1,)
         cond = basis.conductor_grid()
         pass_filter = cond.reshape(-1) > threshold
         pass_filter[0] = False  # principal
@@ -611,7 +633,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         # search: the transform's characters (half of the lattice), filtered
         # and not; per class, every (value, shift position, half index)
         # within 2 bound of its batch's maximum
-        excluded = np.flatnonzero(cond[..., : half_shape[-1]].reshape(-1) <= threshold)
+        excluded = np.flatnonzero(_half_lattice(cond) <= threshold)
         found = ([], [])
         shifts = np.array(ls, dtype=np.int64)
         rows = max(1, TRANSFORM_BATCH // phi)
@@ -627,9 +649,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             its conjugate: their exact |T| are equal bit for bit."""
             vals, pos, idx = (np.concatenate(parts) for parts in zip(*hits))
             sel = vals >= vals.max() - 2 * bound
-            e = np.unravel_index(idx[sel], half_shape)
-            conj = tuple((-c) % m for c, m in zip(e, orders))
-            chis = np.minimum(np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders))
+            chis = _chi_index(idx[sel], basis.orders)
             return set(zip(chis.tolist(), shifts[pos[sel]].tolist()))
 
         # certify: evaluate every candidate exactly, one character table at a time
@@ -661,21 +681,17 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
 
 def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-4) -> list[BoundCheckRecord]:
     """Moment-vs-envelope ratios over primes q <= q_max, plus a summary
-    record carrying the observed maximum ratio.  The phi(q) x q table
-    entries over the primes are checked against DEFAULT_WORK_BUDGET before
-    any table is built."""
+    record carrying the observed maximum ratio.  Finite moments and the
+    phi(q) x q transform lattice entries are checked before any basis."""
     require(q_max >= 3, "q_max", f"need q_max >= 3, so that at least one prime is checked, got {q_max}")
     primes = [int(p) for p in primes_up_to(q_max) if p >= 3]
+    _require_finite_moments(primes[-1], min(Z, primes[-1] - 1), r)
     entries = sum((q - 1) * q for q in primes)
     if entries > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError(f"q_max = {q_max} needs character tables of {entries} entries, "
-                              f"over the budget of {DEFAULT_WORK_BUDGET}")
-    records = []
-    worst = 0.0
-    for q in primes:
-        rec = burgess_check_2r(q, min(Z, q - 1), r, delta)
-        worst = max(worst, rec.ratio)
-        records.append(rec)
+        raise WorkBudgetError(f"q_max = {q_max} needs {entries} lattice entries of the unit-group transform "
+                              f"(phi(q) x q over the primes q), over the budget of {DEFAULT_WORK_BUDGET}")
+    records = [burgess_check_2r(q, min(Z, q - 1), r, delta) for q in primes]
+    worst = max(rec.ratio for rec in records)
     records.append(
         make_record(
             "BURGESS_2R", {"summary": True, "q_max": q_max, "Z": Z, "r": r, "max_ratio": worst},

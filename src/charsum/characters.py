@@ -379,15 +379,6 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
 
 
-def character_from_json(data: dict) -> DirichletCharacter:
-    return DirichletCharacter(unit_group_basis(int(data["modulus"])), tuple(data["exponents"]))
-
-
-def principal_character(D) -> DirichletCharacter:
-    basis = unit_group_basis(D)
-    return DirichletCharacter(basis, tuple(0 for _ in basis.orders))
-
-
 def enumerate_characters(basis: UnitGroupBasis):
     """All phi(D) characters, lexicographic over exponent vectors, principal first."""
     for exps in itertools.product(*(range(m) for m in basis.orders)):
@@ -410,10 +401,6 @@ def conductor(chi: DirichletCharacter) -> FactoredInteger:
     exps = chi.exponents
     return factor(math.prod(int(_factor_conductor(f, e, exps[i - 1]))
                             for i, (f, e) in enumerate(zip(chi.basis.factors, exps))))
-
-
-def is_primitive(chi: DirichletCharacter) -> bool:
-    return conductor(chi).value == chi.modulus
 
 
 def _lift_unit(r: int, q: int, D: FactoredInteger) -> int:

@@ -3,6 +3,7 @@ evaluation, record semantics, and the dual-route check of the whole-group
 transform against per-character evaluation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -134,17 +135,46 @@ def test_smooth_report_grid_is_admissible():
 
 
 def test_burgess_check_matches_per_character_moment():
-    q = 13
-    rec = burgess_check_2r(q, 3, 2)
-    basis = unit_group_basis(q)
-    direct = max(
-        burgess_moment_2r(chi, 3, 2)
-        for chi in enumerate_characters(basis)
-        if not chi.is_principal
-    )
-    assert rec.lhs == pytest.approx(direct, rel=1e-12)
-    rec1 = burgess_check_2r(q, 1, 2)
-    assert rec1.lhs == pytest.approx(12.0, rel=1e-12)  # phi(q) at Z = 1
+    """The transform only searches: lhs is the largest burgess_moment_2r over
+    the primitive characters, bit for bit, at every modulus 3 <= q <= 64 with
+    primitive characters (primes, powers of 2 and of odd primes, composites
+    such as 12 and 45), windows from 1 to past q, and r = 1, 2, 3."""
+    cases = 0
+    for q in range(3, 65):
+        basis = unit_group_basis(q)
+        prim = [chi for chi in enumerate_characters(basis) if conductor(chi).value == q]
+        for Z in sorted({1, 2, 5, q - 1, q, q + 3}):
+            for r in (1, 2, 3) if mobius(factor(q)) != 0 else (2,):
+                if not prim:
+                    with pytest.raises(PreconditionError, match="no primitive characters"):
+                        burgess_check_2r(q, Z, r)
+                    continue
+                rec = burgess_check_2r(q, Z, r)
+                assert rec.lhs == max(burgess_moment_2r(chi, Z, r) for chi in prim), (q, Z, r)
+                cases += 1
+    assert cases > 300
+    assert burgess_check_2r(13, 1, 2).lhs == 12.0  # phi(q) at Z = 1
+
+
+def test_burgess_report_builds_no_character_table(monkeypatch):
+    monkeypatch.setattr(bounds, "all_character_tables",
+                        lambda *a: pytest.fail("burgess_report built every character table"))
+    records = bounds.burgess_report(q_max=50)
+    assert len(records) == 15 and all(math.isfinite(rec.ratio) for rec in records)
+
+
+def test_burgess_check_memory_stays_below_the_tables():
+    """One batch of the transform at a time: the tables of every character
+    mod 2003 alone would take 64 MB."""
+    basis = unit_group_basis(2003)
+    basis.conductor_grid()
+    tracemalloc.start()
+    try:
+        burgess_check_2r(2003, 20, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_burgess_check_hypothesis_guard():

@@ -21,13 +21,10 @@ from charsum.characters import (
     _two_part_factors,
     all_character_tables,
     character_at,
-    character_from_json,
     conductor,
     enumerate_characters,
     gauss_sums,
     induce_primitive,
-    is_primitive,
-    principal_character,
     roots_of_unity,
     unit_group_basis,
     unit_group_transform,
@@ -127,7 +124,7 @@ def test_character_count_matches_phi_sampled():
 
 
 def test_eval_examples():
-    chi0 = principal_character(12)
+    chi0 = character_at(unit_group_basis(12), 0)
     assert chi0(7) == 0
     assert chi0(6) is None
     # quadratic character mod 5 via Euler criterion oracle
@@ -172,7 +169,7 @@ def test_character_value_arithmetic():
 
 
 def test_conductor_examples_and_oracle():
-    assert conductor(principal_character(12)).value == 1
+    assert conductor(character_at(unit_group_basis(12), 0)).value == 1
     # quadratic character mod 8 viewed mod 24: match values, expect conductor 8
     chi8 = [c for c in chars(8) if c.exponents == (0, 1)][0]
     assert conductor(chi8).value == 8
@@ -237,7 +234,7 @@ def test_induce_primitive_fixed_point_and_agreement():
     assert back.modulus == 8
     assert back == chi8
     with pytest.raises(PreconditionError):
-        induce_primitive(principal_character(24))
+        induce_primitive(character_at(unit_group_basis(24), 0))
 
 
 def test_induce_primitive_value_agreement_sampled():
@@ -247,7 +244,7 @@ def test_induce_primitive_value_agreement_sampled():
             if chi.is_principal:
                 continue
             chi_q = induce_primitive(chi)
-            assert is_primitive(chi_q)
+            assert conductor(chi_q).value == chi_q.modulus
             assert conductor(chi).value == chi_q.modulus
             picked = 0
             while picked < 100:
@@ -285,7 +282,7 @@ def test_gauss_sum_modulus_sweep_small():
     for q in range(1, 61):
         basis = unit_group_basis(q)
         tables = all_character_tables(basis)
-        prim = [i for i, chi in enumerate(chars(q)) if is_primitive(chi)]
+        prim = [i for i, chi in enumerate(chars(q)) if conductor(chi).value == q]
         taus = gauss_sums(basis, tables, prim)
         assert len(taus) == len(prim)
         for i, tau in zip(prim, taus):
@@ -468,7 +465,7 @@ def test_json_round_trip():
     chi = [c for c in chars(45) if not c.is_principal][5]
     blob = chi.to_json_dict()
     assert blob == {"modulus": 45, "exponents": list(chi.exponents)}
-    back = character_from_json(blob)
+    back = DirichletCharacter(unit_group_basis(blob["modulus"]), tuple(blob["exponents"]))
     assert back == chi
 
 

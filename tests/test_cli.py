@@ -254,11 +254,13 @@ def _raise(exc):
      "cannot write /nonexistent/dir/r.jsonl"),
     # x = ceil(100003^(5/6 - 1)) = 1: no Lambda sum, refused before the basis
     (["report", "theorem", "--D", "100003", "--eps", "-1"], 2, "'epsilon'"),
-    # phi(q) x q table entries over the primes q <= 5000: about 5e9
-    (["report", "burgess", "--q-max", "5000"], 2, "q_max = 5000 needs character tables"),
+    # phi(q) x q transform lattice entries over the primes q <= 5000: about 5e9
+    (["report", "burgess", "--q-max", "5000"], 2, "q_max = 5000 needs 5048342006 lattice entries"),
     # grids with no modulus to check: no prime q >= 3, no q >= 3
     (["report", "burgess", "--q-max", "2"], 2, "'q_max'"),
     (["report", "constants", "--q-max", "2"], 2, "'q_max'"),
+    # 19 * 18^400 > 2^1023 at the largest prime, Z = 18: moments beyond float64
+    (["report", "burgess", "--q-max", "20", "--r", "200"], 2, "'r'"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
