@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
+    UnitGroupBasis,
     all_character_tables,
     character_at,
     gauss_sums,
@@ -484,10 +485,12 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
                       seed: int = 0) -> list[BoundCheckRecord]:
     """The full ASSERT suite: decomposition identity, orthogonality, Gauss
     moduli, coprime-count deviation, divisor recombination.  A size that
-    would leave an ASSERT record with no case to check is rejected before
-    any work."""
+    would leave an ASSERT record with no case to check, or a negative case
+    count, is rejected before any work."""
     for name, value in (("max_D", max_D), ("gauss_max_q", gauss_max_q), ("coprime_max", coprime_max)):
         require(value >= 1, name, f"need {name} >= 1, so that its ASSERT checks at least one case, got {value}")
+    for name, value in (("hb_cases", hb_cases), ("recombination_cases", recombination_cases)):
+        require(value >= 0, name, f"need {name} >= 0, got {value}")
     # character_table_records builds phi(D) x D table entries for every D up
     # to the larger of the two; the sum grows as D^3, so it stops early
     name, top = ("max_D", max_D) if max_D >= gauss_max_q else ("gauss_max_q", gauss_max_q)
@@ -602,7 +605,9 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         x = math.ceil(D**exponent)
         require(x >= 2, "epsilon", f"need x = D^(5/6 + epsilon) >= 2 for a Lambda sum, "
                 f"got x = {x} at D={D}, epsilon={epsilon}")
-        basis = unit_group_basis(D)
+        # not the cached unit_group_basis: each modulus is visited once, so
+        # its tables go when its record is made
+        basis = UnitGroupBasis(factor(D))
         phi = basis.phi
         if phi <= 1:
             log.warning("theorem_report: D=%d has no non-principal characters, skipped", D)
@@ -711,8 +716,11 @@ def divisor_moment_report(x_grid=(100, 1000, 10**4, 10**5)) -> list[BoundCheckRe
     for r in MOMENT_R:
         tau = tau_r_sieve(x_max, r)
         for k in MOMENT_K:
-            powered = tau.astype(object) ** k
-            csum = np.cumsum(powered)
+            # every prefix sum is at most x_max max(tau)^k, so int64 holds it
+            need = int(tau.max()) ** k * x_max
+            require(need < 2**63, "x_max", f"the tau_{r}^{k} sums need x_max * max tau_{r}^{k} = "
+                    f"{need} below 2^63 at x_max = {x_max}")
+            csum = np.cumsum(tau**k)
             fitted = 0.0
             group = []
             for x in sorted(x_grid):

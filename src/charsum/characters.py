@@ -42,7 +42,7 @@ class _CyclicFactor:
     order: int
     generator: int  # residue mod pe
     kind: str  # "odd" | "four" | "sign" | "five"
-    dlog: np.ndarray | None  # residue mod pe -> exponent, -1 on non-units
+    dlog: np.ndarray | None  # int32, residue mod pe -> exponent, -1 on non-units
 
     def dlog_of(self, r: int) -> int:
         if self.dlog is not None:
@@ -101,8 +101,8 @@ def _power_table(g: int, count: int, modulus: int) -> np.ndarray:
 
 
 def _dlog_table_cyclic(pe: int, g: int, order: int) -> np.ndarray:
-    dl = np.full(pe, -1, dtype=np.int64)
-    dl[_power_table(g, order, pe)] = np.arange(order, dtype=np.int64)
+    dl = np.full(pe, -1, dtype=np.int32)
+    dl[_power_table(g, order, pe)] = np.arange(order, dtype=np.int32)
     return dl
 
 
@@ -111,7 +111,7 @@ def _two_part_factors(k: int) -> list[_CyclicFactor]:
     if k == 1:
         return []
     if k == 2:
-        dl = np.full(4, -1, dtype=np.int64)
+        dl = np.full(4, -1, dtype=np.int32)
         dl[1], dl[3] = 0, 1
         return [_CyclicFactor(2, 2, 4, 2, 3, "four", dl)]
     half = 1 << (k - 2)
@@ -122,9 +122,9 @@ def _two_part_factors(k: int) -> list[_CyclicFactor]:
         ]
     # the units are +-5^j: 5^j = 1 and -5^j = 3 (mod 4), so no entry is hit twice
     acc = _power_table(5, half, pe)
-    j = np.arange(half, dtype=np.int64)
-    dl_sign = np.full(pe, -1, dtype=np.int64)
-    dl_five = np.full(pe, -1, dtype=np.int64)
+    j = np.arange(half, dtype=np.int32)
+    dl_sign = np.full(pe, -1, dtype=np.int32)
+    dl_five = np.full(pe, -1, dtype=np.int32)
     dl_sign[acc], dl_five[acc] = 0, j
     dl_sign[pe - acc], dl_five[pe - acc] = 1, j
     return [
@@ -195,52 +195,56 @@ class UnitGroupBasis:
 
     # -- vectorized caches -----------------------------------------------
 
-    def exponents_at(self, residues: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Shape (t, len(residues)), written into ``out`` when given; column
-        j is the exponent vector of the non-negative int64 residues[j] (-1
-        where a component is a non-unit)."""
-        emat = np.empty((len(self.factors), len(residues)), dtype=np.int64) if out is None else out
-        for i, f in enumerate(self.factors):
-            require(
-                f.dlog is not None,
-                "modulus",
-                f"component {f.pe} exceeds the discrete-log table limit "
-                f"({DLOG_TABLE_LIMIT}); only scalar evaluation is available",
-            )
-            emat[i] = f.dlog[residues % f.pe]
+    def _log_rows(self, residues: np.ndarray | None = None):
+        """Component by component, the int32 discrete logs (-1 on non-units)
+        of the non-negative int64 ``residues``, or of every residue 0..D-1
+        when None: there component j's table is tiled D / pe_j times, and no
+        residue is reduced or gathered."""
+        D = self.modulus.value
+        for f in self.factors:
+            require(f.dlog is not None, "modulus", f"component {f.pe} exceeds the discrete-log table "
+                    f"limit ({DLOG_TABLE_LIMIT}); only scalar evaluation is available")
+            yield np.tile(f.dlog, D // f.pe) if residues is None else f.dlog[residues % f.pe]
+
+    def exponents_at(self, residues: np.ndarray | None = None) -> np.ndarray:
+        """Shape (t, n), int64; column j is the exponent vector of the
+        non-negative int64 residues[j] (-1 where a component is a non-unit),
+        or of j itself when ``residues`` is None (n = D)."""
+        n = self.modulus.value if residues is None else len(residues)
+        # allocated before its rows are made: the other order left a hole
+        # under the cached exponent matrix that raised the peak RSS of the
+        # bench tsum plan by 5 MB (ru_maxrss, 77.2 -> 82.5 MB)
+        emat = np.empty((len(self.factors), n), dtype=np.int64)
+        for row, logs in zip(emat, self._log_rows(residues)):
+            row[:] = logs
         return emat
 
     def exponent_matrix(self) -> np.ndarray:
         """Shape (t, D); column u is the exponent vector of u (-1 on non-units).
         Cached for the value tables, which read every column of it."""
         if self._emat is None:
-            # allocated before the residues it is filled from: the other order
-            # left a hole under the cached matrix that raised the peak RSS of
-            # the bench tsum plan by 5 MB (ru_maxrss, 77.2 -> 82.5 MB)
-            D = self.modulus.value
-            out = np.empty((len(self.factors), D), dtype=np.int64)
-            self._emat = self.exponents_at(np.arange(D, dtype=np.int64), out)
+            self._emat = self.exponents_at()
         return self._emat
 
-    def units_at(self, residues: np.ndarray, emat: np.ndarray) -> np.ndarray:
-        """Which of the non-negative int64 ``residues`` are units, given
-        their exponent matrix ``emat`` (``exponents_at``): those where every
-        component has a discrete log and, when 2 || D, which are odd, since
-        then the 2-part contributes no cyclic factor.  The one rule for
-        unit-ness, read by ``unit_mask``, ``unit_flat_index`` and
+    def units_at(self, residues: np.ndarray | None, rows) -> np.ndarray:
+        """Which of the non-negative int64 ``residues`` (every residue
+        0..D-1 when None) are units, given their discrete-log rows ``rows``
+        (``exponents_at`` or ``_log_rows``): those where every component
+        has a discrete log and, when 2 || D, which are odd, since then the
+        2-part contributes no cyclic factor.  The one rule for unit-ness,
+        read by ``unit_mask``, ``unit_flat_index`` and
         ``DirichletCharacter.values_at``."""
-        units = np.ones(len(residues), dtype=bool)
-        for row in emat:
+        units = np.ones(self.modulus.value if residues is None else len(residues), dtype=bool)
+        for row in rows:
             units &= row >= 0
-        if self.modulus.value % 4 == 2:
-            units &= (residues & 1).astype(bool)
+        if self.modulus.value % 4 == 2:  # the even residues: every other one of 0..D-1
+            units[np.s_[::2] if residues is None else (residues & 1) == 0] = False
         return units
 
     def unit_mask(self) -> np.ndarray:
         """``units_at`` every residue, cached beside the exponent matrix."""
         if self._unit_mask is None:
-            D = self.modulus.value
-            self._unit_mask = self.units_at(np.arange(D, dtype=np.int64), self.exponent_matrix())
+            self._unit_mask = self.units_at(None, self.exponent_matrix())
         return self._unit_mask
 
     def transform_plan(self) -> "TransformPlan":
@@ -250,19 +254,17 @@ class UnitGroupBasis:
         return self._plan
 
     def unit_flat_index(self) -> np.ndarray:
-        """Residue -> flat index into the ``transform_plan()`` lattice (-1 on
-        non-units)."""
+        """Residue -> int32 flat index into the ``transform_plan()`` lattice
+        (-1 on non-units); every entry is below phi."""
         if self._flat_index is None:
             # not through the cached exponent_matrix: the transform alone
-            # needs no table, so its moduli keep no t x D matrix
-            residues = np.arange(self.modulus.value, dtype=np.int64)
-            emat = self.exponents_at(residues)
-            # a non-unit's column may hold -1s; the mask overwrites it
-            flat = np.zeros(len(residues), dtype=np.int64)
-            for d, axes in zip(emat, self.transform_plan().axes):
+            # needs no table, so its moduli keep no t x D matrix.  A
+            # non-unit's logs may hold -1s; the mask overwrites its entry.
+            flat = np.zeros(self.modulus.value, dtype=np.int32)
+            for logs, axes in zip(self._log_rows(), self.transform_plan().axes):
                 for length, stride in axes:
-                    flat += d % length * stride
-            flat[~self.units_at(residues, emat)] = -1
+                    flat += logs % length * stride
+            flat[~self.units_at(None, self._log_rows())] = -1
             self._flat_index = flat
         return self._flat_index
 
@@ -605,7 +607,7 @@ def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights: n
     plan = basis.transform_plan()
     idx = basis.unit_flat_index()[residues % basis.modulus.value]
     keep = idx >= 0
-    idx += basis.phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice
+    idx = idx + basis.phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice, in int64
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), idx.shape)
     lattice = np.bincount(idx[keep], weights=w[keep], minlength=rows * basis.phi)
     # the spectrum stays alive through the gather: freeing it first read

@@ -116,6 +116,16 @@ def test_divisor_moment_report_fitted_constant(monkeypatch):
     assert summary.lhs == pytest.approx(max(r.ratio for r in recs[:-1]), rel=1e-12)
 
 
+def test_divisor_moment_report_refuses_int64_overflow(monkeypatch):
+    """The tau^k prefix sums are taken in int64, so x_max * max tau^k >=
+    2^63 is refused, naming x_max, before that power is taken."""
+    tau = np.full(101, 2**29, dtype=np.int64)
+    tau[0] = 0
+    monkeypatch.setattr(bounds, "tau_r_sieve", lambda x, r: tau)
+    with pytest.raises(PreconditionError, match="'x_max'"):
+        divisor_moment_report(x_grid=(100,))  # k = 1 fits, k = 2 needs 2^58 * 100
+
+
 def test_smooth_bound_check_window_and_monotonicity():
     rec = smooth_bound_check(10**4, 10, 1)
     assert rec.mode == MONITOR and math.isfinite(rec.ratio)
@@ -351,6 +361,26 @@ def test_theorem_report_builds_no_value_table(monkeypatch):
     monkeypatch.setattr(characters.DirichletCharacter, "value_table", no_table)
     monkeypatch.setattr(characters, "_value_tables", no_table)
     assert len(theorem_report([12600, 10007], seed=1)) == 2
+
+
+def test_theorem_report_keeps_no_basis():
+    """report theorem builds each modulus's basis itself and drops it with
+    the record: the basis cache does not grow, and once numpy.fft is
+    imported (by a first report) and the Lambda arrays are cached, what
+    tracemalloc still holds after the report at D = 99991 stays under 64
+    KiB (the flat index alone takes 400 KB)."""
+    D = 99991
+    theorem_report([1009])
+    sums._mangoldt_arrays(math.ceil(D ** (5 / 6 + 0.05)))
+    characters._cached_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        theorem_report([D])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert characters._cached_basis.cache_info().currsize == 0
+    assert held < 64 * 2**10
 
 
 def test_theorem_report_bytes_do_not_depend_on_batch(monkeypatch):

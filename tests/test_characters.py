@@ -446,6 +446,40 @@ def test_vectorized_basis_matches_loop_oracles(D):
         assert np.array_equal(basis.factors[1].dlog, five)
 
 
+# the moduli of the bench theorem plan
+BENCH_THEOREM_MODULI = (10007, 49999, 99991, 163841, 30030, 46189, 111111, 19683,
+                        78125, 117649, 100489, 16384, 131072, 12600, 55440, 180000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 5000), st.sampled_from([2**k for k in range(1, 18)]),
+                 st.integers(0, 2500).map(lambda m: 2 * (2 * m + 1)),
+                 st.integers(0, 1250).map(lambda m: 4 * (2 * m + 1)),
+                 st.sampled_from(BENCH_THEOREM_MODULI)))
+@example(1)
+@example(2)
+@example(180000)
+def test_tiled_residue_tables_match_residue_wise_construction(D):
+    """unit_flat_index, exponent_matrix and unit_mask, which tile each
+    component's discrete-log table over 0..D-1, equal the residue-wise
+    construction from exponents_at and units_at at every residue; the unit
+    mask is gcd(u, D) = 1, and the index arrays are int32."""
+    basis = UnitGroupBasis(factor(D))
+    residues = np.arange(D, dtype=np.int64)
+    emat = basis.exponents_at(residues)
+    units = basis.units_at(residues, emat)
+    assert np.array_equal(units, np.gcd(residues, D) == 1)
+    plan = basis.transform_plan()
+    coords = [e % length for e, axes in zip(emat, plan.axes) for length, _ in axes]
+    want = np.ravel_multi_index(coords, plan.shape) if coords else np.zeros(D, dtype=np.int64)
+    want[~units] = -1
+    flat = basis.unit_flat_index()
+    assert flat.dtype == np.int32 and np.array_equal(flat, want)
+    assert all(f.dlog.dtype == np.int32 for f in basis.factors)
+    assert basis.exponent_matrix().dtype == np.int64 and np.array_equal(basis.exponent_matrix(), emat)
+    assert np.array_equal(basis.unit_mask(), units)
+
+
 def test_vectorized_basis_at_the_table_limit():
     """Pinned cases at the largest tables: pe = 999983 just below
     DLOG_TABLE_LIMIT, and 2^19."""

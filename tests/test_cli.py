@@ -261,6 +261,8 @@ def _raise(exc):
     (["report", "constants", "--q-max", "2"], 2, "'q_max'"),
     # 19 * 18^400 > 2^1023 at the largest prime, Z = 18: moments beyond float64
     (["report", "burgess", "--q-max", "20", "--r", "200"], 2, "'r'"),
+    (["verify", "identities", "--hb-cases", "-1"], 2, "'hb_cases'"),
+    (["verify", "identities", "--recombination-cases", "-1"], 2, "'recombination_cases'"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
