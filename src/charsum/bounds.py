@@ -28,6 +28,7 @@ from .characters import (
 )
 from .integers import (
     MANGOLDT_CAP_BITS,
+    coprime_count,
     divisor_count_sieve,
     divisors,
     euler_phi,
@@ -39,7 +40,6 @@ from .integers import (
     tau_r_sieve,
 )
 from .sums import (
-    DEFAULT_WORK_BUDGET,
     CongruenceInstance,
     _mangoldt_arrays,
     _prime_power_bound,
@@ -55,10 +55,11 @@ from .sums import (
     shifted_prime_sum,
     short_sum,
     sy_sum,
+    validate_census_preconditions,
 )
 from .util import (
     SplitMix64,
-    WorkBudgetError,
+    check_work,
     map_blocks,
     require,
 )
@@ -295,10 +296,10 @@ def census_records(inst: CongruenceInstance, delta: float = 1e-4, tau_max=None) 
         worst = max(worst, quotient)
         if num > den:
             ok = False
-    params = inst.to_json_dict() | {"tau_max": tau_max, "worst_bound": worst}
+    params = vars(inst) | {"tau_max": tau_max, "worst_bound": worst}
     assert_rec = make_record("CONGRUENCE_CENSUS", params, worst, 1.0, ASSERT, passed=ok)
     monitor_rec = make_record(
-        "CONGRUENCE_K", inst.to_json_dict() | {"delta": delta},
+        "CONGRUENCE_K", vars(inst) | {"delta": delta},
         inst.K, lemma8_rhs(inst, delta), MONITOR,
     )
     return [assert_rec, monitor_rec]
@@ -341,10 +342,16 @@ def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
                   delta=1e-4) -> list[BoundCheckRecord]:
     """Census sub-bound assertions over explicit or seeded instances.
 
-    Every census runs (and checks its preconditions and budget) before the
-    one tau sieve that serves the whole batch."""
+    Before the first census, every instance's preconditions and one work
+    estimate of the batch are checked: N*Y_q per census (the y counted, not
+    listed) plus the max N*Y entries of the one tau sieve for the batch."""
     if instances is None:
         instances = random_census_instances(random_count, seed, q_max)
+    for inst in instances:
+        validate_census_preconditions(*inst)
+    check_work(sum(N * coprime_count(Y, q) for q, _, _, _, _, N, Y in instances)
+               + max((N * Y for *_, N, Y in instances), default=0),
+               f"verify lemma8 over {len(instances)} instances (N*Y_q pairs and the tau sieve)")
     timed = [
         _timed(congruence_census, q, d, eta, k, M, N, Y)
         for (q, d, eta, k, M, N, Y) in instances
@@ -374,11 +381,8 @@ def hb_identity_records(cases: int = 50, seed: int = 0) -> list[BoundCheckRecord
         twist = rng.below(2) == 1
         params = {"case": i, "x": x, "u1": u1, "r": r}
         if twist:
-            while True:
-                D = rng.randint(3, CASE_D_MAX)
-                basis = unit_group_basis(D)
-                if basis.phi > 1:
-                    break
+            D = rng.randint(3, CASE_D_MAX)
+            basis = unit_group_basis(D)
             chi = character_at(basis, 1 + rng.below(basis.phi - 1))
             chi_q = induce_primitive(chi)
             l = 1 + rng.below(D)
@@ -460,8 +464,6 @@ def recombination_records(cases: int = 20, seed: int = 0) -> list[BoundCheckReco
     while done < cases:
         D = rng.randint(6, CASE_D_MAX)
         basis = unit_group_basis(D)
-        if basis.phi <= 1:
-            continue
         chi = character_at(basis, 1 + rng.below(basis.phi - 1))
         l = 1 + rng.below(D)
         if math.gcd(l, D) != 1:
@@ -485,21 +487,21 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
                       seed: int = 0) -> list[BoundCheckRecord]:
     """The full ASSERT suite: decomposition identity, orthogonality, Gauss
     moduli, coprime-count deviation, divisor recombination.  A size that
-    would leave an ASSERT record with no case to check, or a negative case
-    count, is rejected before any work."""
+    would leave an ASSERT record with no case to check, a negative case
+    count, or tables or a coprime sweep over the work budget is rejected
+    before any work."""
     for name, value in (("max_D", max_D), ("gauss_max_q", gauss_max_q), ("coprime_max", coprime_max)):
         require(value >= 1, name, f"need {name} >= 1, so that its ASSERT checks at least one case, got {value}")
     for name, value in (("hb_cases", hb_cases), ("recombination_cases", recombination_cases)):
         require(value >= 0, name, f"need {name} >= 0, got {value}")
     # character_table_records builds phi(D) x D table entries for every D up
-    # to the larger of the two; the sum grows as D^3, so it stops early
+    # to the larger of the two; the sum grows as D^3, so it is checked per D
     name, top = ("max_D", max_D) if max_D >= gauss_max_q else ("gauss_max_q", gauss_max_q)
     entries = 0
     for D in range(1, top + 1):
         entries += euler_phi(factor(D)) * D
-        if entries > DEFAULT_WORK_BUDGET:
-            raise WorkBudgetError(f"{name} = {top} needs character tables of more than "
-                                  f"{entries} entries (D <= {D}), over the budget of {DEFAULT_WORK_BUDGET}")
+        check_work(entries, f"{name} = {top} needs character tables; building those of D <= {D}")
+    check_work(coprime_max**2, f"the coprime-count sweep of coprime_max = {coprime_max} over (q, U) pairs")
     records = []
     records.extend(hb_identity_records(hb_cases, seed))
     records.extend(character_table_records(max_D, gauss_max_q))
@@ -592,38 +594,38 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded, each certified
     this way.  Moduli where no character passes the filter are skipped and
-    logged.
+    logged.  Every modulus is checked (D >= 3, epsilon, x >= 2 and the work
+    budget) before the first one is computed.
     """
-
-    def one(D: int) -> BoundCheckRecord | None:
+    exponent = 5.0 / 6.0 + epsilon
+    moduli = []
+    for D in D_list:
         require(D >= 3, "D", "need D >= 3")
-        t0 = time.perf_counter_ns()
-        exponent = 5.0 / 6.0 + epsilon
         require(math.isfinite(epsilon) and exponent * math.log2(D) < MANGOLDT_CAP_BITS, "epsilon",
                 f"need a finite epsilon with x = D^(5/6 + epsilon) below 2^{MANGOLDT_CAP_BITS}, "
                 f"the Lambda sieve's cap; got epsilon={epsilon} at D={D}")
         x = math.ceil(D**exponent)
         require(x >= 2, "epsilon", f"need x = D^(5/6 + epsilon) >= 2 for a Lambda sum, "
                 f"got x = {x} at D={D}, epsilon={epsilon}")
+        f = factor(D)
+        phi = euler_phi(f)
+        shifts = min(phi, 64)  # each a Lambda gather and a transform over phi
+        check_work(shifts * (_prime_power_bound(x) + phi * int(math.log2(phi))),
+                   f"report theorem at D = {D} ({shifts} shifts over phi = {phi} characters)")
+        moduli.append((D, f, x))
+
+    def one(modulus) -> BoundCheckRecord | None:
+        D, f, x = modulus
+        t0 = time.perf_counter_ns()
         # not the cached unit_group_basis: each modulus is visited once, so
         # its tables go when its record is made
-        basis = UnitGroupBasis(factor(D))
+        basis = UnitGroupBasis(f)
         phi = basis.phi
-        if phi <= 1:
-            log.warning("theorem_report: D=%d has no non-principal characters, skipped", D)
-            return None
         if phi <= 64:
             ls = [l for l in range(1, D) if math.gcd(l, D) == 1]
         else:
             rng = SplitMix64(SplitMix64(seed ^ D).next_u64())
             ls = rng.distinct(1, D - 1, 64, accept=lambda v: math.gcd(v, D) == 1)
-        # before the conductor grid (8 phi bytes), the Lambda sieve and the
-        # transform plan are built
-        work = len(ls) * (_prime_power_bound(x) + phi * max(1, int(math.log2(max(phi, 2)))))
-        if work > DEFAULT_WORK_BUDGET:
-            raise WorkBudgetError(f"report theorem at D = {D} needs about {work} operations "
-                                  f"({len(ls)} shifts over phi = {phi} characters), "
-                                  f"more than the budget of {DEFAULT_WORK_BUDGET}")
         threshold = math.exp(math.sqrt(2.0 * math.log(D)))
         cond = basis.conductor_grid()
         pass_filter = cond.reshape(-1) > threshold
@@ -680,7 +682,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms,
         )
 
-    results = map_blocks(one, list(D_list))
+    results = map_blocks(one, moduli)
     return [r for r in results if r is not None]
 
 
@@ -692,9 +694,8 @@ def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-
     primes = [int(p) for p in primes_up_to(q_max) if p >= 3]
     _require_finite_moments(primes[-1], min(Z, primes[-1] - 1), r)
     entries = sum((q - 1) * q for q in primes)
-    if entries > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError(f"q_max = {q_max} needs {entries} lattice entries of the unit-group transform "
-                              f"(phi(q) x q over the primes q), over the budget of {DEFAULT_WORK_BUDGET}")
+    check_work(entries, f"q_max = {q_max} needs {entries} lattice entries of the unit-group transform "
+               "(phi(q) x q over the primes q); transforming them")
     records = [burgess_check_2r(q, min(Z, q - 1), r, delta) for q in primes]
     worst = max(rec.ratio for rec in records)
     records.append(

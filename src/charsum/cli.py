@@ -18,8 +18,8 @@ import os
 import sys
 
 from . import bounds, reports
-from .characters import character_at, conductor, enumerate_characters, unit_group_basis
-from .integers import factor
+from .characters import DirichletCharacter, character_at, conductor, enumerate_characters, unit_group_basis
+from .integers import euler_phi, factor
 from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
 from .util import PreconditionError, WorkBudgetError, require
 
@@ -159,13 +159,13 @@ def _emit(records, args, header: dict) -> int:
 
 def _characters(D: int, chi_index, L: int, x: int):
     """(index, character) pairs mod D: the one at ``chi_index``, or else, once
-    their Lambda sums mod L up to x fit the work budget, every non-principal
-    one, lazily."""
-    basis = unit_group_basis(D)
+    their Lambda sums mod L up to x fit the work budget (checked before the
+    basis is built), every non-principal one, lazily."""
+    f = factor(D)
     if chi_index is not None:
-        return [(chi_index, character_at(basis, chi_index))]
-    check_lambda_work(L, x, basis.phi - 1)
-    return ((i, c) for i, c in enumerate(enumerate_characters(basis)) if not c.is_principal)
+        return [(chi_index, character_at(unit_group_basis(f), chi_index))]
+    check_lambda_work(L, x, euler_phi(f) - 1)
+    return ((i, c) for i, c in enumerate(enumerate_characters(unit_group_basis(f))) if not c.is_principal)
 
 
 def _cmd_factor(args) -> int:
@@ -176,8 +176,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_chars(args) -> int:
+    basis = unit_group_basis(args.D)
     if args.subcommand == "list":
-        basis = unit_group_basis(args.D)
         for i, chi in enumerate(enumerate_characters(basis)):
             blob = chi.to_json_dict() | {
                 "index": i,
@@ -186,9 +186,6 @@ def _cmd_chars(args) -> int:
             }
             print(json.dumps(blob, sort_keys=True))
         return 0
-    basis = unit_group_basis(args.D)
-    from .characters import DirichletCharacter
-
     chi = DirichletCharacter(basis, tuple(args.exponents))
     print(conductor(chi).value)
     return 0

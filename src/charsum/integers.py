@@ -186,6 +186,15 @@ def tau_r(n: int, r: int) -> int:
     return out
 
 
+def coprime_count(n: int, f) -> int:
+    """#{1 <= y <= n : gcd(y, m) = 1} for m given by f, without listing the
+    y: the sum of mu(d) floor(n / d) over the squarefree divisors d of m."""
+    terms = [(1, 1)]
+    for p in as_factored(f).primes:
+        terms += [(d * p, -mu) for d, mu in terms]
+    return sum(mu * (n // d) for d, mu in terms)
+
+
 def divisors(f) -> list[int]:
     """All divisors, ascending (mixed-radix expansion over the exponents)."""
     divs = [1]

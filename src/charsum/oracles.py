@@ -16,8 +16,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, UnitGroupBasis
 from .integers import euler_phi, factor
-from .sums import DEFAULT_WORK_BUDGET
-from .util import WorkBudgetError
+from .util import check_work
 
 
 def character_value(phase) -> complex:
@@ -118,8 +117,7 @@ def congruence_census_oracle(q, d, eta, k, M, N, Y):
     re-counts K as an internal consistency check."""
     ys = [y for y in range(1, Y + 1) if math.gcd(y, q) == 1]
     n_range = range(M + 1, M + N + 1)
-    if (len(ys) * N) ** 2 > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError("quadruple loop exceeds budget")
+    check_work((len(ys) * N) ** 2, "the census oracle's quadruple loop")
     qd = q // d
     shift = eta * k
     K = diagonal = kappa1 = kappa2 = kappa3 = 0

@@ -26,6 +26,7 @@ import numpy as np
 from .characters import DirichletCharacter, induce_primitive
 from .integers import (
     as_factored,
+    coprime_count,
     dirichlet_convolve,
     divisors,
     euler_phi,
@@ -40,14 +41,13 @@ from .util import (
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
+    check_work,
     complex_fsum,
     exact_sum,
     fixed_point,
     physical_memory,
     require,
 )
-
-DEFAULT_WORK_BUDGET = 10**9
 
 # indices per block of generated terms: bounds the temporaries of one block
 BLOCK = 1 << 14
@@ -309,16 +309,11 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
 def check_lambda_work(L: int, x: int, characters: int) -> None:
     """WorkBudgetError, before anything is sieved, when the Lambda arrays up
     to x could outgrow physical memory, or when ``characters`` sums mod L up
-    to x exceed DEFAULT_WORK_BUDGET: one binning pass over the prime powers,
-    then per character L weights and 16 products per row over
-    min(L, pi*(x)) rows."""
-    if x >= 2:
-        _check_lambda_memory(x)
+    to x exceed the work budget: one binning pass over the prime powers, then
+    per character L weights and 16 products per row over min(L, pi*(x)) rows."""
+    _check_lambda_memory(x)
     rows = _prime_power_bound(x)
-    work = rows + characters * (L + 16 * min(L, rows))
-    if work > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError(f"{characters} characters mod {L} up to x = {x} need about "
-                              f"{work} operations, more than the budget of {DEFAULT_WORK_BUDGET}")
+    check_work(rows + characters * (L + 16 * min(L, rows)), f"summing {characters} characters mod {L} up to x = {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +535,6 @@ class CongruenceInstance:
     def kappa_total(self) -> int:
         return self.kappa1 + self.kappa2 + self.kappa3
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q, "d": self.d, "eta": self.eta, "k": self.k,
-            "M": self.M, "N": self.N, "Y": self.Y,
-            "K": self.K, "diagonal": self.diagonal,
-            "kappa1": self.kappa1, "kappa2": self.kappa2, "kappa3": self.kappa3,
-            "rho": self.rho,
-        }
-
 
 def validate_census_preconditions(q, d, eta, k, M, N, Y):
     require(q >= 2, "q", "need q >= 2")
@@ -583,9 +569,8 @@ def congruence_census(q, d, eta, k, M, N, Y) -> CongruenceInstance:
     diagonal consists exactly of the identity pairs.
     """
     validate_census_preconditions(q, d, eta, k, M, N, Y)
+    check_work(N * coprime_count(Y, q), f"the census at q = {q}, N = {N}, Y = {Y} (N*Y_q pairs)")
     ys = [y for y in range(1, Y + 1) if math.gcd(y, q) == 1]
-    if N * len(ys) > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError(f"N*Y_q = {N * len(ys)} exceeds budget {DEFAULT_WORK_BUDGET}")
     groups: dict[int, list[tuple[int, int]]] = {}
     shift = eta * k
     for n in range(M + 1, M + N + 1):

@@ -1,6 +1,6 @@
-"""Shared plumbing: named preconditions, a deterministic RNG, exactly rounded
-summation and the thread pool that ``bounds.theorem_report`` runs its moduli
-on.
+"""Shared plumbing: named preconditions, the work budget, a deterministic
+RNG, exactly rounded summation and the thread pool that
+``bounds.theorem_report`` runs its moduli on.
 
 Summation policy: every sum that feeds an equality check goes through one
 exact reduction in integers: the character sums through the exact dot
@@ -26,6 +26,8 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
+DEFAULT_WORK_BUDGET = 10**9  # operations per command; read only by check_work
+
 
 class PreconditionError(ValueError):
     """A named precondition was violated; ``name`` identifies which one."""
@@ -42,6 +44,13 @@ class WorkBudgetError(RuntimeError):
 def require(condition, name: str, message: str) -> None:
     if not condition:
         raise PreconditionError(name, message)
+
+
+def check_work(work: int, what: str) -> None:
+    """WorkBudgetError naming ``what`` when ``work``, an entry point's estimate
+    of its operations made before it builds anything, exceeds the budget."""
+    if work > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetError(f"{what} needs {work} operations, more than the budget of {DEFAULT_WORK_BUDGET}")
 
 
 class SplitMix64:

@@ -44,7 +44,7 @@ from charsum.characters import (
 from charsum.integers import divisor_count_sieve, divisors, factor, mobius, tau_r
 from charsum.reports import render_records
 from charsum.sums import burgess_moment_2r, congruence_census, shifted_prime_sum
-from charsum.util import PreconditionError, SplitMix64
+from charsum.util import PreconditionError, SplitMix64, WorkBudgetError
 
 
 def test_theorem_rhs_closed_form_and_monotonicity():
@@ -234,6 +234,24 @@ def test_lemma8_rejects_bad_instance_before_any_tau_sieve(monkeypatch):
     assert calls == []
     lemma8_verify([big])
     assert calls == [300 * 150 - 1]
+
+
+def test_lemma8_checks_the_batch_work_before_any_census(monkeypatch):
+    """N*Y_q = 2e9 pairs at q = 10000000019, Y = 10^7: the batch estimate
+    counts its y without listing them and refuses before the first census."""
+    calls = []
+    monkeypatch.setattr(bounds, "congruence_census", lambda *a: calls.append(a))
+    small, huge = (101, 1, 3, 5, 7, 5, 9), (10000000019, 1, 1, 1, 0, 200, 10**7)
+    factor(huge[0])  # the small-prime table is built once per process
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkBudgetError, match="verify lemma8 over 2 instances"):
+            lemma8_verify([small, huge])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 2**20
 
 
 def test_random_census_instances_satisfy_preconditions():

@@ -263,6 +263,11 @@ def _raise(exc):
     (["report", "burgess", "--q-max", "20", "--r", "200"], 2, "'r'"),
     (["verify", "identities", "--hb-cases", "-1"], 2, "'hb_cases'"),
     (["verify", "identities", "--recombination-cases", "-1"], 2, "'recombination_cases'"),
+    # every modulus of a D-list is checked before the first is computed
+    (["report", "theorem", "--D-list", "105,1000000007"], 2, "more than the budget of 1000000000"),
+    (["report", "theorem", "--D-list", "105,2"], 2, "'D'"),
+    # 40000^2 (q, U) pairs of the coprime sweep, checked before any record
+    (["verify", "identities", "--coprime-max", "40000"], 2, "coprime_max"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from charsum import integers, oracles
 from charsum.integers import (
     FactoredInteger,
+    coprime_count,
     dirichlet_convolve,
     divisor_count_sieve,
     divisors,
@@ -151,6 +152,12 @@ def test_divisors():
     assert divisors(factor(60)) == d60
     f = factor(2**10 * 3**4)
     assert len(divisors(f)) == 11 * 5
+
+
+def test_coprime_count_matches_listing():
+    for m in [1, 2, 12, 30, 97, 2**5 * 3**2, 30030]:
+        for n in range(0, 200):
+            assert coprime_count(n, factor(m)) == sum(math.gcd(y, m) == 1 for y in range(1, n + 1))
 
 
 def test_mobius_divisor_sum_is_unit_indicator():

@@ -835,8 +835,9 @@ def test_census_preconditions_named():
 
 
 def test_census_beyond_work_budget(monkeypatch):
-    monkeypatch.setattr(sums, "DEFAULT_WORK_BUDGET", 10)
-    with pytest.raises(WorkBudgetError, match=r"N\*Y_q = 45 exceeds budget 10"):
+    monkeypatch.setattr(util, "DEFAULT_WORK_BUDGET", 10)
+    with pytest.raises(WorkBudgetError, match=r"census at q = 101, N = 5, Y = 9 \(N\*Y_q pairs\) "
+                       r"needs 45 operations, more than the budget of 10"):
         congruence_census(101, 1, 3, 5, 7, 5, 9)
 
 

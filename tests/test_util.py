@@ -2,7 +2,7 @@
 range, subnormals, cancellation, zeros, specials, overflow), for
 ``exact_sum`` and ``complex_fsum`` alike; invariance under term order and
 under how the blocks cut the terms; ``fixed_point`` itself; both paths of
-the one-shot helpers; map_blocks and SplitMix64.distinct."""
+the one-shot helpers; map_blocks, SplitMix64.distinct and check_work."""
 
 import math
 import sys
@@ -18,6 +18,8 @@ from charsum import util
 from charsum.util import (
     PreconditionError,
     SplitMix64,
+    WorkBudgetError,
+    check_work,
     complex_fsum,
     exact_sum,
     fixed_point,
@@ -264,3 +266,11 @@ def test_distinct_exhausted_range_raises():
     with pytest.raises(PreconditionError):
         SplitMix64(3).distinct(1, 10, 6, accept=lambda v: v % 2 == 0)
     assert SplitMix64(3).distinct(1, 10, 0) == []
+
+
+def test_check_work_refuses_only_above_the_budget():
+    budget = util.DEFAULT_WORK_BUDGET
+    check_work(budget, "a sweep")
+    with pytest.raises(WorkBudgetError) as exc:
+        check_work(budget + 1, "a sweep of q_max = 7")
+    assert str(exc.value) == f"a sweep of q_max = 7 needs {budget + 1} operations, more than the budget of {budget}"
