@@ -38,6 +38,7 @@ from .integers import (
     primes_up_to,
     smooth_count,
     tau_r_sieve,
+    trial_divisions,
 )
 from .sums import (
     CongruenceInstance,
@@ -882,16 +883,12 @@ def constants_report(q_max: int = 1000) -> list[BoundCheckRecord]:
     least upper and greatest lower constant for phi(q) ln ln q / 2q).
     """
     require(q_max >= 3, "q_max", f"need q_max >= 3, the first modulus of the grid, got {q_max}")
-    worst_omega = 0.0
-    worst_omega_q = 3
-    max_phi = 0.0
-    min_phi = math.inf
+    check_work(q_max * trial_divisions(q_max), f"factoring every q <= q_max = {q_max}")
+    worst_omega, worst_omega_q, max_phi, min_phi = 0.0, 3, 0.0, math.inf
     for q in range(3, q_max + 1):
         f = factor(q)
         lq = math.log(q)
-        llq = math.log(lq)
-        if llq <= 0:
-            continue
+        llq = math.log(lq)  # > 0 from q = 3 on
         c_om = omega(f) * llq / lq
         if c_om > worst_omega:
             worst_omega, worst_omega_q = c_om, q

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .integers import FactoredInteger, as_factored, factor
-from .util import _lane_sums, require
+from .util import exact_dot, require, weight_one
 
 
 # components up to this size get a full lookup table; beyond it the scalar
@@ -360,10 +360,6 @@ class DirichletCharacter:
         vec = np.array([self.exponents], dtype=np.int64)
         return _character_values(basis, vec, emat, basis.units_at(residues, emat))[0]
 
-    def conjugate(self) -> "DirichletCharacter":
-        exps = tuple((-a) % m for a, m in zip(self.exponents, self.basis.orders))
-        return DirichletCharacter(self.basis, exps)
-
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "exponents": list(self.exponents)}
 
@@ -382,9 +378,9 @@ class DirichletCharacter:
 
 
 def enumerate_characters(basis: UnitGroupBasis):
-    """All phi(D) characters, lexicographic over exponent vectors, principal first."""
-    for exps in itertools.product(*(range(m) for m in basis.orders)):
-        yield DirichletCharacter(basis, exps)
+    """All phi(D) characters, lexicographic over exponent vectors, principal
+    first, decoded one at a time: nothing of size phi is built."""
+    return (character_at(basis, i) for i in range(basis.phi))
 
 
 def character_at(basis: UnitGroupBasis, index: int) -> DirichletCharacter:
@@ -446,13 +442,15 @@ def gauss_sums(basis: UnitGroupBasis, tables: np.ndarray, rows) -> list[complex]
     (indices or a mask) of ``tables``, the value tables of every character
     mod q in enumeration order (``all_character_tables(basis)``); each must
     be primitive.  Both parts of each tau are exactly rounded: one
-    ``_lane_sums`` reduces the real and the imaginary parts of the products
-    as stacked lanes."""
+    ``exact_dot`` of weight 1 (else ``math.fsum``) reduces the real and the
+    imaginary parts of the products as stacked lanes."""
     q = basis.modulus.value
     require(bool((basis.conductor_grid().reshape(-1)[rows] == q).all()), "chi",
             "gauss_sums needs primitive characters")
     products = tables[rows] * roots_of_unity(np.arange(q), q)
-    sums = _lane_sums(np.concatenate((products.real, products.imag)))
+    lanes = np.concatenate((products.real, products.imag))
+    got = exact_dot(range(q), weight_one, lambda i: lanes[:, i.start : i.stop])
+    sums = [math.fsum(lane) for lane in lanes.tolist()] if got is None else got[0]
     return [complex(re, im) for re, im in zip(sums[: len(products)], sums[len(products) :])]
 
 

@@ -21,7 +21,7 @@ from . import bounds, reports
 from .characters import DirichletCharacter, character_at, conductor, enumerate_characters, unit_group_basis
 from .integers import euler_phi, factor
 from .sums import check_lambda_work, restricted_sum, shifted_prime_sum
-from .util import PreconditionError, WorkBudgetError, require
+from .util import PreconditionError, WorkBudgetError, check_work, require
 
 log = logging.getLogger("charsum")
 
@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = top.add_parser("report", help="MONITOR ratio reports")
     report_sub = p_report.add_subparsers(dest="subcommand", required=True)
     p_th = report_sub.add_parser("theorem", help="main-sum ratios per modulus")
-    p_th.add_argument("--D-list", type=_int_list, help="comma-separated moduli")
-    p_th.add_argument("--D", type=int, default=None, help="single modulus")
+    p_th.add_argument("--D-list", type=_int_list, required=True, help="comma-separated moduli")
     p_th.add_argument("--eps", type=float, default=0.05)
     _add_output_options(p_th, seed=True)
     p_bu = report_sub.add_parser("burgess", help="window-moment ratios over primes")
@@ -176,9 +175,10 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_chars(args) -> int:
-    basis = unit_group_basis(args.D)
     if args.subcommand == "list":
-        for i, chi in enumerate(enumerate_characters(basis)):
+        f = factor(args.D)
+        check_work(euler_phi(f), f"listing the characters mod {args.D}")
+        for i, chi in enumerate(enumerate_characters(unit_group_basis(f))):
             blob = chi.to_json_dict() | {
                 "index": i,
                 "conductor": conductor(chi).value,
@@ -186,7 +186,7 @@ def _cmd_chars(args) -> int:
             }
             print(json.dumps(blob, sort_keys=True))
         return 0
-    chi = DirichletCharacter(basis, tuple(args.exponents))
+    chi = DirichletCharacter(unit_group_basis(args.D), tuple(args.exponents))
     print(conductor(chi).value)
     return 0
 
@@ -262,14 +262,12 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     sub = args.subcommand
     if sub == "theorem":
-        if (args.D_list is None) == (args.D is None):
-            raise PreconditionError("D", "give exactly one of --D-list or --D")
-        d_list = [args.D] if args.D is not None else args.D_list
-        records = bounds.theorem_report(d_list, epsilon=args.eps, seed=args.seed)
+        require(args.D_list, "D_list", "need at least one modulus, got none")
+        records = bounds.theorem_report(args.D_list, epsilon=args.eps, seed=args.seed)
         if not records:
-            raise PreconditionError("D_list", f"every modulus in {d_list} was skipped, "
+            raise PreconditionError("D_list", f"every modulus in {args.D_list} was skipped, "
                                     "so the report would be empty")
-        extra = {"D_list": d_list, "eps": args.eps}
+        extra = {"D_list": args.D_list, "eps": args.eps}
     elif sub == "burgess":
         records = bounds.burgess_report(args.q_max, args.Z, args.r, args.delta)
         extra = {"q_max": args.q_max, "Z": args.Z, "r": args.r}

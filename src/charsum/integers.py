@@ -50,6 +50,12 @@ def primes_up_to(n: int) -> np.ndarray:
     return table[table <= n]
 
 
+def trial_divisions(n: int) -> int:
+    """The most trial divisions ``factor`` makes for any q <= n: one per
+    table prime up to sqrt(n), and the one that ends the loop."""
+    return primes_up_to(min(math.isqrt(n), _SMALL_PRIME_LIMIT)).size + 1
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the 64-bit range."""
     if n < 2:

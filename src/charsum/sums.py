@@ -3,8 +3,8 @@ restricted variant, short and double character sums, Burgess moments, the
 congruence-solution census and the weighted-decomposition identity.
 
 Every character sum is sum_r W_r chi(r) over exact weights W_r per residue
-class r (or per prime power), reduced by one exactly rounded dot product,
-``_exact_dot``: the correctly rounded exact sum of the products, computed
+class r (or per prime power), reduced by the one exact reduction,
+``util.exact_dot``: the correctly rounded exact sum of the products, computed
 in integers from the weights' digits and the values' fixed-point limbs.  The
 Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per (x, L), the
 window sums count their n per class, the bilinear sum adds a_m b_n per
@@ -36,15 +36,14 @@ from .integers import (
     mobius_sieve,
 )
 from .util import (
-    LIMB,
-    UNIT,
+    DIGIT,
     PreconditionError,
     SplitMix64,
     WorkBudgetError,
     check_work,
     complex_fsum,
+    exact_dot,
     exact_sum,
-    fixed_point,
     physical_memory,
     require,
 )
@@ -159,7 +158,7 @@ def mangoldt_weights(x: int) -> np.ndarray:
 
 # The cached m < 2**58 are LIMBS digits of DIGIT bits.  Sums of such digits
 # stay exact in float64 (below 2**53) over fewer than 2**33 prime powers.
-DIGIT, LIMBS = 20, 3
+LIMBS = 3
 _DIGIT_MASK = (1 << DIGIT) - 1
 # The binning weighs each prime power by the two halves of m, below and from
 # bit HALF; up to CARRY such halves sum exactly in float64 before they are
@@ -244,31 +243,11 @@ def bin_lambda(x: int, L: int) -> None:
         _residue_bins(x, L)
 
 
-def _exact_dot(digits_of, g_of, sel: np.ndarray, scale: int = 53) -> tuple[complex, float]:
-    """Correctly rounded sums over i in ``sel`` of S_i * g_i and of S_i, where
-    S_i * 2**scale = sum_k digits_of(i)[k] << (DIGIT * k), digits below
-    2**DIGIT in magnitude (scale 0 for integer weights), and g_i = g_of(i),
-    finite complex values (character values) whose parts span fewer than
-    971 binary orders in a chunk (``fixed_point``).
-
-    Per chunk of BLOCK // 8 rows ``fixed_point`` turns the parts of g into
-    integer limbs, and one int64 product, digits @ limbs, sums the products:
-    each is below 2**(DIGIT + LIMB) = 2**45, a chunk's sum below 2**56.
-    Python ints add the chunks, and one int / int division rounds the total
-    once."""
-    totals, mass, step = [0, 0], 0, max(1, BLOCK // 8)
-    for a in range(0, sel.size, step):
-        i = sel[a : a + step]
-        d = np.asarray(digits_of(i), dtype=np.int64)
-        mass += sum(int(t) << (DIGIT * k) for k, t in enumerate(d.sum(axis=1).tolist()))
-        g = g_of(i)
-        limbs, s = fixed_point(np.stack((g.real, g.imag)))
-        products = d @ limbs.reshape(-1, i.size).T  # digit k, (limb, lane)
-        for k, row in enumerate(products.tolist()):
-            for j, v in enumerate(row):
-                totals[j % 2] += v << (DIGIT * k + LIMB * (j // 2) + UNIT - s)
-    unit = 1 << (UNIT + scale)
-    return complex(totals[0] / unit, totals[1] / unit), mass / (1 << scale)
+def _character_dot(rows: np.ndarray, weights_of, values_of, scale: int = 53) -> tuple[complex, float]:
+    """``exact_dot`` with the real and imaginary parts of the character values
+    values_of(i) as lanes; never None, since those are roots of unity."""
+    (re, im), mass = exact_dot(rows, weights_of, lambda i: np.stack(((g := values_of(i)).real, g.imag)), scale)
+    return complex(re, im), mass
 
 
 def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -> SumValue:
@@ -302,7 +281,7 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
         digits_of, g_of = (lambda i: _limbs(m[i])), (lambda i: values[i])
     if inside is not None:
         keep &= inside
-    value, mass = _exact_dot(digits_of, g_of, np.flatnonzero(keep))
+    value, mass = _character_dot(np.flatnonzero(keep), digits_of, g_of)
     return SumValue(value, terms, mass)
 
 
@@ -399,8 +378,8 @@ def _periodic_sum(chi_q: DirichletCharacter, count: int, args: np.ndarray, insid
     values = chi_q.values_at(args)
     weights = np.array([[(w >> (DIGIT * k)) & _DIGIT_MASK for w in (full, full + 1)]
                         for k in range(COUNT_LIMBS)], dtype=np.int64)
-    value, mass = _exact_dot(lambda i: weights[:, (i < extra).astype(np.intp)], lambda i: values[i],
-                             np.flatnonzero(inside & (values != 0)), scale=0)
+    value, mass = _character_dot(np.flatnonzero(inside & (values != 0)),
+                                 lambda i: weights[:, (i < extra).astype(np.intp)], lambda i: values[i], scale=0)
     terms = full * int(np.count_nonzero(inside)) + int(np.count_nonzero(inside[:extra]))
     return SumValue(value, terms, mass)
 
@@ -483,8 +462,8 @@ def double_sum(
     rows = np.flatnonzero(mass)
     values = chi_q.values_at(rows)
     rows, values = rows[values != 0], values[values != 0]
-    value, _ = _exact_dot(lambda i: _limbs(weight[rows[i]].astype(np.int64)), lambda i: values[i],
-                          np.arange(rows.size), scale=0)
+    value, _ = _character_dot(np.arange(rows.size), lambda i: _limbs(weight[rows[i]].astype(np.int64)),
+                              lambda i: values[i], scale=0)
     return SumValue(value, terms, float(mass[rows].sum()))
 
 

@@ -3,17 +3,17 @@ RNG, exactly rounded summation and the thread pool that
 ``bounds.theorem_report`` runs its moduli on.
 
 Summation policy: every sum that feeds an equality check goes through one
-exact reduction in integers: the character sums through the exact dot
-product of ``sums._exact_dot``, float terms through ``exact_sum`` and
-``complex_fsum``.  ``fixed_point`` scales a block of float64 terms by a
-power of two into exact integers and splits them into int64 limbs; the
-limbs are summed (or multiplied by integer digits) in int64, the blocks are
-added in a Python integer, and one int / int division rounds the total
+exact reduction in integers, ``exact_dot``: integer weights (the character
+sums' counts and Lambda values) or weight 1 (``exact_sum``, ``complex_fsum``,
+the Gauss sums) times float64 lanes.  ``fixed_point`` scales a chunk of the
+lanes by a power of two into exact integers split into int64 limbs; one
+int64 product multiplies them by the weights' digits, the chunks are added
+in a Python integer per lane, and one int / int division rounds each total
 once.  The result is the correctly rounded sum, equal to ``math.fsum`` of
-the same terms, so it does not depend on term order; where fsum raises on
-a running sum that overflows and later terms cancel, the limbs return the
-exact sum.  When a block has a non-finite entry, or exponents that span
-more than one float64 scaling holds, ``math.fsum`` sums the terms itself.
+the same terms, whatever their order or the chunk size; where fsum raises
+on a running sum that overflows and later terms cancel, the limbs return
+the exact sum.  A chunk with a non-finite entry, or exponents that span
+more than one float64 scaling holds, falls back to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ LIMB = 25
 # most 2**UNIT (53 minus the least frexp exponent, -1073), and sums kept in
 # units of 2**-UNIT are integers
 UNIT = 1126
-# rows per fixed_point block in the one-shot sums: bounds the limb arrays
-ROWS = 1 << 16
+# exact_dot reads integer weights as DIGIT-bit digits, CHUNK rows at a time:
+# a chunk's products, each at most 2**(DIGIT + LIMB), sum below 2**63
+DIGIT, CHUNK = 20, 1 << 14
 
 
 def fixed_point(parts: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -169,30 +170,47 @@ def fixed_point(parts: np.ndarray) -> tuple[np.ndarray, int] | None:
     return limbs, s
 
 
-def _lane_sums(lanes: np.ndarray) -> list[float]:
-    """The correctly rounded sum of each row of the float64 (lanes, n)
-    array: its limbs summed in int64 per block of ROWS, the blocks in one
-    Python int per lane in units of 2**-UNIT, rounded once by int / int
-    true division.  ``math.fsum`` sums every lane when a block has no
-    ``fixed_point`` form."""
-    totals = [0] * len(lanes)
-    for a in range(0, lanes.shape[1], ROWS):
-        fixed = fixed_point(lanes[:, a : a + ROWS])
-        if fixed is None:
-            return [math.fsum(lane.tolist()) for lane in lanes]
+def exact_dot(rows, weights_of, parts_of, scale: int = 0) -> tuple[list[float], float] | None:
+    """([per lane, the correctly rounded sum over i in ``rows`` of S_i *
+    parts_of(i)[lane]], the correctly rounded sum of the S_i), or None when a
+    chunk has no ``fixed_point`` form.  weights_of(i) holds S_i * 2**scale as
+    rows of signed DIGIT-bit digits and parts_of(i) the float64 lanes of a
+    chunk i of ``rows``: an index array, or a range, whose chunks are ranges
+    to read as slices.  An empty ``rows`` still makes one empty chunk, which
+    tells the number of lanes."""
+    totals, mass = None, 0
+    for a in range(0, max(len(rows), 1), CHUNK):
+        i = rows[a : a + CHUNK]
+        d = np.ascontiguousarray(weights_of(i), dtype=np.int64)
+        if (fixed := fixed_point(np.asarray(parts_of(i), dtype=np.float64))) is None:
+            return None
         limbs, s = fixed
-        for k, sums in enumerate(limbs.sum(axis=-1).tolist()):
-            for lane, v in enumerate(sums):
-                totals[lane] += v << (LIMB * k + UNIT - s)
-    return [t / (1 << UNIT) for t in totals]
+        totals = totals or [0] * limbs.shape[1]
+        mass += sum(t << (DIGIT * k) for k, t in enumerate(d.sum(axis=1).tolist()))
+        products = np.einsum("kr,mlr->kml", d, limbs)  # digit, limb, lane
+        for k, by_limb in enumerate(products.tolist()):
+            for m, row in enumerate(by_limb):
+                shift = DIGIT * k + LIMB * m + UNIT - s
+                totals = [t + (v << shift) for t, v in zip(totals, row)]
+    unit = 1 << (UNIT + scale)
+    return [t / unit for t in totals], mass / (1 << scale)
+
+
+def weight_one(i: np.ndarray) -> np.ndarray:
+    """Weight 1 at every index of ``i``: one ``exact_dot`` digit row of ones."""
+    return np.ones((1, len(i)), dtype=np.int64)
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of real values, equal to ``math.fsum``."""
-    return _lane_sums(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
+    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    got = exact_dot(range(arr.shape[1]), weight_one, lambda i: arr[:, i.start : i.stop])
+    return math.fsum(arr[0].tolist()) if got is None else got[0][0]
 
 
 def complex_fsum(values) -> complex:
     """Exactly rounded complex sum (real and imaginary parts independently)."""
     arr = np.asarray(values, dtype=np.complex128).ravel()
-    return complex(*_lane_sums(np.stack((arr.real, arr.imag))))
+    lanes = np.stack((arr.real, arr.imag))
+    got = exact_dot(range(arr.size), weight_one, lambda i: lanes[:, i.start : i.stop])
+    return complex(*(map(math.fsum, lanes.tolist()) if got is None else got[0]))

@@ -268,6 +268,11 @@ def _raise(exc):
     (["report", "theorem", "--D-list", "105,2"], 2, "'D'"),
     # 40000^2 (q, U) pairs of the coprime sweep, checked before any record
     (["verify", "identities", "--coprime-max", "40000"], 2, "coprime_max"),
+    # phi = 10^9 + 6 characters, refused before the basis is built
+    (["chars", "list", "--D", "1000000007"], 2, "more than the budget of 1000000000"),
+    # 10^7 q times pi(3162) + 1 = 447 trial divisions each: 4.47e9
+    (["report", "constants", "--q-max", "10000000"], 2, "more than the budget of 1000000000"),
+    (["report", "theorem", "--D-list", ""], 2, "'D_list'"),
 ])
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with

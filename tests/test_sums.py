@@ -261,12 +261,13 @@ def test_conjugate_and_real_characters_are_exact(D, pick, l, x):
     basis = unit_group_basis(D)
     l = next(v for v in range(l, l + D) if math.gcd(v, D) == 1)
     chi = character_at(basis, pick % basis.phi)
-    got, bar = shifted_prime_sum(chi, l, x), shifted_prime_sum(chi.conjugate(), l, x)
+    negate = lambda e: tuple(-a % m for a, m in zip(e, basis.orders))  # noqa: E731
+    got, bar = shifted_prime_sum(chi, l, x), shifted_prime_sum(DirichletCharacter(basis, negate(chi.exponents)), l, x)
     assert bar.value == got.value.conjugate()
     assert (bar.term_count, bar.abs_term_sum) == (got.term_count, got.abs_term_sum)
     # exponent m/2 or 0 on each factor, by the bits of pick: a real character
     real = DirichletCharacter(basis, [m // 2 * (pick >> j & 1) for j, m in enumerate(basis.orders)])
-    assert real == real.conjugate()
+    assert real.exponents == negate(real.exponents)
     assert shifted_prime_sum(real, l, x).value.imag == 0.0
 
 
@@ -317,7 +318,8 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
     rng = np.random.default_rng(seed)
     table = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * (rng.random(L) < 0.8)
     with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()), \
-            mock.patch.object(sums, "BLOCK", block), mock.patch.object(sums, "CARRY", carry):
+            mock.patch.object(sums, "BLOCK", block), mock.patch.object(util, "CHUNK", block), \
+            mock.patch.object(sums, "CARRY", carry):
         for x in (x1, x2):
             n, m = sums._mangoldt_arrays(x)
             fresh = mangoldt_sieve(1, max(x, 1))
@@ -381,7 +383,7 @@ def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
     """One shifted_prime_sum at D = 99991, x = 4e6 (binned: L < pi*(x)) with
     a warm Lambda cache and value table stays below 160 bytes per residue:
     the dot product turns the values into limbs and multiplies them by the
-    digits in chunks of BLOCK // 8 rows, not all L rows at once."""
+    digits in chunks of util.CHUNK rows, not all L rows at once."""
     x = 4 * 10**6
     sums._mangoldt_arrays(x)
     chi = character_at(unit_group_basis(99991), 7)
@@ -487,54 +489,19 @@ def _bits(got) -> tuple:
     return got.value.real.hex(), got.value.imag.hex(), got.abs_term_sum.hex(), got.term_count
 
 
-def test_exact_dot_int64_headroom():
-    """A digit times a limb is below 2**45, and a chunk of BLOCK // 8 such
-    products, like a block of ROWS limbs in the one-shot sums, below 2**63."""
-    assert max((sums.BLOCK // 8) << (sums.DIGIT + util.LIMB), util.ROWS << util.LIMB) < 2**63
-
-
-# a root of unity exp(2 pi i k / E) for E up to 2**64: parts down to 2**-62
-roots = st.builds(lambda k, E: complex(math.cos(2 * math.pi * (k % E) / E), math.sin(2 * math.pi * (k % E) / E)),
-                  st.integers(0, 2**64), st.sampled_from([3, 7, 1 << 20, 10**12 + 39, 2**62, 2**64]))
-# parts from 2**-250 to 2**253 in magnitude, or 0
-moderate = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-250, 200))
-moderate_complex = st.builds(complex, moderate, moderate)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 60), st.sampled_from([0, 53]), st.sampled_from([8, 64, None]),
-       st.data())
-def test_exact_dot_equals_fraction_oracle(limbs, rows, scale, block, data):
-    """_exact_dot against Fraction: signed digits up to 2**20 - 1 in
-    magnitude, values that are roots of unity of large order or moderate
-    floats, with the chunk size set by BLOCK."""
-    digit = st.integers(-(2**sums.DIGIT) + 1, 2**sums.DIGIT - 1)
-    d = np.array(data.draw(st.lists(st.lists(digit, min_size=rows, max_size=rows),
-                                    min_size=limbs, max_size=limbs)), dtype=np.int64).reshape(limbs, rows)
-    g = np.array(data.draw(st.lists(st.one_of(roots, moderate_complex), min_size=rows, max_size=rows)),
-                 dtype=np.complex128)
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(sums, "BLOCK", block)
-        value, mass = sums._exact_dot(lambda i: d[:, i], lambda i: g[i], np.arange(rows), scale)
-    S = [sum(Fraction(int(d[k, r]) << (sums.DIGIT * k)) for k in range(limbs)) / 2**scale for r in range(rows)]
-    re = sum((S[r] * Fraction(g[r].real) for r in range(rows)), Fraction(0))
-    im = sum((S[r] * Fraction(g[r].imag) for r in range(rows)), Fraction(0))
-    assert (value.real.hex(), value.imag.hex()) == (float(re).hex(), float(im).hex())
-    assert mass.hex() == float(sum(S, Fraction(0))).hex()
-
-
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("block", [1, 17, 4096, None, 1 << 20])
 def test_evaluators_equal_fsum_reference_exactly(block, width, monkeypatch):
     """Every evaluator equals the exact-product reference bit for bit: the
     Lambda sums with weights Lambda(n), the window sums with weight 1 per n
     and the bilinear sum with weight a_m b_n per (m, n).  This holds
-    whatever the block size (None keeps the default; 1 << 20 puts every
-    term in one block), also when ``width`` copies run at once on
-    util.map_blocks threads, as the evaluators do inside theorem_report."""
+    whatever the block and chunk size (None keeps the defaults; 1 << 20
+    puts every term in one block and every row in one chunk), also when
+    ``width`` copies run at once on util.map_blocks threads, as the
+    evaluators do inside theorem_report."""
     if block is not None:
         monkeypatch.setattr(sums, "BLOCK", block)
+        monkeypatch.setattr(util, "CHUNK", block)
     monkeypatch.setattr(util, "usable_cpus", lambda: width)
     chi = [c for c in chars(63) if not c.is_principal][4]
     chi_q = induce_primitive(chi)

@@ -1,8 +1,9 @@
 """The exact reduction against math.fsum on generated inputs (full exponent
 range, subnormals, cancellation, zeros, specials, overflow), for
 ``exact_sum`` and ``complex_fsum`` alike; invariance under term order and
-under how the blocks cut the terms; ``fixed_point`` itself; both paths of
-the one-shot helpers; map_blocks, SplitMix64.distinct and check_work."""
+under how the chunks cut the terms; ``fixed_point`` itself; ``exact_dot``
+against Fraction and its int64 headroom; both paths of the one-shot
+helpers; map_blocks, SplitMix64.distinct and check_work."""
 
 import math
 import sys
@@ -21,8 +22,10 @@ from charsum.util import (
     WorkBudgetError,
     check_work,
     complex_fsum,
+    exact_dot,
     exact_sum,
     fixed_point,
+    weight_one,
 )
 
 INF = math.inf
@@ -127,11 +130,11 @@ def test_exact_sum_extremes():
 @given(inputs, st.integers(1, 61), st.randoms(use_true_random=False))
 def test_exact_sum_any_order_and_blocks(xs, rows, rnd):
     """The sum depends neither on the order of the terms nor on how the
-    blocks of ROWS terms cut them."""
+    chunks of CHUNK terms cut them."""
     xs = list(xs)
     rnd.shuffle(xs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(util, "ROWS", rows)
+        mp.setattr(util, "CHUNK", rows)
         check_like_fsum([xs], lambda: [exact_sum(xs)])
 
 
@@ -161,14 +164,14 @@ def test_specials_in_one_lane_leave_the_others_exact():
 
 @pytest.mark.parametrize("n", [0, 1, 255, 1023, 1024, 5000])
 def test_one_shot_helpers_both_paths(n):
-    """The limbs, in one block and in blocks of 1000, and the math.fsum
+    """The limbs, in one chunk and in chunks of 1000, and the math.fsum
     fallback give the same bits."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 100, n)
     z = x + 1j * rng.standard_normal(n)
     want = math.fsum(x.tolist())
     want_z = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
-    for patch in ({}, {"ROWS": 1000}, {"fixed_point": lambda parts: None}):
+    for patch in ({}, {"CHUNK": 1000}, {"fixed_point": lambda parts: None}):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in patch.items():
                 mp.setattr(util, name, value)
@@ -203,6 +206,54 @@ def test_fixed_point_refuses_specials_and_wide_spans():
         assert fixed_point(np.array(bad)) is None
     limbs, _ = fixed_point(np.array([0.0, -0.0]))
     assert limbs.shape[1:] == (2,) and not limbs.any()
+
+
+def test_exact_dot_int64_headroom():
+    """A digit times a limb is at most 2**(DIGIT + LIMB) in magnitude, so a
+    chunk of CHUNK such products sums below 2**63."""
+    assert util.CHUNK << (util.DIGIT + util.LIMB) < 2**63
+
+
+# the parts of a root of unity exp(2 pi i k / E) for E up to 2**64: down to 2**-62
+root_parts = st.builds(lambda f, k, E: f(2 * math.pi * (k % E) / E), st.sampled_from([math.cos, math.sin]),
+                       st.integers(0, 2**64), st.sampled_from([3, 7, 1 << 20, 10**12 + 39, 2**62, 2**64]))
+# from 2**-250 to 2**253 in magnitude, or 0
+moderate_parts = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-250, 200))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 9]), st.sampled_from([None, 1, 2, 4]), st.integers(0, 60), st.sampled_from([0, 53]),
+       st.sampled_from([1, 8, 64, None]), st.data())
+def test_exact_dot_equals_fraction_oracle(lanes, digits, rows, scale, chunk, data):
+    """exact_dot against Fraction: weight 1 (``digits`` None) or signed
+    digits up to 2**DIGIT - 1 in magnitude; one lane, the real and
+    imaginary pair, or many (the Gauss sums' shape) of parts from roots of
+    unity of large order or moderate floats; chunks of ``chunk`` rows."""
+    if digits is None:
+        d = weight_one(np.arange(rows))
+    else:
+        digit = st.integers(-(2**util.DIGIT) + 1, 2**util.DIGIT - 1)
+        d = np.array(data.draw(st.lists(st.lists(digit, min_size=rows, max_size=rows),
+                                        min_size=digits, max_size=digits)), dtype=np.int64).reshape(digits, rows)
+    g = np.array(data.draw(st.lists(st.lists(st.one_of(root_parts, moderate_parts), min_size=rows, max_size=rows),
+                                    min_size=lanes, max_size=lanes)), dtype=np.float64).reshape(lanes, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(util, "CHUNK", chunk)
+        got, mass = exact_dot(np.arange(rows), lambda i: d[:, i], lambda i: g[:, i], scale)
+    S = [sum(Fraction(int(d[k, r]) << (util.DIGIT * k)) for k in range(len(d))) / 2**scale for r in range(rows)]
+    want = [sum((S[r] * Fraction(g[lane, r]) for r in range(rows)), Fraction(0)) for lane in range(lanes)]
+    assert [v.hex() for v in got] == [float(w).hex() for w in want]
+    assert mass.hex() == float(sum(S, Fraction(0))).hex()
+
+
+def test_exact_dot_none_without_fixed_point(monkeypatch):
+    """None when any chunk, not only the first, has no fixed-point form."""
+    parts = np.array([[1.0, 2.0, INF], [0.5, 0.25, 0.0]])
+    assert exact_dot(np.arange(3), weight_one, lambda i: parts[:, i]) is None
+    monkeypatch.setattr(util, "CHUNK", 2)
+    assert exact_dot(np.arange(3), weight_one, lambda i: parts[:, i]) is None
+    assert exact_dot(np.arange(2), weight_one, lambda i: parts[:, i]) == ([3.0, 0.75], 2.0)
 
 
 # ---------------------------------------------------------------------------
