@@ -252,10 +252,11 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
     # FFT_ERROR_C's margin also covers the rounding of the powers' sums
     e = FFT_ERROR_C * math.log2(basis.phi) * 2.0**-53 * Z
     bound = 2 * r * q * (Z + e) ** (2 * r - 1) * e
-    windows = np.arange(q)[:, None] + np.arange(1, Z + 1)
-    rows = max(1, TRANSFORM_BATCH // basis.phi)
-    moments = sum((unit_group_transform(basis, windows[a : a + rows], 1.0) ** (2 * r)).sum(axis=0)
-                  for a in range(0, q, rows)).reshape(-1)[prim]
+    moments = 0.0
+    for _, values in unit_group_transform(basis, np.arange(q)[:, None] + np.arange(1, Z + 1), 1.0):
+        values **= 2 * r  # the batch's own buffer: same bits as values ** (2 r)
+        moments = moments + values.sum(axis=0)
+    moments = moments.reshape(-1)[prim]
     hits = _chi_index(prim[moments >= moments.max() - 2 * bound], basis.orders)
     lhs = max(burgess_moment_2r(character_at(basis, i), Z, r) for i in set(hits.tolist()))
     ms = (time.perf_counter_ns() - t0) // 1_000_000
@@ -350,13 +351,11 @@ def lemma8_verify(instances=None, *, random_count=0, seed=0, q_max=5000,
         instances = random_census_instances(random_count, seed, q_max)
     for inst in instances:
         validate_census_preconditions(*inst)
-    check_work(sum(N * coprime_count(Y, q) for q, _, _, _, _, N, Y in instances)
+    coprime = [coprime_count(Y, q) for q, *_, Y in instances]
+    check_work(sum(N * c for (*_, N, _), c in zip(instances, coprime))
                + max((N * Y for *_, N, Y in instances), default=0),
                f"verify lemma8 over {len(instances)} instances (N*Y_q pairs and the tau sieve)")
-    timed = [
-        _timed(congruence_census, q, d, eta, k, M, N, Y)
-        for (q, d, eta, k, M, N, Y) in instances
-    ]
+    timed = [_timed(congruence_census, *inst, c) for inst, c in zip(instances, coprime)]
     tau_max = _tau_prefix_max(max((inst.N * inst.Y - 1 for inst, _ in timed), default=1))
     records = []
     for inst, ms in timed:
@@ -515,11 +514,6 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 # Monitored reports
 
 
-# float64 lattice entries per unit_group_transform batch in the reports:
-# 2 MB, below the 4 MB from which numpy asks for transparent huge pages, so
-# the batches add no huge pages to the peak RSS
-TRANSFORM_BATCH = 1 << 18
-
 # |FFT value - exact-kernel value| <= FFT_ERROR_C (log2(phi) + x // D) u M for
 # every character and shift, where u = 2**-53 and M = sum of Lambda(n) over
 # n <= x, which bounds the row's sum of |S_r|.  Per pass of a Cooley-Tukey
@@ -643,10 +637,12 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         # within 2 bound of its batch's maximum
         excluded = np.flatnonzero(_half_lattice(cond) <= threshold)
         found = ([], [])
-        shifts = np.array(ls, dtype=np.int64)
-        rows = max(1, TRANSFORM_BATCH // phi)
-        for a in range(0, len(ls), rows):
-            values = unit_group_transform(basis, n[None, :] - shifts[a : a + rows, None], lam)
+        # int32 residues mod D, as D < 2^31 (the budget caps phi near 8 10^5):
+        # the transform reads this shifts x pi*(x) array whole, and int64
+        # would add up to 2 MB per modulus to the peak RSS
+        shifts = np.array(ls, dtype=np.int32)
+        residues = ((n % D).astype(np.int32)[None, :] - shifts[:, None]) % D
+        for a, values in unit_group_transform(basis, residues, lam):
             batch = _search_batch(values.reshape(len(values), -1), excluded, 2 * bound)
             for (v, r, c), hits in zip(batch, found):
                 hits.append((v, a + r, c))

@@ -535,6 +535,12 @@ def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
 SPLIT_MIN_PRIME = 128
 SPLIT_MIN_COFACTOR = 4
 
+# lattice entries per unit_group_transform batch: a 2 MB float64 lattice, and
+# about as much complex spectrum when the last lattice axis is long, below
+# the 4 MB from which numpy asks for transparent huge pages, so the batches
+# add no huge pages to the peak RSS
+TRANSFORM_BATCH = 1 << 18
+
 
 @dataclass(frozen=True)
 class TransformPlan:
@@ -584,38 +590,56 @@ def _transform_plan(orders: tuple[int, ...]) -> TransformPlan:
     return TransformPlan(shape, axes, gather)
 
 
-def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """|sum over units u of chi(u) w_b(u)| for every row b of a batch and
-    every character chi on half of the exponent lattice, where w_b puts
-    the real weights[j] on the residue residues[b, j] mod D (non-units are
-    dropped, repeated residues add up).
+def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights):
+    """|sum over units u of chi(u) w_b(u)| for every row b of ``residues``
+    and every character chi on half of the exponent lattice, where w_b puts
+    the real weights[j] (or weights[b, j] for 2-D weights) on the residue
+    residues[b, j] mod D (non-units are dropped, repeated residues add up).
 
-    The rows are scattered into one (batch, *plan.shape) float64 lattice
-    (``basis.transform_plan()``) by a single bincount and transformed with
+    A generator over batches of ``TRANSFORM_BATCH // phi`` rows (at least
+    one): it yields (first_row, values), values of shape (rows in the
+    batch, *basis.orders[:-1], basis.orders[-1] // 2 + 1).  The values are
+    the call's own buffer, overwritten by the next batch: a caller may
+    change them in place, but keeps nothing of them past its turn.
+
+    Each batch's rows are scattered into a (batch, *plan.shape) float64
+    lattice (``basis.transform_plan()``) by ``np.add.at``, which adds in
+    input order and so gives ``np.bincount``'s bits, and transformed with
     ``np.fft.rfftn`` over the lattice axes.  Since the weights are real, the
-    entry at exponent vector e is the conjugate of T(chi_e), so the result,
-    of shape (batch, *basis.orders[:-1], basis.orders[-1] // 2 + 1), holds
-    |T(chi_e)| for every e whose last coordinate is at most half its order;
-    every other character is the conjugate of one of these, with the same
-    |T|.  On a split lattice the plan's gather puts each value there.  The
-    values carry FFT rounding, not exactly rounded sums.
+    entry at exponent vector e is the conjugate of T(chi_e), so the values
+    hold |T(chi_e)| for every e whose last coordinate is at most half its
+    order; every other character is the conjugate of one of these, with the
+    same |T|.  On a split lattice the plan's gather puts each value there.
+    The values carry FFT rounding, not exactly rounded sums.
+
+    The lattice, spectrum, |.| and gather buffers are allocated once per
+    call and reused by every batch, so no batch refaults their pages.
     """
-    residues = np.asarray(residues, dtype=np.int64)
-    rows = residues.shape[0]
+    residues = np.asarray(residues)
+    weights = np.asarray(weights, dtype=np.float64)
+    total, phi, D = residues.shape[0], basis.phi, basis.modulus.value
     plan = basis.transform_plan()
-    idx = basis.unit_flat_index()[residues % basis.modulus.value]
-    keep = idx >= 0
-    idx = idx + basis.phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice, in int64
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), idx.shape)
-    lattice = np.bincount(idx[keep], weights=w[keep], minlength=rows * basis.phi)
-    # the spectrum stays alive through the gather: freeing it first read
-    # 0.8 MB more peak RSS on the bench theorem plan over 10 pairs, an
-    # allocator-layout effect
-    spectrum = np.fft.rfftn(lattice.reshape(rows, *plan.shape), axes=tuple(range(1, 1 + len(plan.shape))))
-    values = np.abs(spectrum)
-    if plan.gather is not None:
-        # np.take keeps the result C-contiguous, which the row search needs
-        # to run fast; values[:, gather] would not
-        values = np.take(values.reshape(rows, -1), plan.gather, axis=1)
+    flat_index = basis.unit_flat_index()
     orders = basis.orders or (1,)
-    return values.reshape(rows, *orders[:-1], orders[-1] // 2 + 1)
+    half = orders[:-1] + (orders[-1] // 2 + 1,)
+    batch = max(1, min(total, TRANSFORM_BATCH // phi))
+    axes = tuple(range(1, 1 + len(plan.shape)))
+    lattice = np.empty((batch, *plan.shape))
+    spectrum = np.empty((batch, *plan.shape[:-1], plan.shape[-1] // 2 + 1), dtype=np.complex128)
+    mags = np.empty(spectrum.shape)
+    out = None if plan.gather is None else np.empty((batch, plan.gather.size))
+    for a in range(0, total, batch):
+        rows = min(batch, total - a)
+        idx = flat_index[residues[a : a + rows] % D]
+        keep = idx >= 0
+        idx = idx + phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice, in int64
+        w = np.broadcast_to(weights[a : a + rows] if weights.ndim == 2 else weights, idx.shape)
+        lattice[:rows].fill(0.0)
+        np.add.at(lattice[:rows].reshape(-1), idx[keep], w[keep])
+        np.fft.rfftn(lattice[:rows], axes=axes, out=spectrum[:rows])
+        values = np.abs(spectrum[:rows], out=mags[:rows])
+        if out is not None:
+            # a gather into C order keeps the row search fast; mode="clip"
+            # writes straight into out, where "raise" would buffer it
+            values = np.take(values.reshape(rows, -1), plan.gather, axis=1, out=out[:rows], mode="clip")
+        yield a, values.reshape(rows, *half)

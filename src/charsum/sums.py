@@ -272,7 +272,7 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
         inside = None if include is None else include(np.arange(L, dtype=np.int64))
         terms = n.size if include is None else int(count.sum(where=inside))
         keep = np.tile(np.roll(table != 0, l), L // q) & (count != 0)  # table[(i - l) % q] != 0
-        digits_of, g_of = (lambda i: digits[:, i]), (lambda i: table[(i - l) % q])
+        digits_of, g_of = (lambda i: digits.take(i, axis=1)), (lambda i: table[(i - l) % q])
     else:  # row i: the prime power n[i]
         inside = None if include is None else include(n)
         terms = n.size if include is None else int(np.count_nonzero(inside))
@@ -379,7 +379,7 @@ def _periodic_sum(chi_q: DirichletCharacter, count: int, args: np.ndarray, insid
     weights = np.array([[(w >> (DIGIT * k)) & _DIGIT_MASK for w in (full, full + 1)]
                         for k in range(COUNT_LIMBS)], dtype=np.int64)
     value, mass = _character_dot(np.flatnonzero(inside & (values != 0)),
-                                 lambda i: weights[:, (i < extra).astype(np.intp)], lambda i: values[i], scale=0)
+                                 lambda i: weights.take((i < extra).astype(np.intp), axis=1), lambda i: values[i], scale=0)
     terms = full * int(np.count_nonzero(inside)) + int(np.count_nonzero(inside[:extra]))
     return SumValue(value, terms, mass)
 
@@ -538,17 +538,21 @@ def rho_divisor_count(q: int, d: int, Y: int) -> int:
     return count
 
 
-def congruence_census(q, d, eta, k, M, N, Y) -> CongruenceInstance:
+def congruence_census(q, d, eta, k, M, N, Y, coprime=None) -> CongruenceInstance:
     """Exact enumeration of the congruence solutions with the case split
     applied literally to the off-diagonal solutions.
 
     Pairs (n, y) are grouped by the residue (nd + eta k) y mod q; K is the
     number of ordered pairs of colliding entries.  Within one residue group
     the y values are pairwise distinct (a consequence of 2NY < q), so the
-    diagonal consists exactly of the identity pairs.
+    diagonal consists exactly of the identity pairs.  The N*Y_q pairs are
+    checked against the work budget first; ``coprime``, Y_q = #{y <= Y :
+    gcd(y, q) = 1}, is counted when not given.
     """
     validate_census_preconditions(q, d, eta, k, M, N, Y)
-    check_work(N * coprime_count(Y, q), f"the census at q = {q}, N = {N}, Y = {Y} (N*Y_q pairs)")
+    if coprime is None:
+        coprime = coprime_count(Y, q)
+    check_work(N * coprime, f"the census at q = {q}, N = {N}, Y = {Y} (N*Y_q pairs)")
     ys = [y for y in range(1, Y + 1) if math.gcd(y, q) == 1]
     groups: dict[int, list[tuple[int, int]]] = {}
     shift = eta * k

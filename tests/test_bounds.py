@@ -41,7 +41,7 @@ from charsum.characters import (
     unit_group_basis,
     unit_group_transform,
 )
-from charsum.integers import divisor_count_sieve, divisors, factor, mobius, tau_r
+from charsum.integers import coprime_count, divisor_count_sieve, divisors, factor, mobius, tau_r
 from charsum.reports import render_records
 from charsum.sums import burgess_moment_2r, congruence_census, shifted_prime_sum
 from charsum.util import PreconditionError, SplitMix64, WorkBudgetError
@@ -254,6 +254,26 @@ def test_lemma8_checks_the_batch_work_before_any_census(monkeypatch):
     assert peak < 2**20
 
 
+def test_lemma8_counts_each_instance_once(monkeypatch):
+    """lemma8_verify counts Y_q once per instance, for its batch estimate,
+    and hands it to the census, which does not count it again."""
+    calls = []
+
+    def counting(n, f):
+        calls.append((n, f))
+        return coprime_count(n, f)
+
+    def results():
+        return [(r.parameters, r.lhs, r.rhs, r.verdict) for r in lemma8_verify(instances)]
+
+    instances = random_census_instances(20, 3)
+    want = results()
+    monkeypatch.setattr(bounds, "coprime_count", counting)
+    monkeypatch.setattr(sums, "coprime_count", lambda *a: pytest.fail("the census counted Y_q again"))
+    assert results() == want
+    assert calls == [(Y, q) for q, *_, Y in instances]
+
+
 def test_random_census_instances_satisfy_preconditions():
     for (q, d, eta, k, M, N, Y) in random_census_instances(60, 3):
         assert q % d == 0 and math.gcd(eta, q) == 1 and math.gcd(k, d) == 1
@@ -402,12 +422,16 @@ def test_theorem_report_keeps_no_basis():
 
 
 def test_theorem_report_bytes_do_not_depend_on_batch(monkeypatch):
+    """report theorem and report burgess give the same bytes whether each
+    transform batch holds one row or every row."""
     moduli = [10007, 12600, 4096]
     header = {"command": "report theorem"}
     base = render_records(theorem_report(moduli, seed=1), "jsonl", header)
-    for batch in (1, 64 * 10006):  # one shift per transform, all 64 at once
-        monkeypatch.setattr(bounds, "TRANSFORM_BATCH", batch)
+    burgess = render_records(bounds.burgess_report(q_max=60), "jsonl", {"command": "report burgess"})
+    for batch in (1, 64 * 10006):  # one shift (or window start) per transform, all at once
+        monkeypatch.setattr(characters, "TRANSFORM_BATCH", batch)
         assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
+        assert render_records(bounds.burgess_report(q_max=60), "jsonl", {"command": "report burgess"}) == burgess
 
 
 def test_theorem_report_tolerates_fft_error_within_its_bound(monkeypatch):
@@ -422,11 +446,11 @@ def test_theorem_report_tolerates_fft_error_within_its_bound(monkeypatch):
     rng = np.random.default_rng(5)
 
     def perturbed(basis, residues, weights):
-        values = transform(basis, residues, weights)
         D, phi = basis.modulus.value, basis.phi
         x = math.ceil(D ** (5 / 6 + 0.05))
         bound = bounds.FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * weights.sum()
-        return values + rng.uniform(-bound / 2, bound / 2, values.shape)
+        for a, values in transform(basis, residues, weights):
+            yield a, values + rng.uniform(-bound / 2, bound / 2, values.shape)
 
     monkeypatch.setattr(bounds, "unit_group_transform", perturbed)
     assert render_records(theorem_report(moduli, seed=1), "jsonl", header) == base
@@ -464,7 +488,7 @@ def test_fft_error_bound_holds_with_margin(D):
     lam = np.ldexp(m, -53)
     bound = bounds.FFT_ERROR_C * (math.log2(basis.phi) + x // D) * 2.0**-53 * lam.sum()
     ls = [l for l in range(2, D) if math.gcd(l, D) == 1][:4]
-    values = unit_group_transform(basis, n[None, :] - np.array(ls)[:, None], lam)
+    values = np.concatenate([v.copy() for _, v in unit_group_transform(basis, n[None, :] - np.array(ls)[:, None], lam)])
     half = values.shape[1:]
     worst = 0.0
     for chi in enumerate_characters(basis):

@@ -363,6 +363,12 @@ def test_values_at_beyond_table_size_equals_scalar_phases(D):
         assert chi.values_at(residues).tobytes() == want.tobytes()
 
 
+def whole_transform(basis, residues, weights):
+    """Every row of ``unit_group_transform``, its batches copied out (each
+    yielded array is overwritten by the next batch) and concatenated."""
+    return np.concatenate([values.copy() for _, values in unit_group_transform(basis, residues, weights)])
+
+
 def test_unit_group_transform_matches_direct_sums():
     rng = SplitMix64(11)
     for D in (1, 2, 12, 45, 101):
@@ -370,7 +376,7 @@ def test_unit_group_transform_matches_direct_sums():
         weights = np.array([[rng.below(1000) / 997.0 for _ in range(D)] for _ in range(2)])
         # row 1 names its residues by representatives in [D, 2D)
         residues = np.arange(D)[None, :] + np.array([[0], [D]])
-        spectrum = unit_group_transform(basis, residues, weights)
+        spectrum = whole_transform(basis, residues, weights)
         orders = basis.orders or (1,)
         assert spectrum.shape == (2, *orders[:-1], orders[-1] // 2 + 1)
         for i, chi in enumerate(enumerate_characters(basis)):
@@ -399,7 +405,7 @@ def test_split_transform_matches_direct_sums(D):
     rng = np.random.default_rng(D)
     weights = rng.random((2, D))
     residues = np.broadcast_to(np.arange(D), (2, D))
-    spectrum = unit_group_transform(basis, residues, weights)
+    spectrum = whole_transform(basis, residues, weights)
     orders = basis.orders
     assert spectrum.shape == (2, *orders[:-1], orders[-1] // 2 + 1)
     direct = np.abs(weights @ all_character_tables(basis).T)
@@ -423,12 +429,55 @@ def test_split_and_one_dimensional_layouts_agree(D, min_prime, min_cofactor):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "SPLIT_MIN_PRIME", min_prime)
         mp.setattr(characters, "SPLIT_MIN_COFACTOR", min_cofactor)
-        split = unit_group_transform(UnitGroupBasis(factor(D)), residues, weights)
+        split = whole_transform(UnitGroupBasis(factor(D)), residues, weights)
         mp.setattr(characters, "SPLIT_MIN_PRIME", 2**62)
         flat = UnitGroupBasis(factor(D))
         assert flat.transform_plan().gather is None
-    one_axis = unit_group_transform(flat, residues, weights)
+    one_axis = whole_transform(flat, residues, weights)
     assert np.allclose(split, one_axis, rtol=0, atol=1e-12 * weights.sum())
+
+
+def fresh_transform(basis, residues, weights, batch):
+    """The transform with fresh arrays per batch of max(1, batch // phi)
+    rows: one np.bincount scatter, np.fft.rfftn, np.abs and, on a split
+    plan, np.take, each allocating its result."""
+    plan, phi = basis.transform_plan(), basis.phi
+    orders = basis.orders or (1,)
+    rows = max(1, batch // phi)
+    parts = []
+    for a in range(0, len(residues), rows):
+        res = residues[a : a + rows]
+        idx = basis.unit_flat_index()[res % basis.modulus.value]
+        keep = idx >= 0
+        idx = idx + phi * np.arange(len(res), dtype=np.int64)[:, None]
+        w = np.broadcast_to(weights[a : a + rows] if weights.ndim == 2 else weights, idx.shape)
+        lattice = np.bincount(idx[keep], weights=w[keep], minlength=len(res) * phi)
+        values = np.abs(np.fft.rfftn(lattice.reshape(len(res), *plan.shape), axes=tuple(range(1, 1 + len(plan.shape)))))
+        if plan.gather is not None:
+            values = np.take(values.reshape(len(res), -1), plan.gather, axis=1)
+        parts.append(values.reshape(len(res), *orders[:-1], orders[-1] // 2 + 1))
+    return np.concatenate(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 9), st.integers(1, 60), st.booleans(),
+       st.sampled_from([1, 7, 2**18]), st.integers(0, 2**32))
+@example(557, 5, 40, True, 7, 0)
+@example(49, 3, 60, False, 1, 1)
+def test_transform_batches_have_the_bits_of_a_fresh_transform(D, rows, k, per_row, batch, seed):
+    """The generator's reused buffers (np.add.at into a zeroed lattice,
+    rfftn, |.| and the gather written in place) give the bits of a fresh
+    bincount and rfftn per batch, for any batch size, with residues in
+    [0, 3D), so that repeats mod D add up in input order, and with one
+    weight row for all rows or one per row."""
+    rng = np.random.default_rng(seed)
+    residues = rng.integers(0, 3 * D, (rows, k))
+    weights = rng.standard_normal((rows, k) if per_row else k) * 10.0 ** rng.integers(-8, 9, (rows, k) if per_row else k)
+    basis = UnitGroupBasis(factor(D))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "TRANSFORM_BATCH", batch)
+        got = whole_transform(basis, residues, weights)
+    assert got.tobytes() == fresh_transform(basis, residues, weights, batch).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
