@@ -278,13 +278,11 @@ def _tau_prefix_max(n: int) -> np.ndarray:
     return np.maximum.accumulate(divisor_count_sieve(max(n, 1)))
 
 
-def census_records(inst: CongruenceInstance, delta: float = 1e-4, tau_max=None) -> list[BoundCheckRecord]:
+def census_records(inst: CongruenceInstance, delta: float, tau_max: int) -> list[BoundCheckRecord]:
     """Two records per instance: the asserted explicit sub-bounds (worst
-    normalized quotient vs 1) and the monitored full K envelope.  tau_max,
-    the largest tau(m) over m < NY (1 when NY < 2), is sieved when not given."""
+    normalized quotient vs 1) and the monitored full K envelope.  tau_max
+    is the largest tau(m) over m < NY (1 when NY < 2)."""
     NY = inst.N * inst.Y
-    if tau_max is None:
-        tau_max = int(_tau_prefix_max(NY - 1)[max(NY - 1, 1)])
     checks = (
         ("diagonal", inst.diagonal, NY),
         ("kappa1", inst.kappa1 * inst.d, 2 * inst.Y**2),
@@ -329,12 +327,8 @@ def random_census_instances(count: int, seed: int, q_max: int = 5000) -> list[tu
         N = rng.randint(1, min(n_hi, 300))
         if 2 * N * Y >= q:
             continue
-        eta = 1 + rng.below(q)
-        while math.gcd(eta, q) != 1:
-            eta = 1 + rng.below(q)
-        k = 1 + rng.below(1000)
-        while math.gcd(k, d) != 1:
-            k = 1 + rng.below(1000)
+        eta = rng.unit(q, q)
+        k = rng.unit(1000, d)
         M = rng.below(1000)
         out.append((q, d, eta, k, M, N, Y))
     return out
@@ -385,10 +379,8 @@ def hb_identity_records(cases: int = 50, seed: int = 0) -> list[BoundCheckRecord
             basis = unit_group_basis(D)
             chi = character_at(basis, 1 + rng.below(basis.phi - 1))
             chi_q = induce_primitive(chi)
-            l = 1 + rng.below(D)
-            while math.gcd(l, D) != 1:
-                l = 1 + rng.below(D)
-            f = char_twist_weight(chi_q, l, x, nu=1)
+            l = rng.unit(D, D)
+            f = char_twist_weight(chi_q, l, x)
             params |= {"weight": "char-twist", "D": D, "q": chi_q.modulus, "l": l}
         else:
             f = np.ones(x + 1)
@@ -773,10 +765,7 @@ def restricted_report(D: int, x: int, seed: int = 0) -> list[BoundCheckRecord]:
     chi = character_at(basis, 1)
     chi_q = induce_primitive(chi)
     q = chi_q.modulus
-    rng = SplitMix64(seed)
-    l = 1 + rng.below(D)
-    while math.gcd(l, D) != 1:
-        l = 1 + rng.below(D)
+    l = SplitMix64(seed).unit(D, D)
     q1_primes = [p for p in factor(D).primes if q % p != 0]
     q1 = math.prod(q1_primes) if q1_primes else 1
     nus = divisors(factor(q1))[:RESTRICTED_MAX_NU]
@@ -807,9 +796,7 @@ def short_sum_report(seed: int = 0, delta: float = 1e-4) -> list[BoundCheckRecor
         n_cap = math.floor(q ** (7 / 12) / math.sqrt(d)) - 1
         N = rng.randint(max(2, n_cap // 2), n_cap)
         M = rng.below(q)
-        eta = 1 + rng.below(q - 1)
-        while math.gcd(eta, q) != 1:
-            eta = 1 + rng.below(q - 1)
+        eta = rng.unit(q - 1, q)
         k = 1
         val, ms = _timed(short_sum, chi_q, M, N, d, k, eta)
         records.append(

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .integers import FactoredInteger, as_factored, factor
-from .util import exact_dot, require, weight_one
+from .util import exact_dot, require
 
 
 # components up to this size get a full lookup table; beyond it the scalar
@@ -401,24 +401,6 @@ def conductor(chi: DirichletCharacter) -> FactoredInteger:
                             for i, (f, e) in enumerate(zip(chi.basis.factors, exps))))
 
 
-def _lift_unit(r: int, q: int, D: FactoredInteger) -> int:
-    """Some u with u = r (mod q) and gcd(u, D) = 1."""
-    acc_r, acc_m = 0, 1
-    for p, a in D.factors:
-        pe = p**a
-        if q % p == 0:
-            kq = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                kq += 1
-            comp = r % (p**kq)
-        else:
-            comp = 1
-        acc_r, acc_m = _crt_pair(acc_r, acc_m, comp, pe)
-    return acc_r if D.value > 1 else 1
-
-
 def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) generating chi."""
     require(not chi.is_principal, "chi", "principal characters are not induced")
@@ -426,10 +408,12 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     if q == chi.modulus:
         return chi
     basis_q = unit_group_basis(q)
+    D = chi.modulus
     exps = []
     for (g, m) in basis_q.generators:
-        # the lift is a unit, and chi there is an m-th root of unity
-        k = chi(_lift_unit(g, q, chi.basis.modulus)) * m
+        # chi is induced from chi_q, so chi(u) = chi_q(g) at the first unit u
+        # of g, g + q, g + 2q, ... mod D, an m-th root of unity
+        k = chi(next(u for u in range(g % q, D, q) if math.gcd(u, D) == 1)) * m
         require(k.denominator == 1, "chi", "value is not an order-m root")  # cannot happen
         exps.append(int(k))
     out = DirichletCharacter(basis_q, tuple(exps))
@@ -442,15 +426,14 @@ def gauss_sums(basis: UnitGroupBasis, tables: np.ndarray, rows) -> list[complex]
     (indices or a mask) of ``tables``, the value tables of every character
     mod q in enumeration order (``all_character_tables(basis)``); each must
     be primitive.  Both parts of each tau are exactly rounded: one
-    ``exact_dot`` of weight 1 (else ``math.fsum``) reduces the real and the
-    imaginary parts of the products as stacked lanes."""
+    ``exact_dot`` of weight 1 reduces the real and the imaginary parts of
+    the products as stacked lanes."""
     q = basis.modulus.value
     require(bool((basis.conductor_grid().reshape(-1)[rows] == q).all()), "chi",
             "gauss_sums needs primitive characters")
     products = tables[rows] * roots_of_unity(np.arange(q), q)
     lanes = np.concatenate((products.real, products.imag))
-    got = exact_dot(range(q), weight_one, lambda i: lanes[:, i.start : i.stop])
-    sums = [math.fsum(lane) for lane in lanes.tolist()] if got is None else got[0]
+    sums, _ = exact_dot(range(q), None, lambda i: lanes[:, i.start : i.stop])
     return [complex(re, im) for re, im in zip(sums[: len(products)], sums[len(products) :])]
 
 

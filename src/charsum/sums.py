@@ -8,10 +8,14 @@ class r (or per prime power), reduced by the one exact reduction,
 in integers from the weights' digits and the values' fixed-point limbs.  The
 Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per (x, L), the
 window sums count their n per class, the bilinear sum adds a_m b_n per
-class.  ``abs_term_sum`` is the exact sum of |w| over the terms w chi(.)
-with chi(.) != 0; equality tolerances downstream scale with it.  Since the
-roots of unity are conjugate-symmetric, T(conj chi) = conj T(chi) bit for
-bit, and T is real for a real chi.  No value depends on a block size.
+class; ``util.digits`` splits the weights of the prime-power, window and
+bilinear rows, and the bins are carried into digits as they are built.
+``abs_term_sum`` is the exact sum of |w| over the terms w chi(.) with
+chi(.) != 0; equality tolerances downstream scale with it.  The
+decomposition identity is weight 1 times the stacked rows of its parts,
+one ``exact_dot`` for all.  Since the roots of unity are
+conjugate-symmetric, T(conj chi) = conj T(chi) bit for bit, and T is real
+for a real chi.  No value depends on a block size.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .util import (
     WorkBudgetError,
     check_work,
     complex_fsum,
+    digits,
     exact_dot,
     exact_sum,
     physical_memory,
@@ -156,21 +161,13 @@ def mangoldt_weights(x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The Lambda kernel: exact residue bins and an exactly rounded dot product
 
-# The cached m < 2**58 are LIMBS digits of DIGIT bits.  Sums of such digits
-# stay exact in float64 (below 2**53) over fewer than 2**33 prime powers.
-LIMBS = 3
+# Sums of the DIGIT-bit digits of the cached m < 2**58 stay exact in float64
+# (below 2**53) over fewer than 2**33 prime powers.
 _DIGIT_MASK = (1 << DIGIT) - 1
 # The binning weighs each prime power by the two halves of m, below and from
 # bit HALF; up to CARRY such halves sum exactly in float64 before they are
 # carried into the digit rows.
 HALF, CARRY = 29, 1 << 24
-
-
-def _limbs(w: np.ndarray) -> np.ndarray:
-    """The LIMBS digits of the int64 w, one row per digit, the top one
-    signed: each below 2**DIGIT in magnitude while |w| < 2**(DIGIT LIMBS)."""
-    low = [(w >> (DIGIT * k)) & _DIGIT_MASK for k in range(LIMBS - 1)]
-    return np.stack(low + [w >> (DIGIT * (LIMBS - 1))])
 
 
 def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,17 +265,17 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
     if L < n.size:  # row i: the residue class i mod L
         table = chi.value_table()
         q = len(table)
-        digits, count = _residue_bins(x, L)
+        bins, count = _residue_bins(x, L)
         inside = None if include is None else include(np.arange(L, dtype=np.int64))
         terms = n.size if include is None else int(count.sum(where=inside))
         keep = np.tile(np.roll(table != 0, l), L // q) & (count != 0)  # table[(i - l) % q] != 0
-        digits_of, g_of = (lambda i: digits.take(i, axis=1)), (lambda i: table[(i - l) % q])
+        digits_of, g_of = (lambda i: bins.take(i, axis=1)), (lambda i: table[(i - l) % q])
     else:  # row i: the prime power n[i]
         inside = None if include is None else include(n)
         terms = n.size if include is None else int(np.count_nonzero(inside))
         values = chi.values_at(n - l)
         keep = values != 0
-        digits_of, g_of = (lambda i: _limbs(m[i])), (lambda i: values[i])
+        digits_of, g_of = (lambda i: digits(m[i])), (lambda i: values[i])
     if inside is not None:
         keep &= inside
     value, mass = _character_dot(np.flatnonzero(keep), digits_of, g_of)
@@ -360,7 +357,6 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumVal
 # reduced mod q (or nu) before it is multiplied, and they need q**2 < 2**63,
 # so products stay in int64.
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-COUNT_LIMBS = 4  # base-2**DIGIT digits of a window's weight, at most 2**64 + 1
 
 
 def _require_int64(name: str, lo: int, hi: int) -> None:
@@ -376,10 +372,10 @@ def _periodic_sum(chi_q: DirichletCharacter, count: int, args: np.ndarray, insid
     full, extra = divmod(count, chi_q.modulus)
     inside = np.ones(args.size, dtype=bool) if inside is None else inside
     values = chi_q.values_at(args)
-    weights = np.array([[(w >> (DIGIT * k)) & _DIGIT_MASK for w in (full, full + 1)]
-                        for k in range(COUNT_LIMBS)], dtype=np.int64)
+    weights = digits([full, full + 1])
     value, mass = _character_dot(np.flatnonzero(inside & (values != 0)),
-                                 lambda i: weights.take((i < extra).astype(np.intp), axis=1), lambda i: values[i], scale=0)
+                                 lambda i: weights.take((i < extra).astype(np.intp), axis=1),
+                                 lambda i: values[i], scale=0)
     terms = full * int(np.count_nonzero(inside)) + int(np.count_nonzero(inside[:extra]))
     return SumValue(value, terms, mass)
 
@@ -462,7 +458,7 @@ def double_sum(
     rows = np.flatnonzero(mass)
     values = chi_q.values_at(rows)
     rows, values = rows[values != 0], values[values != 0]
-    value, _ = _character_dot(np.arange(rows.size), lambda i: _limbs(weight[rows[i]].astype(np.int64)),
+    value, _ = _character_dot(np.arange(rows.size), lambda i: digits(weight[rows[i]].astype(np.int64)),
                               lambda i: values[i], scale=0)
     return SumValue(value, terms, float(mass[rows].sum()))
 
@@ -598,30 +594,25 @@ def congruence_census(q, d, eta, k, M, N, Y, coprime=None) -> CongruenceInstance
 class HBDecomposition:
     """Parts of the exact identity splitting sum Lambda(n) f(n), n <= x.
 
-    ``parts`` holds one SumValue per head depth k = 1..r (sign and binomial
-    coefficient folded into the value) plus the final alternating tail, so
-    the plain sum of part values reproduces the left-hand side up to
-    rounding; ``residual`` is that defect.
+    ``parts`` holds one value per head depth k = 1..r (sign and binomial
+    coefficient folded in) plus the final alternating tail, so their sum
+    ``total`` reproduces ``lhs`` up to rounding; ``residual`` is that defect.
     """
 
-    parts: list[SumValue]
-    labels: list[str]
+    parts: list[complex]
     lhs: complex
     total: complex
     residual: float
-    abs_mass: float
 
 
-def char_twist_weight(chi_q: DirichletCharacter, l: int, x: int, nu: int = 1) -> np.ndarray:
-    """Weight f(n) = chi_q(n - l) gated by (n, q) = 1 and n = l (mod nu)."""
+def char_twist_weight(chi_q: DirichletCharacter, l: int, x: int) -> np.ndarray:
+    """Weight f(n) = chi_q(n - l) gated by (n, q) = 1, on 0..x."""
     q = chi_q.modulus
-    require(math.gcd(nu, q) == 1, "nu", "need gcd(nu, q) = 1")
-    require(math.gcd(l, q * nu) == 1, "l", "need gcd(l, q*nu) = 1")
+    require(math.gcd(l, q) == 1, "l", "need gcd(l, q) = 1")
     ns = np.arange(x + 1, dtype=np.int64)
     table = chi_q.value_table()
     out = table[(ns - l) % q].astype(np.complex128)
     out[np.gcd(ns, q) != 1] = 0
-    out[ns % nu != l % nu] = 0
     out[0] = 0
     return out
 
@@ -630,7 +621,9 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
     """Decompose sum_{n<=x} Lambda(n) f(n), for f given as an array on
     0..x, into r truncated-Mobius head groups and one alternating tail; the
     identity is exact, so the reported residual is pure floating-point
-    rounding."""
+    rounding.  The r head coefficient rows, the tail row and Lambda are
+    multiplied by f as one stack, and one ``exact_dot`` of weight 1 rounds
+    the real and imaginary parts of every row's sum."""
     require(1 <= u1 <= x, "u1", f"need 1 <= u1 <= x, got u1={u1}, x={x}")
     require(r >= 1, "r", "need r >= 1")
     farr = np.asarray(f, dtype=np.complex128)
@@ -646,41 +639,28 @@ def hb_decompose(f, x: int, u1: int, r: int) -> HBDecomposition:
     g = mobius_sieve(x).astype(np.float64)
     g[u1 + 1 :] = 0.0
 
-    lam_trunc = dirichlet_convolve(g, ones)
-    tail_w = lam_trunc.copy()
+    tail_w = dirichlet_convolve(g, ones)
     tail_w[: u1 + 1] = 0.0
 
-    parts: list[SumValue] = []
-    labels: list[str] = []
-    gk = None
-    pk = logs
+    rows = []
+    gk, pk = g, logs
     for k in range(1, r + 1):
-        gk = g if gk is None else dirichlet_convolve(gk, g)
         if k > 1:
-            pk = dirichlet_convolve(pk, ones)
-        coeff = dirichlet_convolve(gk, pk)
-        sign = 1 if k % 2 == 1 else -1
-        binom = math.comb(r, k)
-        terms = coeff * farr
-        raw, mass = complex_fsum(terms), exact_sum(np.abs(terms))
-        parts.append(SumValue(sign * binom * raw, int(np.count_nonzero(terms)), binom * mass))
-        labels.append(f"head depth {k} (weight {sign * binom})")
-
+            gk, pk = dirichlet_convolve(gk, g), dirichlet_convolve(pk, ones)
+        rows.append(dirichlet_convolve(gk, pk))
     tail = tail_w
     for _ in range(r - 1):
         tail = dirichlet_convolve(tail, tail_w)
-    tail = dirichlet_convolve(tail, lam_w)
-    tail_terms = tail * farr
-    tail_sign = 1 if r % 2 == 0 else -1
-    tail_sum, tail_mass = complex_fsum(tail_terms), exact_sum(np.abs(tail_terms))
-    parts.append(SumValue(tail_sign * tail_sum, int(np.count_nonzero(tail_terms)), tail_mass))
-    labels.append(f"tail (weight {tail_sign})")
+    rows += [dirichlet_convolve(tail, lam_w), lam_w]
 
-    lhs_terms = lam_w * farr
-    lhs, lhs_mass = complex_fsum(lhs_terms), exact_sum(np.abs(lhs_terms))
-    total = complex_fsum([p.value for p in parts])
-    abs_mass = exact_sum([p.abs_term_sum for p in parts]) + lhs_mass
-    return HBDecomposition(parts, labels, lhs, total, abs(total - lhs), abs_mass)
+    terms = np.stack(rows) * farr
+    lanes = np.concatenate((terms.real, terms.imag))
+    sums, _ = exact_dot(range(x + 1), None, lambda i: lanes[:, i.start : i.stop])
+    *raw, lhs = (complex(re, im) for re, im in zip(sums[: len(rows)], sums[len(rows) :]))
+    signs = [(-1) ** (k + 1) * math.comb(r, k) for k in range(1, r + 1)] + [(-1) ** r]
+    parts = [sign * v for sign, v in zip(signs, raw, strict=True)]
+    total = complex_fsum(parts)
+    return HBDecomposition(parts, lhs, total, abs(total - lhs))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ RNG, exactly rounded summation and the thread pool that
 
 Summation policy: every sum that feeds an equality check goes through one
 exact reduction in integers, ``exact_dot``: integer weights (the character
-sums' counts and Lambda values) or weight 1 (``exact_sum``, ``complex_fsum``,
-the Gauss sums) times float64 lanes.  ``fixed_point`` scales a chunk of the
-lanes by a power of two into exact integers split into int64 limbs; one
-int64 product multiplies them by the weights' digits, the chunks are added
-in a Python integer per lane, and one int / int division rounds each total
+sums' counts and Lambda values, as ``digits`` rows) or weight 1
+(``weights_of=None``: ``exact_sum``, ``complex_fsum``, the Gauss sums and
+the decomposition identity) times float64 lanes.  ``fixed_point`` scales a
+chunk of the lanes by a power of two into exact integers split into int64
+limbs; one int64 product multiplies them by the weights' digits (weight 1
+sums the limbs over the chunk's rows instead), the chunks are added in a
+Python integer per lane, and one int / int division rounds each total
 once.  The result is the correctly rounded sum, equal to ``math.fsum`` of
 the same terms, whatever their order or the chunk size; where fsum raises
 on a running sum that overflows and later terms cancel, the limbs return
 the exact sum.  A chunk with a non-finite entry, or exponents that span
-more than one float64 scaling holds, falls back to ``math.fsum``.
+more than one float64 scaling holds, has no fixed-point form: weight 1
+then falls back to ``math.fsum`` per lane inside ``exact_dot``, the one
+place that calls it, and integer weights return None.
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], endpoints included."""
         return lo + self.below(hi - lo + 1)
+
+    def unit(self, n: int, m: int) -> int:
+        """1 + below(n), drawn again until it is coprime to m."""
+        v = 1 + self.below(n)
+        while math.gcd(v, m) != 1:
+            v = 1 + self.below(n)
+        return v
 
     def choice(self, seq):
         return seq[self.below(len(seq))]
@@ -170,24 +181,47 @@ def fixed_point(parts: np.ndarray) -> tuple[np.ndarray, int] | None:
     return limbs, s
 
 
+def digits(w) -> np.ndarray:
+    """The integers w, an int64 array or Python ints of any size, as
+    ``exact_dot`` weight rows: signed DIGIT-bit digits, one row per digit,
+    each row in [0, 2**DIGIT) but the top one, which is signed and at most
+    2**DIGIT in magnitude; as many rows as the largest |w| needs."""
+    w = w if isinstance(w, np.ndarray) else np.array(w, dtype=object)  # Python ints stay exact
+    top = max(int(w.max(initial=0)), -int(w.min(initial=0)))  # |w| without int64's abs(-2**63) < 0
+    rows = max(1, -(-top.bit_length() // DIGIT))
+    low = [(w >> (DIGIT * k)) & ((1 << DIGIT) - 1) for k in range(rows - 1)]
+    return np.stack(low + [w >> (DIGIT * (rows - 1))]).astype(np.int64, copy=False)
+
+
 def exact_dot(rows, weights_of, parts_of, scale: int = 0) -> tuple[list[float], float] | None:
     """([per lane, the correctly rounded sum over i in ``rows`` of S_i *
-    parts_of(i)[lane]], the correctly rounded sum of the S_i), or None when a
-    chunk has no ``fixed_point`` form.  weights_of(i) holds S_i * 2**scale as
-    rows of signed DIGIT-bit digits and parts_of(i) the float64 lanes of a
-    chunk i of ``rows``: an index array, or a range, whose chunks are ranges
-    to read as slices.  An empty ``rows`` still makes one empty chunk, which
-    tells the number of lanes."""
+    parts_of(i)[lane]], the correctly rounded sum of the S_i).  weights_of(i)
+    holds S_i * 2**scale as ``digits`` rows and parts_of(i) the float64
+    lanes of a chunk i of ``rows``: an index array, or a range, whose chunks
+    are ranges to read as slices.  weights_of None is weight 1 at every row,
+    where only scale = 0 is meaningful: each chunk's limbs are summed over
+    its rows and the mass is the row count.  When a chunk has no
+    ``fixed_point`` form, integer weights give None and weight 1 gives
+    ``math.fsum`` of each lane of parts_of(rows), raising what it raises.
+    An empty ``rows`` still makes one empty chunk, which tells the number
+    of lanes."""
     totals, mass = None, 0
     for a in range(0, max(len(rows), 1), CHUNK):
         i = rows[a : a + CHUNK]
-        d = np.ascontiguousarray(weights_of(i), dtype=np.int64)
         if (fixed := fixed_point(np.asarray(parts_of(i), dtype=np.float64))) is None:
-            return None
+            if weights_of is not None:
+                return None
+            lanes = np.asarray(parts_of(rows), dtype=np.float64).tolist()
+            return [math.fsum(lane) for lane in lanes], float(len(rows))
         limbs, s = fixed
         totals = totals or [0] * limbs.shape[1]
-        mass += sum(t << (DIGIT * k) for k, t in enumerate(d.sum(axis=1).tolist()))
-        products = np.einsum("kr,mlr->kml", d, limbs)  # digit, limb, lane
+        if weights_of is None:
+            mass += len(i)
+            products = limbs.sum(axis=2)[None]  # digit, limb, lane
+        else:
+            d = np.ascontiguousarray(weights_of(i), dtype=np.int64)
+            mass += sum(t << (DIGIT * k) for k, t in enumerate(d.sum(axis=1).tolist()))
+            products = np.einsum("kr,mlr->kml", d, limbs)
         for k, by_limb in enumerate(products.tolist()):
             for m, row in enumerate(by_limb):
                 shift = DIGIT * k + LIMB * m + UNIT - s
@@ -196,21 +230,14 @@ def exact_dot(rows, weights_of, parts_of, scale: int = 0) -> tuple[list[float], 
     return [t / unit for t in totals], mass / (1 << scale)
 
 
-def weight_one(i: np.ndarray) -> np.ndarray:
-    """Weight 1 at every index of ``i``: one ``exact_dot`` digit row of ones."""
-    return np.ones((1, len(i)), dtype=np.int64)
-
-
 def exact_sum(values) -> float:
     """Exactly rounded sum of real values, equal to ``math.fsum``."""
     arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    got = exact_dot(range(arr.shape[1]), weight_one, lambda i: arr[:, i.start : i.stop])
-    return math.fsum(arr[0].tolist()) if got is None else got[0][0]
+    return exact_dot(range(arr.shape[1]), None, lambda i: arr[:, i.start : i.stop])[0][0]
 
 
 def complex_fsum(values) -> complex:
     """Exactly rounded complex sum (real and imaginary parts independently)."""
     arr = np.asarray(values, dtype=np.complex128).ravel()
     lanes = np.stack((arr.real, arr.imag))
-    got = exact_dot(range(arr.size), weight_one, lambda i: lanes[:, i.start : i.stop])
-    return complex(*(map(math.fsum, lanes.tolist()) if got is None else got[0]))
+    return complex(*exact_dot(range(arr.size), None, lambda i: lanes[:, i.start : i.stop])[0])

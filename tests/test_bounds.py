@@ -196,7 +196,8 @@ def test_burgess_check_hypothesis_guard():
 
 def test_census_records_assert_and_monitor():
     inst = congruence_census(101, 1, 3, 5, 7, 5, 9)
-    recs = census_records(inst)
+    NY = inst.N * inst.Y
+    recs = census_records(inst, 1e-4, int(bounds._tau_prefix_max(NY - 1)[NY - 1]))
     assert recs[0].mode == ASSERT and recs[0].verdict == "pass"
     assert recs[1].mode == MONITOR
     assert recs[1].lhs == inst.K

@@ -243,21 +243,28 @@ def test_induce_primitive_fixed_point_and_agreement():
 
 
 def test_induce_primitive_value_agreement_sampled():
+    """chi and its primitive chi_q agree at 100 sampled units each, over
+    every character of four hand-picked moduli and six seeded characters of
+    each of 40 seeded D <= 2000."""
     rng = SplitMix64(77)
-    for D in (24, 45, 120, 360):
-        for chi in chars(D):
-            if chi.is_principal:
+    bases = [unit_group_basis(rng.randint(3, 2000)) for _ in range(40)]
+    cases = [chi for D in (24, 45, 120, 360) for chi in chars(D) if not chi.is_principal]
+    cases += [character_at(b, 1 + rng.below(b.phi - 1)) for b in bases if b.phi > 1 for _ in range(6)]
+    induced = 0
+    for chi in cases:
+        D = chi.modulus
+        chi_q = induce_primitive(chi)
+        assert conductor(chi_q).value == chi_q.modulus
+        assert conductor(chi).value == chi_q.modulus
+        induced += chi_q.modulus < D
+        picked = 0
+        while picked < 100:
+            n = rng.randint(1, 50 * D)
+            if math.gcd(n, D) != 1:
                 continue
-            chi_q = induce_primitive(chi)
-            assert conductor(chi_q).value == chi_q.modulus
-            assert conductor(chi).value == chi_q.modulus
-            picked = 0
-            while picked < 100:
-                n = rng.randint(1, 50 * D)
-                if math.gcd(n, D) != 1:
-                    continue
-                picked += 1
-                assert chi(n) == chi_q(n)
+            picked += 1
+            assert chi(n) == chi_q(n)
+    assert induced >= 100  # cases where chi lifts from a proper divisor of D
 
 
 def test_induced_character_has_period_q():

@@ -43,7 +43,7 @@ from charsum.sums import (
     short_sum,
     sy_sum,
 )
-from charsum.util import PreconditionError, SplitMix64, WorkBudgetError
+from charsum.util import PreconditionError, SplitMix64, WorkBudgetError, complex_fsum, exact_dot, exact_sum
 
 
 def chars(D):
@@ -836,15 +836,33 @@ def test_hb_constant_weight_example():
 def test_hb_zero_weight():
     dec = hb_decompose(np.zeros(101), 100, 4, 2)
     assert dec.lhs == 0j
-    assert all(p.value == 0j for p in dec.parts)
+    assert all(p == 0j for p in dec.parts)
     assert dec.residual == 0.0
 
 
 def test_hb_part_structure():
     dec = hb_decompose(np.ones(201), 200, 5, 3)
     assert len(dec.parts) == 4  # three head depths plus the tail
-    assert len(dec.labels) == 4
     assert dec.residual < 1e-8 * 200
+
+
+def test_hb_reduces_every_part_in_one_exact_dot(monkeypatch):
+    """One exact_dot of weight 1 reduces the r head parts, the tail and the
+    left-hand side together: 2 (r + 2) lanes, the real and imaginary parts
+    of each; only ``total`` is summed after it, from the parts."""
+    calls = []
+
+    def counting(rows, weights_of, parts_of, scale=0):
+        got = exact_dot(rows, weights_of, parts_of, scale)
+        calls.append((weights_of, len(got[0])))
+        return got
+
+    monkeypatch.setattr(sums, "exact_dot", counting)
+    for r in (1, 3):
+        calls.clear()
+        dec = hb_decompose(np.ones(201), 200, 5, r)
+        assert calls == [(None, 2 * (r + 2))]
+        assert len(dec.parts) == r + 1 and dec.total == complex_fsum(dec.parts)
 
 
 def test_hb_random_weights_residual():
@@ -864,10 +882,11 @@ def test_hb_char_twist_instance():
     chi = [c for c in chars(45) if not c.is_principal][3]
     chi_q = induce_primitive(chi)
     x = 4000
-    f = char_twist_weight(chi_q, 2, x, nu=1)
+    f = char_twist_weight(chi_q, 2, x)
     dec = hb_decompose(f, x, math.ceil(x ** (1 / 3)), 3)
     direct = oracles.restricted_sum_oracle(chi_q, 1, 2, x)
-    assert abs(dec.lhs - direct) < 1e-9 * max(1.0, dec.abs_mass)
+    mass = exact_sum(np.abs(mangoldt_weights(x) * f))  # sum |Lambda f|
+    assert abs(dec.lhs - direct) < 1e-9 * max(1.0, mass)
     assert dec.residual < 1e-8 * x
 
 

@@ -1,14 +1,17 @@
 """The exact reduction against math.fsum on generated inputs (full exponent
 range, subnormals, cancellation, zeros, specials, overflow), for
 ``exact_sum`` and ``complex_fsum`` alike; invariance under term order and
-under how the chunks cut the terms; ``fixed_point`` itself; ``exact_dot``
-against Fraction and its int64 headroom; both paths of the one-shot
-helpers; map_blocks, SplitMix64.distinct and check_work."""
+under how the chunks cut the terms; ``fixed_point`` and ``digits``
+themselves; ``exact_dot`` against Fraction, its int64 headroom and its
+weight-1 fallback to math.fsum; both paths of the one-shot helpers;
+map_blocks, SplitMix64.distinct and .unit, and check_work."""
 
+import ast
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from charsum.util import (
     exact_dot,
     exact_sum,
     fixed_point,
-    weight_one,
 )
 
 INF = math.inf
@@ -225,12 +227,13 @@ moderate_parts = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.
 @given(st.sampled_from([1, 2, 9]), st.sampled_from([None, 1, 2, 4]), st.integers(0, 60), st.sampled_from([0, 53]),
        st.sampled_from([1, 8, 64, None]), st.data())
 def test_exact_dot_equals_fraction_oracle(lanes, digits, rows, scale, chunk, data):
-    """exact_dot against Fraction: weight 1 (``digits`` None) or signed
-    digits up to 2**DIGIT - 1 in magnitude; one lane, the real and
-    imaginary pair, or many (the Gauss sums' shape) of parts from roots of
-    unity of large order or moderate floats; chunks of ``chunk`` rows."""
+    """exact_dot against Fraction: weight 1 (``digits`` None, weights_of
+    None, scale 0) or signed digits up to 2**DIGIT - 1 in magnitude; one
+    lane, the real and imaginary pair, or many (the Gauss sums' shape) of
+    parts from roots of unity of large order or moderate floats; chunks of
+    ``chunk`` rows."""
     if digits is None:
-        d = weight_one(np.arange(rows))
+        d, scale = np.ones((1, rows), dtype=np.int64), 0
     else:
         digit = st.integers(-(2**util.DIGIT) + 1, 2**util.DIGIT - 1)
         d = np.array(data.draw(st.lists(st.lists(digit, min_size=rows, max_size=rows),
@@ -240,7 +243,7 @@ def test_exact_dot_equals_fraction_oracle(lanes, digits, rows, scale, chunk, dat
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(util, "CHUNK", chunk)
-        got, mass = exact_dot(np.arange(rows), lambda i: d[:, i], lambda i: g[:, i], scale)
+        got, mass = exact_dot(np.arange(rows), None if digits is None else lambda i: d[:, i], lambda i: g[:, i], scale)
     S = [sum(Fraction(int(d[k, r]) << (util.DIGIT * k)) for k in range(len(d))) / 2**scale for r in range(rows)]
     want = [sum((S[r] * Fraction(g[lane, r]) for r in range(rows)), Fraction(0)) for lane in range(lanes)]
     assert [v.hex() for v in got] == [float(w).hex() for w in want]
@@ -248,12 +251,89 @@ def test_exact_dot_equals_fraction_oracle(lanes, digits, rows, scale, chunk, dat
 
 
 def test_exact_dot_none_without_fixed_point(monkeypatch):
-    """None when any chunk, not only the first, has no fixed-point form."""
+    """Digit weights: None when any chunk, not only the first, has no
+    fixed-point form."""
     parts = np.array([[1.0, 2.0, INF], [0.5, 0.25, 0.0]])
-    assert exact_dot(np.arange(3), weight_one, lambda i: parts[:, i]) is None
+    ones = lambda i: util.digits(np.ones(len(i), dtype=np.int64))  # noqa: E731
+    assert exact_dot(np.arange(3), ones, lambda i: parts[:, i]) is None
     monkeypatch.setattr(util, "CHUNK", 2)
-    assert exact_dot(np.arange(3), weight_one, lambda i: parts[:, i]) is None
-    assert exact_dot(np.arange(2), weight_one, lambda i: parts[:, i]) == ([3.0, 0.75], 2.0)
+    assert exact_dot(np.arange(3), ones, lambda i: parts[:, i]) is None
+    assert exact_dot(np.arange(2), ones, lambda i: parts[:, i]) == ([3.0, 0.75], 2.0)
+
+
+@pytest.mark.parametrize("chunk", [2, 1000])
+def test_exact_dot_weight_one_falls_back_to_fsum(chunk, monkeypatch):
+    """Weight 1: a chunk without fixed-point form, the first or a later one,
+    gives math.fsum of each lane over every row, with fsum's inf, NaN and
+    OverflowError; the mass is still the row count."""
+    monkeypatch.setattr(util, "CHUNK", chunk)
+    parts = np.array([[0.1, 0.2, INF], [0.1, 0.2, 0.3], [1.0, 2.0, math.nan]])
+    got, mass = exact_dot(np.arange(3), None, lambda i: parts[:, i])
+    assert got[0] == INF and same(got[1], math.fsum([0.1, 0.2, 0.3])) and math.isnan(got[2])
+    assert mass == 3.0
+    # exponents too wide for one scaling: fsum, and the same bits
+    wide = np.array([[MAX, TINY, -MAX, 1.0]])
+    assert util.fixed_point(wide) is None
+    assert exact_dot(range(4), None, lambda i: wide[:, i.start : i.stop]) == ([math.fsum(wide[0].tolist())], 4.0)
+    with pytest.raises(OverflowError):
+        exact_dot(np.arange(3), None, lambda i: np.array([[MAX, MAX, 0.0], [0.0, 0.0, math.nan]])[:, i])
+    with pytest.raises(ValueError, match="inf"):
+        exact_dot(np.arange(3), None, lambda i: np.array([[INF, 1.0, -INF]])[:, i])
+
+
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**90), 2**90)), max_size=8))
+def test_digits_rebuild_the_integers(ws):
+    """digits(w) rows rebuild w exactly, for int64 arrays and for Python
+    ints past int64; every row in [0, 2**DIGIT) but the signed top one,
+    which is at most 2**DIGIT in magnitude; as many rows as the largest
+    |w| needs, at least one."""
+    arrays = [ws] + ([np.array(ws, dtype=np.int64)] if all(-(2**63) <= w < 2**63 for w in ws) else [])
+    for w in arrays:
+        d = util.digits(w)
+        rows = max(1, -(-max(map(abs, ws), default=0).bit_length() // util.DIGIT))
+        assert d.dtype == np.int64 and d.shape == (rows, len(ws))
+        assert (d[:-1] >= 0).all() and (d[:-1] < 2**util.DIGIT).all() and (abs(d[-1]) <= 2**util.DIGIT).all()
+        assert [sum(int(d[k, j]) << (util.DIGIT * k) for k in range(len(d))) for j in range(len(ws))] == ws
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module binds or reads: names, attributes, imports,
+    definitions and arguments."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def _fsum_calls(tree: ast.AST) -> int:
+    return sum(isinstance(n, ast.Attribute) and n.attr == "fsum" and isinstance(n.value, ast.Name)
+               and n.value.id == "math" for n in ast.walk(tree))
+
+
+def test_one_exact_reduction_is_a_checked_rule():
+    """Across src/charsum, math.fsum and fixed_point are referenced in
+    util.py only, math.fsum there only inside exact_dot, and no module
+    names weight_one: every exactly rounded sum goes through exact_dot."""
+    paths = sorted(Path(util.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        names = _identifiers(tree)
+        assert "weight_one" not in names, path.name
+        if path.name != "util.py":
+            assert "fixed_point" not in names and "fsum" not in names, path.name
+            continue
+        inside = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "exact_dot"]
+        assert _fsum_calls(tree) == _fsum_calls(inside[0]) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +365,7 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SplitMix64.distinct
+# SplitMix64.distinct and .unit
 
 
 def test_distinct_stream_unchanged():
@@ -317,6 +397,20 @@ def test_distinct_exhausted_range_raises():
     with pytest.raises(PreconditionError):
         SplitMix64(3).distinct(1, 10, 6, accept=lambda v: v % 2 == 0)
     assert SplitMix64(3).distinct(1, 10, 0) == []
+
+
+def test_unit_draws_like_the_rejection_loop():
+    """unit(n, m) is the hand-written loop it replaced, draw for draw: the
+    value, and the stream left for the draws after it."""
+    for seed in range(50):
+        for n, m in ((1000, 1000), (999, 1000), (1000, 30), (7, 1)):
+            ref = SplitMix64(seed)
+            v = 1 + ref.below(n)
+            while math.gcd(v, m) != 1:
+                v = 1 + ref.below(n)
+            rng = SplitMix64(seed)
+            assert rng.unit(n, m) == v and math.gcd(v, m) == 1 and 1 <= v <= n
+            assert rng.next_u64() == ref.next_u64()
 
 
 def test_check_work_refuses_only_above_the_budget():
