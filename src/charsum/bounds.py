@@ -575,14 +575,22 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
     FFT's rounding nor on the batch size.  The search (``_search_batch``)
     copies no class out of a batch.  For epsilon < 1/6, x < D, so each
     exact evaluation reads its character at the prime powers only
-    (``sums._lambda_sum``): no value table is built, and the transform is
-    nearly all of the cost.
+    (``sums._lambda_sum``): no value table is built, and for an odd D the
+    transform is nearly all of the cost.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded, each certified
     this way.  Moduli where no character passes the filter are skipped and
     logged.  Every modulus is checked (D >= 3, epsilon, x >= 2 and the work
     budget) before the first one is computed.
+
+    An even D takes no Lambda sieve, transform or search.  Every shift l
+    is odd, so chi(n - l) = 0 at each odd n and only the n = 2^k <= x with
+    gcd(2^k - l, D) = 1 can add to T.  The record's ``support_k`` is the
+    most such k at one of the same shifts, its ``l`` the smallest shift
+    with that many, and ``lhs`` = ``lhs_unfiltered`` = support_k log 2: a
+    proven bound on every |T(chi, l)| at those shifts, not a value of T,
+    so ``chi_index`` is null.
     """
     exponent = 5.0 / 6.0 + epsilon
     moduli = []
@@ -620,6 +628,21 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         if not pass_filter.any():
             log.warning("theorem_report: no conductor above %.3f for D=%d, skipped", threshold, D)
             return None
+        params = {
+            "D": D, "x": x, "epsilon": epsilon, "seed": seed,
+            "l_count": len(ls), "conductor_threshold": threshold,
+            "n_characters": phi - 1, "n_pass_filter": int(pass_filter.sum()),
+        }
+        if D % 2 == 0:
+            # every shift is odd, so chi(n - l) = 0 at odd n and only the
+            # n = 2^k <= x whose n - l is a unit can add Lambda(2) = log 2
+            support = {l: sum(math.gcd(2**k - l, D) == 1 for k in range(1, x.bit_length())) for l in ls}
+            s = max(support.values())
+            lhs = s * math.log(2)
+            l = min(l for l in ls if support[l] == s)
+            params.update(lhs_unfiltered=lhs, chi_index=None, l=l, support_k=s)
+            ms = (time.perf_counter_ns() - t0) // 1_000_000
+            return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
         n, m = _mangoldt_arrays(x)
         lam = np.ldexp(m, -53)
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
@@ -659,17 +682,9 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         chi_index, l = min(filtered, key=lambda k: (-exact[k], k))
         lhs = exact[chi_index, l]
         lhs_unfiltered = max(exact[k] for k in unfiltered)
+        params.update(lhs_unfiltered=lhs_unfiltered, chi_index=chi_index, l=l)
         ms = (time.perf_counter_ns() - t0) // 1_000_000
-        return make_record(
-            "THEOREM_T",
-            {
-                "D": D, "x": x, "epsilon": epsilon, "seed": seed,
-                "l_count": len(ls), "conductor_threshold": threshold,
-                "n_characters": phi - 1, "n_pass_filter": int(pass_filter.sum()),
-                "lhs_unfiltered": lhs_unfiltered, "chi_index": chi_index, "l": l,
-            },
-            lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms,
-        )
+        return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
 
     results = map_blocks(one, moduli)
     return [r for r in results if r is not None]

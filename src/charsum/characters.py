@@ -596,7 +596,9 @@ def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights):
     The values carry FFT rounding, not exactly rounded sums.
 
     The lattice, spectrum, |.| and gather buffers are allocated once per
-    call and reused by every batch, so no batch refaults their pages.
+    call and reused by every batch, so no batch refaults their pages.  The
+    lattice is zeroed once; each batch resets only the entries it scattered
+    to, as x < D leaves most of every row empty.
     """
     residues = np.asarray(residues)
     weights = np.asarray(weights, dtype=np.float64)
@@ -607,7 +609,8 @@ def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights):
     half = orders[:-1] + (orders[-1] // 2 + 1,)
     batch = max(1, min(total, TRANSFORM_BATCH // phi))
     axes = tuple(range(1, 1 + len(plan.shape)))
-    lattice = np.empty((batch, *plan.shape))
+    lattice = np.zeros((batch, *plan.shape))
+    flat = lattice.reshape(-1)
     spectrum = np.empty((batch, *plan.shape[:-1], plan.shape[-1] // 2 + 1), dtype=np.complex128)
     mags = np.empty(spectrum.shape)
     out = None if plan.gather is None else np.empty((batch, plan.gather.size))
@@ -617,9 +620,10 @@ def unit_group_transform(basis: UnitGroupBasis, residues: np.ndarray, weights):
         keep = idx >= 0
         idx = idx + phi * np.arange(rows, dtype=np.int64)[:, None]  # row b's lattice, in int64
         w = np.broadcast_to(weights[a : a + rows] if weights.ndim == 2 else weights, idx.shape)
-        lattice[:rows].fill(0.0)
-        np.add.at(lattice[:rows].reshape(-1), idx[keep], w[keep])
+        scattered = idx[keep]
+        np.add.at(flat, scattered, w[keep])
         np.fft.rfftn(lattice[:rows], axes=axes, out=spectrum[:rows])
+        flat[scattered] = 0.0
         values = np.abs(spectrum[:rows], out=mags[:rows])
         if out is not None:
             # a gather into C order keeps the row search fast; mode="clip"

@@ -472,8 +472,9 @@ def fresh_transform(basis, residues, weights, batch):
 @example(557, 5, 40, True, 7, 0)
 @example(49, 3, 60, False, 1, 1)
 def test_transform_batches_have_the_bits_of_a_fresh_transform(D, rows, k, per_row, batch, seed):
-    """The generator's reused buffers (np.add.at into a zeroed lattice,
-    rfftn, |.| and the gather written in place) give the bits of a fresh
+    """The generator's reused buffers (np.add.at into a lattice zeroed
+    once and reset only where each batch scattered, rfftn, |.| and the
+    gather written in place) give the bits of a fresh
     bincount and rfftn per batch, for any batch size, with residues in
     [0, 3D), so that repeats mod D add up in input order, and with one
     weight row for all rows or one per row."""

@@ -99,6 +99,22 @@ def test_forced_assert_failure_exits_1(tmp_path, monkeypatch):
     assert "INJECTED" in text and '"fail"' in text
 
 
+def test_report_theorem_even_moduli_take_no_transform_and_no_lambda(tmp_path, monkeypatch):
+    """An even D is bounded by its 2^k support: report theorem neither
+    sieves Lambda nor transforms, and still writes one record per modulus."""
+
+    def forbidden(*args):
+        raise AssertionError("an even modulus reached the transform or the Lambda sieve")
+
+    monkeypatch.setattr(bounds, "unit_group_transform", forbidden)
+    monkeypatch.setattr(bounds, "_mangoldt_arrays", forbidden)
+    path = tmp_path / "r.jsonl"
+    assert cli.main(["report", "theorem", "--D-list", "30030,16384,12600,1024", "--output", str(path)]) == 0
+    records = [json.loads(s) for s in path.read_text().strip().split("\n")[1:]]
+    assert [r["parameters"]["D"] for r in records] == [30030, 16384, 12600, 1024]
+    assert all(r["parameters"]["chi_index"] is None and r["parameters"]["support_k"] > 0 for r in records)
+
+
 def test_lemma8_random_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     out1 = run("verify", "lemma8", "--random", "25", "--seed", "7", "--output", str(a))
