@@ -604,9 +604,11 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
                 f"got x = {x} at D={D}, epsilon={epsilon}")
         f = factor(D)
         phi = euler_phi(f)
-        shifts = min(phi, 64)  # each a Lambda gather and a transform over phi
-        check_work(shifts * (_prime_power_bound(x) + phi * int(math.log2(phi))),
-                   f"report theorem at D = {D} ({shifts} shifts over phi = {phi} characters)")
+        # per shift: a Lambda gather and a transform over phi at an odd D, and
+        # floor(log2 x) gcds at an even D, which builds only its basis and grid
+        shifts, gcds = min(phi, 64), x.bit_length() - 1
+        work = shifts * (_prime_power_bound(x) + phi * int(math.log2(phi))) if D % 2 else phi + shifts * gcds
+        check_work(work, f"report theorem at D = {D} ({shifts} shifts over phi = {phi} characters)")
         moduli.append((D, f, x))
 
     def one(modulus) -> BoundCheckRecord | None:

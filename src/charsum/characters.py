@@ -8,14 +8,18 @@ for 4, the pair (-1, 5) with orders (2, 2^{k-2}) for 2^k with k >= 3), then
 one factor per odd prime power p^a generated by its least primitive root.
 A character is an exponent vector against that basis.  ``chi(n)`` returns
 the exact phase of chi(n), a Fraction k / E in [0, 1) for the group
-exponent E with chi(n) = e(k / E), or None on a non-unit.  Value tables
-hold the roots of unity of ``roots_of_unity``, the one root formula:
-floating point only enters there and when sums are accumulated.
+exponent E with chi(n) = e(k / E), or None on a non-unit.  Every value
+table and every value of ``values_at`` comes from one phase kernel,
+``_character_values``, whose phase index is exact: each factor's reduced
+term is below E, so with t factors a unit's index is below t E and a
+non-unit's is t E, and int32 holds it when max(m_j^2, (t + 1) E) < 2^31.
+A gather from the roots of ``roots_of_unity``, the one root formula, with
+a 0 in slot t E, gives the values: floating point only enters there and
+when sums are accumulated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,8 +236,8 @@ class UnitGroupBasis:
         (``exponents_at`` or ``_log_rows``): those where every component
         has a discrete log and, when 2 || D, which are odd, since then the
         2-part contributes no cyclic factor.  The one rule for unit-ness,
-        read by ``unit_mask``, ``unit_flat_index`` and
-        ``DirichletCharacter.values_at``."""
+        read by ``unit_mask``, ``unit_flat_index`` and the phase kernel
+        ``_character_values``."""
         units = np.ones(self.modulus.value if residues is None else len(residues), dtype=bool)
         for row in rows:
             units &= row >= 0
@@ -347,18 +351,15 @@ class DirichletCharacter:
     def value_table(self) -> np.ndarray:
         """chi on residues 0..D-1 as complex128 (cached on the character)."""
         if self._table is None:
-            self._table = _value_tables(self.basis, np.array([self.exponents], dtype=np.int64))[0]
+            self._table = _character_values(self.basis, [(e,) for e in self.exponents])[0]
         return self._table
 
     def values_at(self, residues: np.ndarray) -> np.ndarray:
         """chi at each int64 entry of ``residues`` (taken mod D) as
         complex128: the bits of ``value_table()[residues % D]``, without a
         table."""
-        basis = self.basis
-        residues = np.asarray(residues, dtype=np.int64) % basis.modulus.value
-        emat = basis.exponents_at(residues)
-        vec = np.array([self.exponents], dtype=np.int64)
-        return _character_values(basis, vec, emat, basis.units_at(residues, emat))[0]
+        residues = np.asarray(residues, dtype=np.int64) % self.modulus
+        return _character_values(self.basis, [(e,) for e in self.exponents], residues)[0]
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "exponents": list(self.exponents)}
@@ -450,58 +451,53 @@ def roots_of_unity(k: np.ndarray, E: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Whole-group machinery (all characters at once)
+# The phase kernel: every character value of a table or of ``values_at``
 
 
-def _character_values(basis: UnitGroupBasis, vecs: np.ndarray, emat: np.ndarray,
-                      units: np.ndarray) -> np.ndarray:
-    """Values, shape (len(vecs), len(units)), of the characters whose
-    exponent vectors are the rows of ``vecs`` at the residues whose exponent
-    vectors are the columns of ``emat`` (-1 where a component is a
-    non-unit), ``units`` marking the unit columns: chi_e(u) =
-    ``roots_of_unity(k, E)`` with k = sum_j e_j (E / m_j) dlog_j(u) mod E,
-    and 0 on non-units.  With at least E phases they are looked up in one
-    row of the E roots of unity; with fewer, each is computed itself, which
-    is the row's entry bit for bit, since ``roots_of_unity`` works element
-    by element.  So the value at u is the same bits whatever else is asked.
+def _character_values(basis: UnitGroupBasis, exponents, residues: np.ndarray | None = None) -> np.ndarray:
+    """Values, shape (characters, points), of the characters on the grid
+    of ``exponents`` (one 1-D sequence per cyclic factor; row r is the r-th
+    vector of their product, last factor fastest) at the non-negative int64
+    ``residues``, or at every residue 0..D-1 when None.
 
-    k is exact in int64 for every modulus with discrete-log tables.  The
-    unreduced sum of the terms e_j (E / m_j) dlog_j is below E sum_j m_j.
-    Where that fits, k is one product of the exponent vectors with emat;
-    it stops fitting only near D = 10^15 (three components near 10^5), far
-    past any value table.  There term j is taken as (e_j dlog_j mod m_j)
-    (E / m_j) < E, where e_j dlog_j < m_j^2 <= DLOG_TABLE_LIMIT^2, and the
-    running sum is reduced mod E after each term; a reduced sum plus a
-    term stays below 2E < 2^63, since every order is even and so E <=
-    phi(D) / 2 with two or more factors.  Taken everywhere, the
-    reductions doubled the time to build every table for D <= 500, so they
-    are kept to where they are needed.  Both give the same k."""
-    E = basis.exponent
-    if E * sum(basis.orders) < 1 << 63:
-        weights = np.array([E // m for m in basis.orders], dtype=np.int64)
-        phases = (vecs * weights) @ np.maximum(emat, 0) % E
+    chi_e(u) = ``roots_of_unity(k, E)``, k = sum_j e_j dlog_j(u) (E / m_j)
+    mod E, and 0 on a non-unit.  The phase index adds, as an outer sum, the
+    terms (e_j dlog_j(u) mod m_j) (E / m_j) < E, so a unit's is below t E
+    (t factors, at least 1); a non-unit's logs count as 0 and it starts at
+    t E.  One gather from t copies of the E roots with a 0 appended gives
+    every value.  With fewer indices than E each root is computed itself,
+    at the index mod E: the same bits, as ``roots_of_unity`` works element
+    by element.  The index is int32 when max(m_j^2, (t + 1) E) < 2^31 (e_j
+    dlog_j < m_j^2), and int64 otherwise."""
+    E, orders = basis.exponent, basis.orders
+    t = max(1, len(orders))
+    if residues is None:
+        logs, units = basis.exponent_matrix(), basis.unit_mask()
     else:
-        phases = np.zeros((len(vecs), len(units)), dtype=np.int64)
-        for j, m in enumerate(basis.orders):
-            phases += vecs[:, j, None] * np.maximum(emat[j], 0) % m * (E // m)
-            phases %= E
-    values = roots_of_unity(phases, E) if phases.size < E else roots_of_unity(np.arange(E), E)[phases]
-    values[:, ~units] = 0.0
-    return values
-
-
-def _value_tables(basis: UnitGroupBasis, vecs: np.ndarray) -> np.ndarray:
-    """Value tables, shape (len(vecs), D), of the characters whose exponent
-    vectors are the rows of ``vecs``: ``_character_values`` at every
-    residue, from the basis's cached exponent matrix and unit mask."""
-    return _character_values(basis, vecs, basis.exponent_matrix(), basis.unit_mask())
+        logs = list(basis._log_rows(residues))
+        units = basis.units_at(residues, logs)
+    dtype = np.int32 if max([m * m for m in orders] + [(t + 1) * E]) < 1 << 31 else np.int64
+    index = np.where(units, 0, t * E).astype(dtype)
+    for e, m, row in zip(exponents, orders, logs):
+        term = np.asarray(e, dtype=dtype)[:, None] * np.where(units, row, 0).astype(dtype, copy=False)
+        term -= term // m * m  # mod m: numpy's // by a scalar is the fast one
+        term *= E // m
+        index = index[..., None, :] + term
+    index = index.reshape(math.prod(map(len, exponents)), units.size)
+    if index.size < E:
+        return np.where(index < t * E, roots_of_unity(index % E, E), 0)
+    roots = np.zeros(t * E + 1, dtype=np.complex128)
+    ring, half = roots[:-1].reshape(t, E), E // 2 + 1
+    # roots_of_unity gives the root at E - k as the conjugate of the one at k
+    ring[:, :half] = roots_of_unity(np.arange(half), E)
+    ring[:, half:] = np.conjugate(ring[0, E - half : 0 : -1])
+    return roots[index]
 
 
 def all_character_tables(basis: UnitGroupBasis) -> np.ndarray:
     """Matrix of shape (phi(D), D): row i is the value table of the i-th
     character in enumeration order.  Intended for small moduli."""
-    vecs = np.array(list(itertools.product(*(range(m) for m in basis.orders))), dtype=np.int64)
-    return _value_tables(basis, vecs)
+    return _character_values(basis, [np.arange(m) for m in basis.orders])
 
 
 # unit_group_transform gives a cyclic factor of order m = q c, where q = p^a

@@ -18,6 +18,7 @@ from charsum.bounds import (
     big_divisor_tail,
     burgess_check_2r,
     census_records,
+    character_table_records,
     constants_report,
     divisor_moment_report,
     double_sum_report,
@@ -400,13 +401,18 @@ def test_window_search_equals_class_copies(rows, cols, seed, ties):
 def test_theorem_report_builds_no_value_table(monkeypatch):
     """At x = D^(5/6 + 0.05) < D the certified candidates take the
     prime-power rows of the Lambda kernel, which evaluate each character at
-    n - l only: no value table of D entries is built."""
+    n - l only: no value table of D entries is built, neither through
+    value_table nor by the phase kernel at every residue."""
+    kernel = characters._character_values
 
     def no_table(*args):
         raise AssertionError("a character value table was built")
 
+    def points_only(basis, exponents, residues=None):
+        return no_table() if residues is None else kernel(basis, exponents, residues)
+
     monkeypatch.setattr(characters.DirichletCharacter, "value_table", no_table)
-    monkeypatch.setattr(characters, "_value_tables", no_table)
+    monkeypatch.setattr(characters, "_character_values", points_only)
     assert len(theorem_report([945, 10007], seed=1)) == 2
 
 
@@ -560,6 +566,17 @@ def test_identities_verify_small_all_pass():
         recombination_cases=2, seed=1,
     )
     assert all(r.verdict == "pass" for r in clean if r.mode == ASSERT)
+
+
+def test_character_table_records_pin_their_lhs():
+    """The worst orthogonality defect over D <= 500 and the worst Gauss
+    modulus defect over q <= 200, as this code writes them: every value of
+    the character tables they read enters these two numbers."""
+    records = character_table_records()
+    assert [(r.lemma_tag, r.lhs) for r in records] == [
+        ("ORTHOGONALITY", 4.210301157214334e-16),
+        ("GAUSS_MODULUS", 1.3253646884644356e-15),
+    ]
 
 
 def test_restricted_envelope_formula():

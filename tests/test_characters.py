@@ -1,10 +1,12 @@
 """Character algebra tests: basis structure, exact evaluation, conductor,
 induction, Gauss sums.  Oracles are definition-level loops."""
 
+import ast
 import cmath
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from charsum.characters import (
     unit_group_basis,
     unit_group_transform,
 )
-from charsum.integers import divisors, euler_phi, factor
+from charsum.integers import divisors, euler_phi, factor, primes_up_to
 from charsum.util import PreconditionError, SplitMix64
 
 
@@ -354,20 +356,83 @@ def test_values_at_equals_value_table_bits(D, pick, residues):
 def test_values_at_beyond_table_size_equals_scalar_phases(D):
     """Where no value table can be built, values_at gives roots_of_unity
     at the exact phase k / E of the scalar path, bit for bit, and 0 where
-    it finds a non-unit; at D near 1e15 the phases of the last characters,
-    summed unreduced, pass 2^63."""
+    it finds a non-unit; at D near 1e15 an unreduced sum of the phase
+    terms of the last characters would pass 2^63."""
     basis = unit_group_basis(D)
-    E = basis.exponent
     rng = np.random.default_rng(7)
     nonunits = [p * 7 for p in factor(D).primes] + [D - p for p in factor(D).primes]
     residues = np.array(rng.integers(0, D, 300).tolist() + [0, 1, D - 1] + nonunits, dtype=np.int64)
     for index in (1, basis.phi // 3, basis.phi - 1):
         chi = character_at(basis, index)
-        scalar = [chi(int(r)) for r in residues]
-        k = np.array([0 if v is None else int(v * E) for v in scalar], dtype=np.int64)
-        want = roots_of_unity(k, E)
-        want[[v is None for v in scalar]] = 0
-        assert chi.values_at(residues).tobytes() == want.tobytes()
+        assert chi.values_at(residues).tobytes() == scalar_values(chi, residues).tobytes()
+
+
+def scalar_values(chi, residues):
+    """roots_of_unity at k = chi(r) E, the exact phase of the scalar path,
+    for each r of ``residues``, and 0 where that path returns None."""
+    E = chi.basis.exponent
+    phases = [chi(int(r)) for r in residues]
+    want = roots_of_unity(np.array([0 if v is None else int(v * E) for v in phases], dtype=np.int64), E)
+    want[[v is None for v in phases]] = 0
+    return want
+
+
+# primes in (46341, 2 10^5): the order m = D - 1 has m^2 >= 2^31, so the
+# kernel's e dlog products need int64
+LARGE_ORDER_PRIMES = [int(p) for p in primes_up_to(200_000) if p > 46341]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(1, 400),
+                 st.integers(3, 12).map(lambda k: 1 << k),
+                 st.integers(0, 250).map(lambda m: 2 * (2 * m + 1)),
+                 st.tuples(st.integers(2, 4), st.sampled_from([3, 9]), st.sampled_from([5, 7, 11, 25]))
+                 .map(lambda t: (1 << t[0]) * t[1] * t[2]),
+                 st.sampled_from(LARGE_ORDER_PRIMES)),
+       st.integers(0, 2**32), st.integers(0, 2**32))
+@example(99991, 99989 * 50000, 0)
+@example(117649, 100841 * 70000, 1)
+@example(199999, 199997, 2)
+@example(2 * 3 * 5 * 7 * 11, 17, 3)
+def test_phase_kernel_equals_the_scalar_phases_bit_for_bit(D, pick, seed):
+    """all_character_tables, value_table and values_at all give
+    roots_of_unity(chi(n) E, E), with chi(n) from the scalar path, bit for
+    bit, and 0 where it finds a non-unit.  The moduli cover t >= 3 cyclic
+    factors, the (sign, five) pair of 2^k, D = 2 (mod 4), and primes whose
+    order m has m^2 >= 2^31; above D = 1024 the residues are sampled."""
+    basis = UnitGroupBasis(factor(D))
+    index = pick % basis.phi
+    chi = character_at(basis, index)
+    if D <= 1024:
+        residues = np.arange(D, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(seed)
+        nonunits = [p * int(rng.integers(D // p)) for p in factor(D).primes]
+        residues = np.array(rng.integers(0, D, 256).tolist() + [0, 1, D - 1] + nonunits, dtype=np.int64)
+    want = scalar_values(chi, residues).tobytes()
+    assert chi.values_at(residues).tobytes() == want
+    assert chi.value_table()[residues].tobytes() == want
+    if basis.phi * D <= 1 << 21:
+        assert all_character_tables(basis)[index, residues].tobytes() == want
+
+
+def test_one_phase_kernel_is_a_checked_rule():
+    """Across src/charsum, roots_of_unity is called only by the phase
+    kernel _character_values and by gauss_sums, for the additive
+    characters e(a/q): every Dirichlet character value comes from the one
+    kernel."""
+    callers = []
+    for path in sorted(Path(characters.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "roots_of_unity" in (getattr(func, "id", None),
+                                                                   getattr(func, "attr", None)):
+                while node in parents and not isinstance(node, ast.FunctionDef):
+                    node = parents[node]
+                callers.append((path.name, getattr(node, "name", None)))
+    assert sorted(callers) == [("characters.py", "_character_values")] * 2 + [("characters.py", "gauss_sums")]
 
 
 def whole_transform(basis, residues, weights):

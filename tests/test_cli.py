@@ -115,6 +115,21 @@ def test_report_theorem_even_moduli_take_no_transform_and_no_lambda(tmp_path, mo
     assert all(r["parameters"]["chi_index"] is None and r["parameters"]["support_k"] > 0 for r in records)
 
 
+def test_report_theorem_charges_an_even_modulus_only_what_it_runs(tmp_path, monkeypatch, capsys):
+    """An even D is charged its basis, its conductor grid and floor(log2 x)
+    gcds per shift, not the transforms of an odd D: D = 2 * 999983 (phi =
+    999982) exits 0 with its record, while the odd 999983 is still over the
+    budget and exits 2 before any basis is built."""
+    path = tmp_path / "r.jsonl"
+    assert cli.main(["report", "theorem", "--D-list", "1999966", "--output", str(path)]) == 0
+    records = [json.loads(s) for s in path.read_text().strip().split("\n")[1:]]
+    assert [(r["lemma_tag"], r["parameters"]["D"]) for r in records] == [("THEOREM_T", 1999966)]
+    monkeypatch.setattr(bounds, "UnitGroupBasis", lambda *a: _raise(AssertionError("basis built")))
+    assert cli.main(["report", "theorem", "--D-list", "999983"]) == 2
+    err = capsys.readouterr().err
+    assert "more than the budget of 1000000000" in err and "Traceback" not in err
+
+
 def test_lemma8_random_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     out1 = run("verify", "lemma8", "--random", "25", "--seed", "7", "--output", str(a))
