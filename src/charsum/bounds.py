@@ -42,8 +42,6 @@ from .integers import (
 )
 from .sums import (
     CongruenceInstance,
-    _mangoldt_arrays,
-    _prime_power_bound,
     bin_lambda,
     burgess_moment_2r,
     char_twist_weight,
@@ -51,7 +49,9 @@ from .sums import (
     coprime_count_sweep,
     double_sum,
     hb_decompose,
+    mangoldt_weights,
     mobius_recombination,
+    prime_power_bound,
     restricted_sum,
     shifted_prime_sum,
     short_sum,
@@ -607,7 +607,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
         # per shift: a Lambda gather and a transform over phi at an odd D, and
         # floor(log2 x) gcds at an even D, which builds only its basis and grid
         shifts, gcds = min(phi, 64), x.bit_length() - 1
-        work = shifts * (_prime_power_bound(x) + phi * int(math.log2(phi))) if D % 2 else phi + shifts * gcds
+        work = shifts * (prime_power_bound(x) + phi * int(math.log2(phi))) if D % 2 else phi + shifts * gcds
         check_work(work, f"report theorem at D = {D} ({shifts} shifts over phi = {phi} characters)")
         moduli.append((D, f, x))
 
@@ -645,8 +645,9 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             params.update(lhs_unfiltered=lhs, chi_index=None, l=l, support_k=s)
             ms = (time.perf_counter_ns() - t0) // 1_000_000
             return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
-        n, m = _mangoldt_arrays(x)
-        lam = np.ldexp(m, -53)
+        lam = mangoldt_weights(x)  # Lambda(0..x): the prime powers n are its nonzero entries
+        n = np.flatnonzero(lam)
+        lam = lam[n]
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
 
         # search: the transform's characters (half of the lattice), filtered

@@ -166,8 +166,6 @@ class UnitGroupBasis:
         self.orders = tuple(f.order for f in facs)
         self.phi = math.prod(self.orders) if facs else 1
         self.exponent = math.lcm(*self.orders) if facs else 1
-        self._emat = None
-        self._unit_mask = None
         self._flat_index = None
         self._plan = None
         self._conductor_grid = None
@@ -210,30 +208,15 @@ class UnitGroupBasis:
                     f"limit ({DLOG_TABLE_LIMIT}); only scalar evaluation is available")
             yield np.tile(f.dlog, D // f.pe) if residues is None else f.dlog[residues % f.pe]
 
-    def exponents_at(self, residues: np.ndarray | None = None) -> np.ndarray:
-        """Shape (t, n), int64; column j is the exponent vector of the
-        non-negative int64 residues[j] (-1 where a component is a non-unit),
-        or of j itself when ``residues`` is None (n = D)."""
-        n = self.modulus.value if residues is None else len(residues)
-        # allocated before its rows are made: the other order left a hole
-        # under the cached exponent matrix that raised the peak RSS of the
-        # bench tsum plan by 5 MB (ru_maxrss, 77.2 -> 82.5 MB)
-        emat = np.empty((len(self.factors), n), dtype=np.int64)
-        for row, logs in zip(emat, self._log_rows(residues)):
-            row[:] = logs
-        return emat
-
     def exponent_matrix(self) -> np.ndarray:
-        """Shape (t, D); column u is the exponent vector of u (-1 on non-units).
-        Cached for the value tables, which read every column of it."""
-        if self._emat is None:
-            self._emat = self.exponents_at()
-        return self._emat
+        """Shape (t, D), int32; column u is the exponent vector of u (-1 on
+        non-units).  Built afresh from ``_log_rows`` on each call."""
+        return np.array(list(self._log_rows()), dtype=np.int32).reshape(len(self.factors), self.modulus.value)
 
     def units_at(self, residues: np.ndarray | None, rows) -> np.ndarray:
         """Which of the non-negative int64 ``residues`` (every residue
         0..D-1 when None) are units, given their discrete-log rows ``rows``
-        (``exponents_at`` or ``_log_rows``): those where every component
+        (``_log_rows``): those where every component
         has a discrete log and, when 2 || D, which are odd, since then the
         2-part contributes no cyclic factor.  The one rule for unit-ness,
         read by ``unit_mask``, ``unit_flat_index`` and the phase kernel
@@ -246,10 +229,8 @@ class UnitGroupBasis:
         return units
 
     def unit_mask(self) -> np.ndarray:
-        """``units_at`` every residue, cached beside the exponent matrix."""
-        if self._unit_mask is None:
-            self._unit_mask = self.units_at(None, self.exponent_matrix())
-        return self._unit_mask
+        """``units_at`` every residue, built afresh on each call."""
+        return self.units_at(None, self._log_rows())
 
     def transform_plan(self) -> "TransformPlan":
         """The lattice ``unit_group_transform`` lays the unit group out on."""
@@ -261,14 +242,12 @@ class UnitGroupBasis:
         """Residue -> int32 flat index into the ``transform_plan()`` lattice
         (-1 on non-units); every entry is below phi."""
         if self._flat_index is None:
-            # not through the cached exponent_matrix: the transform alone
-            # needs no table, so its moduli keep no t x D matrix.  A
-            # non-unit's logs may hold -1s; the mask overwrites its entry.
+            # a non-unit's logs may hold -1s; the mask overwrites its entry
             flat = np.zeros(self.modulus.value, dtype=np.int32)
             for logs, axes in zip(self._log_rows(), self.transform_plan().axes):
                 for length, stride in axes:
                     flat += logs % length * stride
-            flat[~self.units_at(None, self._log_rows())] = -1
+            flat[~self.unit_mask()] = -1
             self._flat_index = flat
         return self._flat_index
 
@@ -355,11 +334,12 @@ class DirichletCharacter:
         return self._table
 
     def values_at(self, residues: np.ndarray) -> np.ndarray:
-        """chi at each int64 entry of ``residues`` (taken mod D) as
-        complex128: the bits of ``value_table()[residues % D]``, without a
-        table."""
-        residues = np.asarray(residues, dtype=np.int64) % self.modulus
-        return _character_values(self.basis, [(e,) for e in self.exponents], residues)[0]
+        """chi at each int64 entry of ``residues`` (taken mod D), any shape,
+        as complex128 of the same shape: the bits of
+        ``value_table()[residues % D]``, without a table."""
+        residues = np.asarray(residues, dtype=np.int64)
+        flat = residues.reshape(-1) % self.modulus
+        return _character_values(self.basis, [(e,) for e in self.exponents], flat)[0].reshape(residues.shape)
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "exponents": list(self.exponents)}
@@ -471,11 +451,8 @@ def _character_values(basis: UnitGroupBasis, exponents, residues: np.ndarray | N
     dlog_j < m_j^2), and int64 otherwise."""
     E, orders = basis.exponent, basis.orders
     t = max(1, len(orders))
-    if residues is None:
-        logs, units = basis.exponent_matrix(), basis.unit_mask()
-    else:
-        logs = list(basis._log_rows(residues))
-        units = basis.units_at(residues, logs)
+    logs = list(basis._log_rows(residues))
+    units = basis.units_at(residues, logs)
     dtype = np.int32 if max([m * m for m in orders] + [(t + 1) * E]) < 1 << 31 else np.int64
     index = np.where(units, 0, t * E).astype(dtype)
     for e, m, row in zip(exponents, orders, logs):

@@ -5,8 +5,8 @@ Everything here is exact integer arithmetic; the sieved tables of mu, tau
 and tau_r come from one vectorized least-prime-factor walk.  The von
 Mangoldt sieve streams one boolean segment at a time and keeps only the
 prime powers it finds, so its memory grows per prime power, not per
-integer.  ``MangoldtTable`` stores those prime powers as exact (n, prime,
-exponent) arrays; the log values are taken by its readers, so no floating
+integer.  ``MangoldtTable`` stores those prime powers as exact (n, prime)
+arrays; the log values are taken by its readers, so no floating
 point enters this module's tables.
 """
 
@@ -308,16 +308,15 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 class MangoldtTable:
     """Von Mangoldt values on [lo, hi], stored exactly as the prime powers.
 
-    ``n`` lists the prime powers in the range, ascending, with n[i] =
-    prime[i] ** power[i]; every other integer in the range has Lambda = 0,
-    and Lambda(n[i]) = log(prime[i]).  No rounding is baked into the table.
+    ``n`` lists the prime powers in the range, ascending, n[i] a power of
+    prime[i]; every other integer in the range has Lambda = 0, and
+    Lambda(n[i]) = log(prime[i]).  No rounding is baked into the table.
     """
 
     lo: int
     hi: int
     n: np.ndarray
     prime: np.ndarray
-    power: np.ndarray
 
 
 def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
@@ -327,7 +326,7 @@ def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
     byte each, by the odd primes up to sqrt(hi), and each segment keeps only
     the primes it leaves.  The powers p^k, k >= 2, of the primes up to
     sqrt(hi) are merged in once at the end.  Memory is one segment plus
-    about 17 bytes per prime power, and the table does not depend on the
+    about 16 bytes per prime power, and the table does not depend on the
     segmentation."""
     require(1 <= lo, "lo", "need lo >= 1")
     require(lo <= hi, "hi", f"need lo <= hi, got [{lo}, {hi}]")
@@ -352,20 +351,18 @@ def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
         found.append(np.flatnonzero(alive) * 2 + seg_lo)
     primes = np.concatenate(found)
     del found
-    higher = []  # (p^k, p, k) with k >= 2 inside the range
+    higher = []  # (p^k, p) with k >= 2 inside the range
     for p in base.tolist():
-        q, k = p * p, 2
+        q = p * p
         while q <= hi:
             if q >= lo:
-                higher.append((q, p, k))
-            q, k = q * p, k + 1
-    pk, pp, kk = np.array(sorted(higher), dtype=np.int64).reshape(-1, 3).T
+                higher.append((q, p))
+            q *= p
+    pk, pp = np.array(sorted(higher), dtype=np.int64).reshape(-1, 2).T
     at = np.searchsorted(primes, pk)
     n = np.insert(primes, at, pk)
     del primes
     at += np.arange(at.size)  # where np.insert put them
     prime = n.copy()
     prime[at] = pp
-    power = np.ones(n.size, dtype=np.int8)
-    power[at] = kk
-    return MangoldtTable(lo, hi, n, prime, power)
+    return MangoldtTable(lo, hi, n, prime)

@@ -97,7 +97,7 @@ class _LambdaCache:
 _LAMBDA = _LambdaCache()
 
 
-def _prime_power_bound(x: int) -> int:
+def prime_power_bound(x: int) -> int:
     """An upper bound on the number of prime powers n <= x: pi(x) <
     1.25506 x / ln x (Rosser & Schoenfeld 1962), and sqrt(x) covers the
     higher prime powers."""
@@ -107,7 +107,7 @@ def _prime_power_bound(x: int) -> int:
 def _check_lambda_memory(x: int) -> None:
     """WorkBudgetError, before anything is allocated, when the Lambda arrays
     up to x could outgrow physical memory."""
-    estimate = LAMBDA_BYTES * _prime_power_bound(x)
+    estimate = LAMBDA_BYTES * prime_power_bound(x)
     limit = physical_memory()
     if estimate > limit:
         raise WorkBudgetError(
@@ -253,32 +253,27 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
     maps an int64 array to a bool mask that depends only on each entry mod
     L; term_count counts them, zero character values included.  The dot
     product's rows are the residue bins or the prime powers themselves,
-    whichever are fewer, so include sees min(L, pi*(x)) entries.  Bin rows
-    read chi's value table; prime-power rows evaluate chi at n - l only, so
-    no table of q entries is built when pi*(x) <= L.  Both give the same
-    bits.  l is reduced mod L as a Python int first, so any integer shift
-    works."""
+    whichever are fewer.  Either way chi is read once, by ``values_at`` at
+    the rows' points minus l, and include sees those min(L, pi*(x))
+    points: no value table is kept, and the prime-power rows build nothing
+    of q entries.  l is reduced mod L as a Python int first, so any integer
+    shift works."""
     if x < 2:
         return SumValue(0j, 0, 0.0)
     n, m = _mangoldt_arrays(x)
-    l %= L
     if L < n.size:  # row i: the residue class i mod L
-        table = chi.value_table()
-        q = len(table)
         bins, count = _residue_bins(x, L)
-        inside = None if include is None else include(np.arange(L, dtype=np.int64))
-        terms = n.size if include is None else int(count.sum(where=inside))
-        keep = np.tile(np.roll(table != 0, l), L // q) & (count != 0)  # table[(i - l) % q] != 0
-        digits_of, g_of = (lambda i: bins.take(i, axis=1)), (lambda i: table[(i - l) % q])
+        points, digits_of = np.arange(L, dtype=np.int64), (lambda i: bins.take(i, axis=1))
     else:  # row i: the prime power n[i]
-        inside = None if include is None else include(n)
-        terms = n.size if include is None else int(np.count_nonzero(inside))
-        values = chi.values_at(n - l)
-        keep = values != 0
-        digits_of, g_of = (lambda i: digits(m[i])), (lambda i: values[i])
-    if inside is not None:
+        count, points, digits_of = None, n, (lambda i: digits(m[i]))
+    values = chi.values_at(points - l % L)
+    keep = values != 0
+    terms = n.size
+    if include is not None:
+        inside = include(points)
         keep &= inside
-    value, mass = _character_dot(np.flatnonzero(keep), digits_of, g_of)
+        terms = int(np.count_nonzero(inside) if count is None else count.sum(where=inside))
+    value, mass = _character_dot(np.flatnonzero(keep), digits_of, lambda i: values[i])
     return SumValue(value, terms, mass)
 
 
@@ -288,7 +283,7 @@ def check_lambda_work(L: int, x: int, characters: int) -> None:
     to x exceed the work budget: one binning pass over the prime powers, then
     per character L weights and 16 products per row over min(L, pi*(x)) rows."""
     _check_lambda_memory(x)
-    rows = _prime_power_bound(x)
+    rows = prime_power_bound(x)
     check_work(rows + characters * (L + 16 * min(L, rows)), f"summing {characters} characters mod {L} up to x = {x}")
 
 
@@ -471,10 +466,8 @@ def burgess_moment_2r(chi_q: DirichletCharacter, Z: int, r: int) -> float:
     """Sum over all window starts of |sum_{z<=Z} chi_q(start + z)|^(2r), exact."""
     require(Z >= 1, "Z", "need Z >= 1")
     require(r >= 1, "r", "need r >= 1")
-    q = chi_q.modulus
-    table = chi_q.value_table()
-    idx = (np.arange(q, dtype=np.int64)[:, None] + np.arange(1, Z + 1, dtype=np.int64)[None, :]) % q
-    windows = table[idx].sum(axis=1)
+    starts = np.arange(chi_q.modulus, dtype=np.int64)[:, None]
+    windows = chi_q.values_at(starts + np.arange(1, Z + 1, dtype=np.int64)).sum(axis=1)
     return exact_sum(np.abs(windows) ** (2 * r))
 
 
@@ -610,8 +603,7 @@ def char_twist_weight(chi_q: DirichletCharacter, l: int, x: int) -> np.ndarray:
     q = chi_q.modulus
     require(math.gcd(l, q) == 1, "l", "need gcd(l, q) = 1")
     ns = np.arange(x + 1, dtype=np.int64)
-    table = chi_q.value_table()
-    out = table[(ns - l) % q].astype(np.complex128)
+    out = chi_q.values_at(ns - l % q)
     out[np.gcd(ns, q) != 1] = 0
     out[0] = 0
     return out

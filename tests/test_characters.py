@@ -352,6 +352,21 @@ def test_values_at_equals_value_table_bits(D, pick, residues):
     assert (got == 0).tolist() == [chi(r) is None for r in residues]
 
 
+@pytest.mark.parametrize("D, shape", [(45, (2, 3)), (45, (0, 4)), (45, ()), (4725, (7, 1, 5)), (2**12, (3, 64))])
+def test_values_at_keeps_its_input_shape(D, shape):
+    """values_at on an array of any shape, negative entries and non-units
+    included, returns values of that shape: the bits of value_table() at
+    the residues mod D."""
+    basis = unit_group_basis(D)
+    rng = np.random.default_rng(D)
+    residues = rng.integers(-3 * D, 3 * D, shape)
+    for index in (1, basis.phi // 2, basis.phi - 1):
+        chi = character_at(basis, index)
+        got = chi.values_at(residues)
+        assert got.shape == residues.shape
+        assert got.tobytes() == chi.value_table()[residues % D].tobytes()
+
+
 @pytest.mark.parametrize("D", [100003 * 100019 * 100043, 2 * 7**5 * 999983, 4 * 999983 * 999979])
 def test_values_at_beyond_table_size_equals_scalar_phases(D):
     """Where no value table can be built, values_at gives roots_of_unity
@@ -589,11 +604,11 @@ BENCH_THEOREM_MODULI = (10007, 49999, 99991, 163841, 30030, 46189, 111111, 19683
 def test_tiled_residue_tables_match_residue_wise_construction(D):
     """unit_flat_index, exponent_matrix and unit_mask, which tile each
     component's discrete-log table over 0..D-1, equal the residue-wise
-    construction from exponents_at and units_at at every residue; the unit
+    construction from _log_rows and units_at at every residue; the unit
     mask is gcd(u, D) = 1, and the index arrays are int32."""
     basis = UnitGroupBasis(factor(D))
     residues = np.arange(D, dtype=np.int64)
-    emat = basis.exponents_at(residues)
+    emat = np.array(list(basis._log_rows(residues)), dtype=np.int32).reshape(-1, D)
     units = basis.units_at(residues, emat)
     assert np.array_equal(units, np.gcd(residues, D) == 1)
     plan = basis.transform_plan()
@@ -603,7 +618,7 @@ def test_tiled_residue_tables_match_residue_wise_construction(D):
     flat = basis.unit_flat_index()
     assert flat.dtype == np.int32 and np.array_equal(flat, want)
     assert all(f.dlog.dtype == np.int32 for f in basis.factors)
-    assert basis.exponent_matrix().dtype == np.int64 and np.array_equal(basis.exponent_matrix(), emat)
+    assert basis.exponent_matrix().dtype == np.int32 and np.array_equal(basis.exponent_matrix(), emat)
     assert np.array_equal(basis.unit_mask(), units)
 
 

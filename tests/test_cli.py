@@ -107,7 +107,7 @@ def test_report_theorem_even_moduli_take_no_transform_and_no_lambda(tmp_path, mo
         raise AssertionError("an even modulus reached the transform or the Lambda sieve")
 
     monkeypatch.setattr(bounds, "unit_group_transform", forbidden)
-    monkeypatch.setattr(bounds, "_mangoldt_arrays", forbidden)
+    monkeypatch.setattr(bounds, "mangoldt_weights", forbidden)
     path = tmp_path / "r.jsonl"
     assert cli.main(["report", "theorem", "--D-list", "30030,16384,12600,1024", "--output", str(path)]) == 0
     records = [json.loads(s) for s in path.read_text().strip().split("\n")[1:]]
@@ -394,21 +394,37 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_benchmark_tracer_hooks_still_exist(tmp_path):
-    """bench/tracer.py patches charsum by name (util.complex_fsum,
-    DirichletCharacter.value_table and its _table slot, the evaluators and
-    the report entry points): it installs, records spans over `sum T` and
-    `report shortsums`, and restores every original."""
+def test_benchmark_tracer_hooks_still_exist(tmp_path, capsys):
+    """bench/tracer.py patches charsum by name (the Lambda cache, the
+    sieves, the basis views, DirichletCharacter.value_table and its _table
+    slot, the evaluators, util.map_blocks and the report entry points), so
+    a renamed or deleted hook fails here and not only in the benchmark: it
+    installs, records spans over small commands of each bench workload
+    (`sum T` and `report restricted` of tsum, `verify identities` of
+    verify, `report burgess` and `report theorem` at an odd and an even D
+    of theorem), and restores every original."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     trace = tracer.Tracer()
+    reports = [
+        ["report", "restricted", "--D", "4725", "--x", "20000"],
+        ["verify", "identities", "--max-D", "30", "--gauss-max-q", "30", "--hb-cases", "2",
+         "--coprime-max", "30", "--recombination-cases", "2"],
+        ["report", "burgess", "--q-max", "30"],
+        ["report", "theorem", "--D-list", "1009,1024"],
+    ]
     trace.install()
     try:
         assert cli.main(["sum", "T", "--D", "45", "--l", "2", "--x", "1000", "--chi-index", "1"]) == 0
-        assert cli.main(["report", "shortsums", "--output", str(tmp_path / "s.jsonl")]) == 0
+        for k, argv in enumerate(reports):
+            assert cli.main(argv + ["--output", str(tmp_path / f"{k}.jsonl")]) == 0, argv
+        characters.character_at(characters.unit_group_basis(45), 1).value_table()
     finally:
         trace.restore()
+    capsys.readouterr()
     assert tracer.installed_wrappers() == []
-    assert tracer.layer_metrics(trace.spans)["sums.terms"] > 0
+    metrics = tracer.layer_metrics(trace.spans)
+    assert metrics["trace.spans"] > 0 and metrics["sums.terms"] > 0 and metrics["bounds.records"] > 0
+    assert metrics["characters.table_entries"] > 0

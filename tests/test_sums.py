@@ -1,12 +1,14 @@
 """Evaluator tests: frozen example values, oracle agreement on seeded cases,
 exactness of the decomposition identity, census classification."""
 
+import ast
 import json
 import math
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -289,16 +291,22 @@ def test_residue_bins_are_exact_digit_rows():
 
 class _TableCharacter:
     """Any complex weight table mod L, read as the kernel reads a character:
-    the whole table on the bin path, entries at n - l on the other."""
+    values_at the rows' points, residue classes or prime powers, minus l."""
 
     def __init__(self, table):
         self.table = table
 
-    def value_table(self):
-        return self.table
-
     def values_at(self, residues):
         return self.table[residues % len(self.table)]
+
+
+def test_sums_read_characters_through_values_at_only():
+    """No code in sums.py builds or reads a table of every character value:
+    each sum reads chi through values_at, at its own points."""
+    tree = ast.parse(Path(sums.__file__).read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert "values_at" in names
+    assert not names & {"value_table", "all_character_tables", "_character_values"}
 
 
 @settings(max_examples=30, deadline=None)

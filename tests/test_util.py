@@ -336,6 +336,18 @@ def test_one_exact_reduction_is_a_checked_rule():
         assert _fsum_calls(tree) == _fsum_calls(inside[0]) >= 1
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """No module under src/charsum imports an underscore name from another
+    charsum module, relatively or by the package name: what one module
+    reads of another is its public interface."""
+    found = []
+    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("charsum")):
+                found += [(path.name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # map_blocks
 
