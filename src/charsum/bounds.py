@@ -49,7 +49,7 @@ from .sums import (
     coprime_count_sweep,
     double_sum,
     hb_decompose,
-    mangoldt_weights,
+    mangoldt_terms,
     mobius_recombination,
     prime_power_bound,
     restricted_sum,
@@ -645,9 +645,7 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             params.update(lhs_unfiltered=lhs, chi_index=None, l=l, support_k=s)
             ms = (time.perf_counter_ns() - t0) // 1_000_000
             return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
-        lam = mangoldt_weights(x)  # Lambda(0..x): the prime powers n are its nonzero entries
-        n = np.flatnonzero(lam)
-        lam = lam[n]
+        n, lam = mangoldt_terms(x)
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
 
         # search: the transform's characters (half of the lattice), filtered

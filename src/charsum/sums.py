@@ -149,12 +149,18 @@ def _mangoldt_arrays(x: int):
     return n[:cut], m[:cut]
 
 
+def mangoldt_terms(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, Lambda(n)) over the prime powers n <= x: n is a read-only view
+    of the cache, Lambda(n) a fresh float64 array."""
+    n, m = _mangoldt_arrays(x)
+    return n, np.ldexp(m, -53)
+
+
 def mangoldt_weights(x: int) -> np.ndarray:
     """Lambda(0..x) as float64."""
     out = np.zeros(x + 1, dtype=np.float64)
-    if x >= 2:
-        n, m = _mangoldt_arrays(x)
-        out[n] = np.ldexp(m, -53)
+    n, lam = mangoldt_terms(x)
+    out[n] = lam
     return out
 
 

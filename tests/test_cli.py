@@ -107,7 +107,7 @@ def test_report_theorem_even_moduli_take_no_transform_and_no_lambda(tmp_path, mo
         raise AssertionError("an even modulus reached the transform or the Lambda sieve")
 
     monkeypatch.setattr(bounds, "unit_group_transform", forbidden)
-    monkeypatch.setattr(bounds, "mangoldt_weights", forbidden)
+    monkeypatch.setattr(bounds, "mangoldt_terms", forbidden)
     path = tmp_path / "r.jsonl"
     assert cli.main(["report", "theorem", "--D-list", "30030,16384,12600,1024", "--output", str(path)]) == 0
     records = [json.loads(s) for s in path.read_text().strip().split("\n")[1:]]
@@ -402,7 +402,8 @@ def test_benchmark_tracer_hooks_still_exist(tmp_path, capsys):
     installs, records spans over small commands of each bench workload
     (`sum T` and `report restricted` of tsum, `verify identities` of
     verify, `report burgess` and `report theorem` at an odd and an even D
-    of theorem), and restores every original."""
+    of theorem, and `report shortsums`, whose short_sum and sy_sum wrappers
+    count terms), and restores every original."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -410,6 +411,7 @@ def test_benchmark_tracer_hooks_still_exist(tmp_path, capsys):
     trace = tracer.Tracer()
     reports = [
         ["report", "restricted", "--D", "4725", "--x", "20000"],
+        ["report", "shortsums"],
         ["verify", "identities", "--max-D", "30", "--gauss-max-q", "30", "--hb-cases", "2",
          "--coprime-max", "30", "--recombination-cases", "2"],
         ["report", "burgess", "--q-max", "30"],
@@ -428,3 +430,4 @@ def test_benchmark_tracer_hooks_still_exist(tmp_path, capsys):
     metrics = tracer.layer_metrics(trace.spans)
     assert metrics["trace.spans"] > 0 and metrics["sums.terms"] > 0 and metrics["bounds.records"] > 0
     assert metrics["characters.table_entries"] > 0
+    assert {"sums.short_sum", "sums.sy_sum", "bounds.short_sum_report"} <= {span[2] for span in trace.spans}
