@@ -238,15 +238,17 @@ def smooth_bound_check(x: int, z: int, b: int = 1) -> BoundCheckRecord:
 
 def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckRecord:
     """Max over primitive chi of ``burgess_moment_2r`` against Z^r q + Z^(2r)
-    q^(1/2+delta).  As in ``theorem_report``, a ``unit_group_transform`` of
-    the windows (row s: residues s + 1..s + Z) searches, and every primitive
-    chi within twice its error bound of the top is evaluated exactly."""
+    q^(1/2+delta).  A ``unit_group_transform`` of the windows (row s:
+    residues s + 1..s + Z) gives every chi's sum over s of |W|^(2r), and
+    ``_certified_max``, the engine of ``theorem_report`` too, takes those
+    moments as one row, with the primitive chi (conductor q) as its class:
+    every one within twice the error bound of the top is evaluated exactly."""
     require(mobius(factor(q)) != 0 or r == 2, "q", "need squarefree q or r = 2")
     _require_finite_moments(q, Z, r)
     t0 = time.perf_counter_ns()
     basis = unit_group_basis(q)
-    prim = np.flatnonzero(_half_lattice(basis.conductor_grid()) == q)
-    require(prim.size > 0, "q", f"no primitive characters mod {q}")
+    primitive = _half_lattice(basis.conductor_grid()) == q
+    require(primitive.any(), "q", f"no primitive characters mod {q}")
     # a row's mass is Z and its counts are exact, so each |W| is off by at
     # most e, and each moment, q powers below (Z + e)^(2r), by at most bound;
     # FFT_ERROR_C's margin also covers the rounding of the powers' sums
@@ -256,9 +258,8 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
     for _, values in unit_group_transform(basis, np.arange(q)[:, None] + np.arange(1, Z + 1), 1.0):
         values **= 2 * r  # the batch's own buffer: same bits as values ** (2 r)
         moments = moments + values.sum(axis=0)
-    moments = moments.reshape(-1)[prim]
-    hits = _chi_index(prim[moments >= moments.max() - 2 * bound], basis.orders)
-    lhs = max(burgess_moment_2r(character_at(basis, i), Z, r) for i in set(hits.tolist()))
+    [(lhs, _, _)] = _certified_max(basis, [(0, moments.reshape(1, -1))], [primitive], 2 * bound,
+                                   lambda chi, _: burgess_moment_2r(chi, Z, r), [0])
     ms = (time.perf_counter_ns() - t0) // 1_000_000
     return make_record(
         "BURGESS_2R", {"q": q, "Z": Z, "r": r, "delta": delta},
@@ -535,28 +536,41 @@ def _chi_index(idx: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     return np.minimum(np.ravel_multi_index(e, orders), np.ravel_multi_index(conj, orders))
 
 
-def _near_top(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, row, column) of every entry of the 2-D ``values`` within
-    ``gap`` of its largest entry, in row-major order.  Only the rows whose
-    own maximum is that close are compared, so ``values`` is not copied."""
-    top = values.max(axis=1)
-    floor = top.max() - gap
-    rows = np.flatnonzero(top >= floor)
-    r, c = np.nonzero(values[rows] >= floor)
-    return values[rows[r], c], rows[r], c
-
-
-def _search_batch(values: np.ndarray, excluded: np.ndarray, gap: float):
-    """The filtered and the unfiltered search hits, in that order, of one
-    batch of transform values (rows: shifts, columns: half-lattice
-    indices), each as ``_near_top`` gives them with columns as half-lattice
-    indices.  The unfiltered class is every column but the principal 0th,
-    a view; the filtered class is what is left once the ``excluded``
-    columns are set to -inf in ``values``, in place.  No class is copied."""
-    v, r, c = _near_top(values[:, 1:], gap)
-    unfiltered = (v, r, c + 1)
-    values[:, excluded] = -np.inf
-    return _near_top(values, gap), unfiltered
+def _certified_max(basis: UnitGroupBasis, batches, classes, gap: float, evaluate, labels) -> list[tuple]:
+    """Certify a transform search: per class of characters, (value,
+    chi_index, label) of the exact maximum, ties to the smallest
+    (chi_index, label).  ``batches`` yields (first_row, values) as
+    ``unit_group_transform`` does, row b named ``labels[b]``; each class is
+    a non-empty half-lattice mask inside the one before.  Per batch, widest
+    class first, the columns outside the class are set to -inf in place
+    (no class is copied) and the entries within ``gap`` of the batch's top
+    are hits.  The hits within ``gap`` of the top over every batch, which
+    no batch split changes, are taken at the smaller index of chi and conj
+    chi and evaluated by ``evaluate(chi, label)``, once per pair."""
+    outside = [np.flatnonzero(~mask) for mask in classes]
+    found = [[] for _ in classes]
+    for first_row, values in batches:
+        values = values.reshape(len(values), -1)
+        for cols, hits in zip(outside, found):
+            values[:, cols] = -np.inf
+            top = values.max(axis=1)
+            floor = top.max() - gap
+            rows = np.flatnonzero(top >= floor)
+            r, c = np.nonzero(values[rows] >= floor)
+            hits.append((values[rows[r], c], first_row + rows[r], c))
+    labels = np.asarray(labels)
+    keys = []
+    for hits in found:
+        vals, pos, idx = (np.concatenate(parts) for parts in zip(*hits))
+        sel = vals >= vals.max() - gap
+        keys.append(set(zip(_chi_index(idx[sel], basis.orders).tolist(), labels[pos[sel]].tolist())))
+    exact, chi_at = {}, None
+    for chi_index, label in sorted(set().union(*keys)):
+        if chi_index != chi_at:
+            chi, chi_at = character_at(basis, chi_index), chi_index
+        exact[chi_index, label] = evaluate(chi, label)
+    best = [min(ks, key=lambda k: (-exact[k], k)) for ks in keys]
+    return [(exact[k], *k) for k in best]
 
 
 def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCheckRecord]:
@@ -566,17 +580,16 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
     The lhs is exact: |``shifted_prime_sum``| at a certified maximiser,
     whose ``chi_index`` and ``l`` go into the parameters (ties go to the
     smallest (chi_index, l)).  A batched real unit-group transform
-    (``unit_group_transform``) only searches: every (chi, l) whose |FFT
-    value| lies within twice its error bound (FFT_ERROR_C) of the largest
-    is evaluated exactly, and the exact maximum over them is the maximum
-    over all characters and shifts.  A hit stands for chi and conj chi,
-    whose exact |T| are equal bit for bit; it is evaluated at the smaller
-    index of the two.  The report bytes therefore depend neither on the
-    FFT's rounding nor on the batch size.  The search (``_search_batch``)
-    copies no class out of a batch.  For epsilon < 1/6, x < D, so each
-    exact evaluation reads its character at the prime powers only
-    (``sums._lambda_sum``): no value table is built, and for an odd D the
-    transform is nearly all of the cost.
+    (``unit_group_transform``) only searches, and ``_certified_max``, the
+    engine of ``report burgess`` too, evaluates exactly every (chi, l)
+    whose |FFT value| lies within twice its error bound (FFT_ERROR_C) of
+    the largest: the exact maximum over them is the maximum over all
+    characters and shifts.  A hit stands for chi and conj chi, whose exact
+    |T| are equal bit for bit.  The report bytes therefore depend neither
+    on the FFT's rounding nor on the batch size.  For epsilon < 1/6, x <
+    D, so each exact evaluation reads its character at the prime powers
+    only (``sums._lambda_sum``): no value table is built, and for an odd D
+    the transform is nearly all of the cost.
 
     Characters are additionally filtered by conductor > exp(sqrt(2 ln D));
     both the filtered and unfiltered maxima are recorded, each certified
@@ -647,42 +660,16 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
         n, lam = mangoldt_terms(x)
         bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
-
-        # search: the transform's characters (half of the lattice), filtered
-        # and not; per class, every (value, shift position, half index)
-        # within 2 bound of its batch's maximum
-        excluded = np.flatnonzero(_half_lattice(cond) <= threshold)
-        found = ([], [])
         # int32 residues mod D, as D < 2^31 (the budget caps phi near 8 10^5):
         # the transform reads this shifts x pi*(x) array whole, and int64
         # would add up to 2 MB per modulus to the peak RSS
         shifts = np.array(ls, dtype=np.int32)
         residues = ((n % D).astype(np.int32)[None, :] - shifts[:, None]) % D
-        for a, values in unit_group_transform(basis, residues, lam):
-            batch = _search_batch(values.reshape(len(values), -1), excluded, 2 * bound)
-            for (v, r, c), hits in zip(batch, found):
-                hits.append((v, a + r, c))
-
-        def candidates(hits):
-            """(chi_index, l) of every search hit within 2 bound of the largest
-            value, the hit's character taken as the smaller index of it and
-            its conjugate: their exact |T| are equal bit for bit."""
-            vals, pos, idx = (np.concatenate(parts) for parts in zip(*hits))
-            sel = vals >= vals.max() - 2 * bound
-            chis = _chi_index(idx[sel], basis.orders)
-            return set(zip(chis.tolist(), shifts[pos[sel]].tolist()))
-
-        # certify: evaluate every candidate exactly, one character table at a time
-        filtered, unfiltered = (candidates(f) for f in found)
-        exact, chi_at = {}, None
-        for chi_index, l in sorted(filtered | unfiltered):
-            if chi_index != chi_at:
-                chi, chi_at = character_at(basis, chi_index), chi_index
-            exact[chi_index, l] = abs(shifted_prime_sum(chi, l, x).value)
-        # the largest value; ties go to the smallest (chi_index, l)
-        chi_index, l = min(filtered, key=lambda k: (-exact[k], k))
-        lhs = exact[chi_index, l]
-        lhs_unfiltered = max(exact[k] for k in unfiltered)
+        half = _half_lattice(cond)
+        (lhs_unfiltered, _, _), (lhs, chi_index, l) = _certified_max(
+            basis, unit_group_transform(basis, residues, lam), (half > 1, half > threshold), 2 * bound,
+            lambda chi, l: abs(shifted_prime_sum(chi, l, x).value), ls,
+        )
         params.update(lhs_unfiltered=lhs_unfiltered, chi_index=chi_index, l=l)
         ms = (time.perf_counter_ns() - t0) // 1_000_000
         return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)

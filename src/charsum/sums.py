@@ -253,19 +253,19 @@ def _character_dot(rows: np.ndarray, weights_of, values_of, scale: int = 53) -> 
     return complex(re, im), mass
 
 
-def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -> SumValue:
-    """Sum of Lambda(n) chi(n - l) over the prime powers n <= x with
-    include(n) (all when None), where chi's modulus q divides L and include
-    maps an int64 array to a bool mask that depends only on each entry mod
-    L; term_count counts them, zero character values included.  The dot
-    product's rows are the residue bins or the prime powers themselves,
-    whichever are fewer.  Either way chi is read once, by ``values_at`` at
-    the rows' points minus l, and include sees those min(L, pi*(x))
-    points: no value table is kept, and the prime-power rows build nothing
-    of q entries.  l is reduced mod L as a Python int first, so any integer
-    shift works."""
+def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, includes=(None,)) -> list[SumValue]:
+    """Per mask of ``includes``, the sum of Lambda(n) chi(n - l) over the
+    prime powers n <= x with include(n) (all when None), where chi's
+    modulus q divides L and include maps an int64 array to a bool mask that
+    depends only on each entry mod L; term_count counts them, zero
+    character values included.  The dot product's rows are the residue bins
+    or the prime powers themselves, whichever are fewer.  Either way chi is
+    read once for every mask, by ``values_at`` at the rows' points minus l,
+    and include sees those min(L, pi*(x)) points: no value table is kept,
+    and the prime-power rows build nothing of q entries.  l is reduced mod L
+    as a Python int first, so any integer shift works."""
     if x < 2:
-        return SumValue(0j, 0, 0.0)
+        return [SumValue(0j, 0, 0.0)] * len(includes)
     n, m = _mangoldt_arrays(x)
     if L < n.size:  # row i: the residue class i mod L
         bins, count = _residue_bins(x, L)
@@ -273,14 +273,17 @@ def _lambda_sum(x: int, L: int, chi: DirichletCharacter, l: int, include=None) -
     else:  # row i: the prime power n[i]
         count, points, digits_of = None, n, (lambda i: digits(m[i]))
     values = chi.values_at(points - l % L)
-    keep = values != 0
-    terms = n.size
-    if include is not None:
-        inside = include(points)
-        keep &= inside
-        terms = int(np.count_nonzero(inside) if count is None else count.sum(where=inside))
-    value, mass = _character_dot(np.flatnonzero(keep), digits_of, lambda i: values[i])
-    return SumValue(value, terms, mass)
+    out = []
+    for include in includes:
+        keep = values != 0
+        terms = n.size
+        if include is not None:
+            inside = include(points)
+            keep &= inside
+            terms = int(np.count_nonzero(inside) if count is None else count.sum(where=inside))
+        value, mass = _character_dot(np.flatnonzero(keep), digits_of, lambda i: values[i])
+        out.append(SumValue(value, terms, mass))
+    return out
 
 
 def check_lambda_work(L: int, x: int, characters: int) -> None:
@@ -338,7 +341,7 @@ def shifted_prime_sum(chi: DirichletCharacter, l: int, x: int) -> SumValue:
     """Sum of Lambda(n) chi(n - l) over n <= x."""
     D = chi.modulus
     require(math.gcd(l, D) == 1, "l", f"need gcd(l, D) = 1, got gcd({l}, {D}) > 1")
-    return _lambda_sum(x, D, chi, l)
+    return _lambda_sum(x, D, chi, l)[0]
 
 
 def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumValue:
@@ -351,7 +354,7 @@ def restricted_sum(chi_q: DirichletCharacter, nu: int, l: int, x: int) -> SumVal
     require(math.gcd(nu, q) == 1, "nu", f"need gcd(nu, q) = 1, got gcd({nu}, {q}) > 1")
     require(math.gcd(l, q * nu) == 1, "l", f"need gcd(l, q*nu) = 1")
     res = l % nu
-    return _lambda_sum(x, q * nu, chi_q, l, lambda r: (np.gcd(r, q) == 1) & (r % nu == res))
+    return _lambda_sum(x, q * nu, chi_q, l, (lambda r: (np.gcd(r, q) == 1) & (r % nu == res),))[0]
 
 
 # The window and bilinear sums take their n in int64.  Every factor is
@@ -717,10 +720,9 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
     q1_primes = [p for p in as_factored(D).primes if q % p != 0]
     q1 = math.prod(q1_primes) if q1_primes else 1
 
-    lhs = shifted_prime_sum(chi, l, x)
-    # terms with (n, q) > 1, evaluated against chi itself; the same residues
-    # mod D as lhs, so it reads the same bins
-    corr = _lambda_sum(x, D, chi, l, lambda r: np.gcd(r, q) != 1)
+    # T(chi, l), and the terms with (n, q) > 1 evaluated against chi itself:
+    # one read of chi at the same points for both
+    lhs, corr = _lambda_sum(x, D, chi, l, (None, lambda r: np.gcd(r, q) != 1))
 
     pieces = []
     masses = [lhs.abs_term_sum, corr.abs_term_sum]

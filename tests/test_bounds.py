@@ -2,9 +2,12 @@
 evaluation, record semantics, and the dual-route check of the whole-group
 transform against per-character evaluation."""
 
+import ast
 import math
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,42 +363,127 @@ def test_theorem_report_certifies_sampled_shifts():
         assert conductor(chi).value > p["conductor_threshold"]
 
 
-def _search_by_class_copies(values, excluded, gap):
-    """theorem_report's search as it was first written: per class, a copy
-    of the class's columns and a 2-D nonzero over the copy."""
+def _search_by_class_copies(values, classes, gap):
+    """The search of one batch as it was first written: per class, a copy
+    of the class's columns and a 2-D nonzero over the copy; (value, row,
+    half index) of every entry within gap of the copy's top."""
     out = []
-    for cols in (np.setdiff1d(np.arange(values.shape[1]), excluded), np.arange(1, values.shape[1])):
+    for mask in classes:
+        cols = np.flatnonzero(mask)
         sub = values[:, cols]
         r, c = np.nonzero(sub >= sub.max() - gap)
         out.append((sub[r, c], r, cols[c]))
     return out
 
 
+def _pair_index(basis, column):
+    """The smaller enumeration index of the character at a half-lattice
+    column and of its conjugate, one column at a time."""
+    orders = basis.orders
+    e = np.unravel_index(column, orders[:-1] + (orders[-1] // 2 + 1,))
+    conj = [(-int(a)) % m for a, m in zip(e, orders)]
+    return min(int(np.ravel_multi_index(e, orders)), int(np.ravel_multi_index(conj, orders)))
+
+
+def _recording(basis, exact):
+    """An evaluator of exact[chi_index, label] that records every call."""
+    calls = []
+
+    def evaluate(chi, label):
+        calls.append((int(np.ravel_multi_index(chi.exponents, basis.orders)), label))
+        return exact[calls[-1]]
+
+    return evaluate, calls
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(2, 200), st.integers(0, 2**32 - 1), st.integers(0, 30))
-@example(1, 2, 0, 0)  # one character besides the principal one
-@example(12, 200, 7, 30)
-def test_window_search_equals_class_copies(rows, cols, seed, ties):
-    """_search_batch returns exactly the (value, row, half index) hits of
-    copying each class out of the batch: planted values at the top, on the
-    2 bound floor (included) and one ulp below it (excluded), in the
-    filtered columns, in the excluded ones and in the principal column."""
+@given(st.sampled_from([3, 5, 7, 8, 12, 15, 16, 21, 45, 63, 101, 105]), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), st.integers(0, 30), st.sets(st.integers(1, 11)))
+@example(3, 1, 0, 0, set())  # one character besides the principal one
+@example(105, 12, 7, 30, {3, 4, 9})
+def test_certified_max_equals_class_copies(D, rows, seed, ties, cuts):
+    """_certified_max evaluates exactly the (chi_index, label) pairs of the
+    hits of copying each class out of the batch, each pair once, and
+    returns each class's largest exact value at the smallest (chi_index,
+    label): planted values at the top, on the 2 bound floor (included) and
+    one ulp below it (excluded), inside and outside the classes.  Exact
+    values take four levels, so ties are common, and the labels fall as
+    the rows rise, so a tie goes to the later row.  Cut into batches
+    anywhere, the same rows give the same result and evaluate the same
+    pairs."""
+    basis = unit_group_basis(D)
     rng = np.random.default_rng(seed)
+    half = basis.orders[-1] // 2 + 1
+    cols = math.prod(basis.orders[:-1]) * half
     values = rng.random((rows, cols))
-    excluded = np.flatnonzero(rng.random(cols) < 0.4)
-    excluded = np.union1d(excluded, [0])
-    if excluded.size == cols:
-        excluded = excluded[:-1]
+    wide = np.arange(cols) > 0  # every character but the principal one
+    narrow = wide & (rng.random(cols) < 0.6)
+    narrow[rng.choice(np.flatnonzero(wide))] = True
+    classes = (wide, narrow)
     gap = 1e-3
     top = values.max()
     floor = top - gap
     for value in rng.choice([top, floor, np.nextafter(floor, -np.inf), top + gap / 2], ties):
         values[rng.integers(rows), rng.integers(cols)] = value
-    want = _search_by_class_copies(values, excluded, gap)
-    got = bounds._search_batch(values.copy(), excluded, gap)
-    for (gv, gr, gc), (wv, wr, wc) in zip(got, want):
-        assert gv.tobytes() == wv.tobytes()
-        assert gr.tolist() == wr.tolist() and gc.tolist() == wc.tolist()
+    labels = [100 - 3 * b for b in range(rows)]
+    exact = {(i, label): float(rng.integers(4)) for i in range(basis.phi) for label in labels}
+    # a planted tie above every other exact value, in the first and the last
+    # row: the smaller label, the last row's, must win
+    tie = rng.choice(np.flatnonzero(narrow))
+    values[[0, -1], tie] = top
+    exact[_pair_index(basis, tie), labels[0]] = exact[_pair_index(basis, tie), labels[-1]] = 4.0
+
+    want, pairs = [], set()
+    for _, r, c in _search_by_class_copies(values, classes, gap):
+        keys = {(_pair_index(basis, col), labels[row]) for row, col in zip(r.tolist(), c.tolist())}
+        pairs |= keys
+        k = min(keys, key=lambda k: (-exact[k], k))
+        want.append((exact[k], *k))
+    assert [w[1:] for w in want] == [(_pair_index(basis, tie), labels[-1])] * 2
+    cut_at = [0, *sorted(b for b in cuts if b < rows), rows]
+    for batches in ([(0, values.copy())],
+                    [(a, values[a:b].copy()) for a, b in zip(cut_at, cut_at[1:])]):
+        evaluate, calls = _recording(basis, exact)
+        assert bounds._certified_max(basis, batches, classes, gap, evaluate, labels) == want
+        assert sorted(calls) == sorted(pairs)
+
+
+def _engine_rule_breaks(source):
+    """The callers, by innermost function, of unit_group_transform, and
+    what in ``source`` breaks the one-engine rule: only _certified_max calls
+    _chi_index, and every caller of unit_group_transform calls
+    _certified_max."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    called = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            called.setdefault(getattr(node, "name", None), set()).add(name)
+    transforms = sorted(fn for fn, names in called.items() if "unit_group_transform" in names)
+    breaks = [f"{fn} calls _chi_index" for fn, names in called.items()
+              if "_chi_index" in names and fn != "_certified_max"]
+    breaks += [f"{fn} transforms outside the engine" for fn in transforms
+               if "_certified_max" not in called[fn]]
+    return transforms, sorted(breaks)
+
+
+def test_one_search_engine_is_a_checked_rule():
+    """In bounds.py every transform search goes through _certified_max:
+    report theorem (its per-modulus ``one``) and report burgess call it,
+    and a second, hand-made search added to the module breaks the rule."""
+    source = Path(bounds.__file__).read_text()
+    assert _engine_rule_breaks(source) == (["burgess_check_2r", "one"], [])
+    hand_made = source + textwrap.dedent("""
+        def another_search(basis, residues, weights):
+            for a, values in unit_group_transform(basis, residues, weights):
+                top = np.flatnonzero(values.reshape(-1) >= values.max())
+            return _chi_index(top, basis.orders)
+        """)
+    assert _engine_rule_breaks(hand_made)[1] == ["another_search calls _chi_index",
+                                                 "another_search transforms outside the engine"]
 
 
 def test_theorem_report_builds_no_value_table(monkeypatch):

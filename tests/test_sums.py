@@ -345,7 +345,7 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
             assert ((digits[:-1] >= 0) & (digits[:-1] < 2**20)).all()
 
             inside = lambda r: r % L % 3 != 1  # noqa: E731
-            got = sums._lambda_sum(x, L, _TableCharacter(table), l, inside)
+            [got] = sums._lambda_sum(x, L, _TableCharacter(table), l, (inside,))
             want = _kernel_oracle(x, L, lambda n: table[(n - l) % L], inside)
             assert _bits(got) == want
 
@@ -962,6 +962,25 @@ def test_mobius_recombination_small_cases():
         rec = mobius_recombination(chi, l, rng.randint(50, 3000))
         assert rec.residual <= 1e-9 * max(1.0, rec.abs_mass)
         done += 1
+
+
+@pytest.mark.parametrize("x", [20000, 300])  # L = 4725 below pi*(x): bins as rows; above: prime powers
+def test_mobius_recombination_reads_chi_mod_D_once(x, monkeypatch):
+    """T(chi, l) and the (n, q) > 1 correction come from one values_at call
+    at modulus D (chi 7 mod 4725 has conductor 175, so the restricted sums
+    read chi_q mod 175 nu, never mod D), with the bits of shifted_prime_sum
+    and of the correction summed on its own."""
+    D, l = 4725, 2
+    chi = character_at(unit_group_basis(D), 7)
+    lhs = shifted_prime_sum(chi, l, x)
+    [corr] = sums._lambda_sum(x, D, chi, l, (lambda r: np.gcd(r, 175) != 1,))
+    moduli = []
+    values_at = DirichletCharacter.values_at
+    monkeypatch.setattr(DirichletCharacter, "values_at",
+                        lambda self, residues: moduli.append(self.modulus) or values_at(self, residues))
+    rec = mobius_recombination(chi, l, x)
+    assert moduli.count(D) == 1 and len(moduli) == 1 + len(rec.nus)
+    assert _bits(rec.lhs) == _bits(lhs) and rec.correction == corr.value
 
 
 # ---------------------------------------------------------------------------
