@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +37,7 @@ from .integers import (
     omega,
     primes_up_to,
     smooth_count,
+    tau_r,
     tau_r_sieve,
     trial_divisions,
 )
@@ -52,6 +53,7 @@ from .sums import (
     mangoldt_terms,
     mobius_recombination,
     prime_power_bound,
+    recombination_nus,
     restricted_sum,
     shifted_prime_sum,
     short_sum,
@@ -176,6 +178,8 @@ def short_sum_rhs(N: int, q: int, d: int, delta: float) -> float:
 
 
 def sy_rhs(y, nu: int, D: int) -> float:
+    """y / nu exp(-0.7 sqrt(ln D)): the S_y envelope, and at y = x the
+    bilinear corollaries'."""
     return y / nu * math.exp(-0.7 * math.sqrt(math.log(D)))
 
 
@@ -188,22 +192,15 @@ def double_sum_rhs(M: int, N: int, q: int, B: float, c1: float, c2: float, D: in
     )
 
 
-def corollary_rhs(x: int, nu: int, D: int) -> float:
-    return x / nu * math.exp(-0.7 * math.sqrt(math.log(D)))
-
-
 def restricted_envelope_rhs(q: int, nu: int, x: int) -> float:
     """Envelope 10 x ln^5 x (sqrt(1/(q nu^2) + q/x) + x^(-1/6) nu^(-1/2)
     + x^(-1/3) q^(1/6) nu^(-1/3)) tau(q)."""
-    tau_q = 1
-    for _, a in factor(q).factors:
-        tau_q *= a + 1
     bracket = (
         math.sqrt(1.0 / (q * nu * nu) + q / x)
         + x ** (-1 / 6) * nu ** (-0.5)
         + x ** (-1 / 3) * q ** (1 / 6) * nu ** (-1 / 3)
     )
-    return 10.0 * x * math.log(x) ** 5 * bracket * tau_q
+    return 10.0 * x * math.log(x) ** 5 * bracket * tau_r(q, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +242,13 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
     every one within twice the error bound of the top is evaluated exactly."""
     require(mobius(factor(q)) != 0 or r == 2, "q", "need squarefree q or r = 2")
     _require_finite_moments(q, Z, r)
-    t0 = time.perf_counter_ns()
     basis = unit_group_basis(q)
     primitive = _half_lattice(basis.conductor_grid()) == q
     require(primitive.any(), "q", f"no primitive characters mod {q}")
     # a row's mass is Z and its counts are exact, so each |W| is off by at
     # most e, and each moment, q powers below (Z + e)^(2r), by at most bound;
     # FFT_ERROR_C's margin also covers the rounding of the powers' sums
-    e = FFT_ERROR_C * math.log2(basis.phi) * 2.0**-53 * Z
+    e = _fft_error(basis.phi, 0, Z)
     bound = 2 * r * q * (Z + e) ** (2 * r - 1) * e
     moments = 0.0
     for _, values in unit_group_transform(basis, np.arange(q)[:, None] + np.arange(1, Z + 1), 1.0):
@@ -260,11 +256,8 @@ def burgess_check_2r(q: int, Z: int, r: int, delta: float = 1e-4) -> BoundCheckR
         moments = moments + values.sum(axis=0)
     [(lhs, _, _)] = _certified_max(basis, [(0, moments.reshape(1, -1))], [primitive], 2 * bound,
                                    lambda chi, _: burgess_moment_2r(chi, Z, r), [0])
-    ms = (time.perf_counter_ns() - t0) // 1_000_000
-    return make_record(
-        "BURGESS_2R", {"q": q, "Z": Z, "r": r, "delta": delta},
-        lhs, burgess_2r_rhs(q, Z, r, delta), MONITOR, runtime_ms=ms,
-    )
+    return make_record("BURGESS_2R", {"q": q, "Z": Z, "r": r, "delta": delta},
+                       lhs, burgess_2r_rhs(q, Z, r, delta), MONITOR)
 
 
 def _require_finite_moments(q: int, Z: int, r: int) -> None:
@@ -393,49 +386,34 @@ def hb_identity_records(cases: int = 50, seed: int = 0) -> list[BoundCheckRecord
     return records
 
 
-def character_table_records(max_D: int = 500, max_q: int = 200) -> list[BoundCheckRecord]:
-    """ORTHOGONALITY: the worst orthogonality defect over D <= max_D,
-    asserted at 1e-9 phi.  GAUSS_MODULUS: | |tau(chi_q)|^2 - q | < 1e-6 q
-    over every primitive character mod q <= max_q, with tau exactly
-    rounded by ``gauss_sums``.
-
-    One pass over the moduli builds each one's character tables once for
-    both checks.  The first record's runtime includes the tables of D <=
-    max_D, the second's those of the larger q."""
-    orth_dev, orth_D, orth_ns = 0.0, 1, 0
-    gauss_dev, gauss_q, gauss_ns, count = 0.0, 1, 0, 0
-    for D in range(1, max(max_D, max_q) + 1):
-        t0 = time.perf_counter_ns()
+def orthogonality_record(max_D: int = 500) -> BoundCheckRecord:
+    """ORTHOGONALITY: the worst defect |sum_chi chi(n) - phi [n = 1]| / phi
+    over the residues n mod D, for every D <= max_D, asserted at 1e-9."""
+    dev, worst_D = 0.0, 1
+    for D in range(1, max_D + 1):
         basis = unit_group_basis(D)
-        tables = all_character_tables(basis)
-        if D <= max_D:
-            want = np.zeros(D)
-            want[1 % D] = basis.phi
-            dev = float(np.abs(tables.sum(axis=0) - want).max()) / basis.phi
-            if dev > orth_dev:
-                orth_dev, orth_D = dev, D
-            t1 = time.perf_counter_ns()
-            orth_ns += t1 - t0
-            t0 = t1
-        if D <= max_q:
-            prim = basis.conductor_grid().reshape(-1) == D
-            if prim.any():
-                taus = np.array(gauss_sums(basis, tables, prim))
-                count += int(prim.sum())
-                dev = float((np.abs(np.abs(taus) ** 2 - D) / D).max())
-                if dev > gauss_dev:
-                    gauss_dev, gauss_q = dev, D
-            gauss_ns += time.perf_counter_ns() - t0
-    return [
-        make_record(
-            "ORTHOGONALITY", {"max_D": max_D, "worst_D": orth_D},
-            orth_dev, 1e-9, ASSERT, runtime_ms=orth_ns // 1_000_000,
-        ),
-        make_record(
-            "GAUSS_MODULUS", {"max_q": max_q, "worst_q": gauss_q, "characters": count},
-            gauss_dev, 1e-6, ASSERT, runtime_ms=gauss_ns // 1_000_000,
-        ),
-    ]
+        want = np.zeros(D)
+        want[1 % D] = basis.phi
+        d = float(np.abs(all_character_tables(basis).sum(axis=0) - want).max()) / basis.phi
+        if d > dev:
+            dev, worst_D = d, D
+    return make_record("ORTHOGONALITY", {"max_D": max_D, "worst_D": worst_D}, dev, 1e-9, ASSERT)
+
+
+def gauss_modulus_record(max_q: int = 200) -> BoundCheckRecord:
+    """GAUSS_MODULUS: | |tau(chi)|^2 - q | / q over every primitive character
+    mod q <= max_q, asserted at 1e-6, with tau exactly rounded by
+    ``gauss_sums``."""
+    dev, worst_q, count = 0.0, 1, 0
+    for q in range(1, max_q + 1):
+        taus = np.array(gauss_sums(unit_group_basis(q)))
+        if taus.size:
+            count += taus.size
+            d = float((np.abs(np.abs(taus) ** 2 - q) / q).max())
+            if d > dev:
+                dev, worst_q = d, q
+    return make_record("GAUSS_MODULUS", {"max_q": max_q, "worst_q": worst_q, "characters": count},
+                       dev, 1e-6, ASSERT)
 
 
 def coprime_count_records(q_max: int = 1000, u_max: int = 1000) -> list[BoundCheckRecord]:
@@ -487,17 +465,20 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
         require(value >= 1, name, f"need {name} >= 1, so that its ASSERT checks at least one case, got {value}")
     for name, value in (("hb_cases", hb_cases), ("recombination_cases", recombination_cases)):
         require(value >= 0, name, f"need {name} >= 0, got {value}")
-    # character_table_records builds phi(D) x D table entries for every D up
-    # to the larger of the two; the sum grows as D^3, so it is checked per D
+    # orthogonality_record builds phi(D) x D table entries for every D <=
+    # max_D, and gauss_modulus_record at most as many, its primitive rows,
+    # for every q <= gauss_max_q; the sum grows as D^3, so it is checked per D
     name, top = ("max_D", max_D) if max_D >= gauss_max_q else ("gauss_max_q", gauss_max_q)
     entries = 0
     for D in range(1, top + 1):
-        entries += euler_phi(factor(D)) * D
-        check_work(entries, f"{name} = {top} needs character tables; building those of D <= {D}")
+        entries += euler_phi(factor(D)) * D * ((D <= max_D) + (D <= gauss_max_q))
+        check_work(entries, f"{name} = {top} needs character tables (phi(D) x D entries per D <= max_D = "
+                   f"{max_D} and per q <= gauss_max_q = {gauss_max_q}); building those of D <= {D}")
     check_work(coprime_max**2, f"the coprime-count sweep of coprime_max = {coprime_max} over (q, U) pairs")
-    records = []
-    records.extend(hb_identity_records(hb_cases, seed))
-    records.extend(character_table_records(max_D, gauss_max_q))
+    records = hb_identity_records(hb_cases, seed)
+    for check, size in ((orthogonality_record, max_D), (gauss_modulus_record, gauss_max_q)):
+        record, ms = _timed(check, size)
+        records.append(replace(record, runtime_ms=ms))
     records.extend(coprime_count_records(coprime_max, coprime_max))
     records.extend(recombination_records(recombination_cases, seed))
     return records
@@ -522,6 +503,13 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
 # character at two shifts at D = 49999 and 100489 (150,000 values), and
 # 0.18 at D = 1283, whose factor of order 2 * 641 keeps one axis.
 FFT_ERROR_C = 64.0
+
+
+def _fft_error(phi: int, gathered: int, mass: float) -> float:
+    """The bound FFT_ERROR_C (log2(phi) + gathered) u mass on |FFT value -
+    exact value| of a transform over phi characters whose residues each
+    gather at most ``gathered`` + 1 terms of total absolute ``mass``."""
+    return FFT_ERROR_C * (math.log2(phi) + gathered) * 2.0**-53 * mass
 
 
 def _half_lattice(grid: np.ndarray) -> np.ndarray:
@@ -626,7 +614,6 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
 
     def one(modulus) -> BoundCheckRecord | None:
         D, f, x = modulus
-        t0 = time.perf_counter_ns()
         # not the cached unit_group_basis: each modulus is visited once, so
         # its tables go when its record is made
         basis = UnitGroupBasis(f)
@@ -656,10 +643,9 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             lhs = s * math.log(2)
             l = min(l for l in ls if support[l] == s)
             params.update(lhs_unfiltered=lhs, chi_index=None, l=l, support_k=s)
-            ms = (time.perf_counter_ns() - t0) // 1_000_000
-            return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
+            return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR)
         n, lam = mangoldt_terms(x)
-        bound = FFT_ERROR_C * (math.log2(phi) + x // D) * 2.0**-53 * float(lam.sum())
+        bound = _fft_error(phi, x // D, float(lam.sum()))
         # int32 residues mod D, as D < 2^31 (the budget caps phi near 8 10^5):
         # the transform reads this shifts x pi*(x) array whole, and int64
         # would add up to 2 MB per modulus to the peak RSS
@@ -671,11 +657,10 @@ def theorem_report(D_list, epsilon: float = 0.05, seed: int = 0) -> list[BoundCh
             lambda chi, l: abs(shifted_prime_sum(chi, l, x).value), ls,
         )
         params.update(lhs_unfiltered=lhs_unfiltered, chi_index=chi_index, l=l)
-        ms = (time.perf_counter_ns() - t0) // 1_000_000
-        return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR, runtime_ms=ms)
+        return make_record("THEOREM_T", params, lhs, theorem_rhs(D, x), MONITOR)
 
-    results = map_blocks(one, moduli)
-    return [r for r in results if r is not None]
+    results = map_blocks(lambda modulus: _timed(one, modulus), moduli)
+    return [replace(r, runtime_ms=ms) for r, ms in results if r is not None]
 
 
 def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-4) -> list[BoundCheckRecord]:
@@ -688,7 +673,10 @@ def burgess_report(q_max: int = 300, Z: int = 20, r: int = 2, delta: float = 1e-
     entries = sum((q - 1) * q for q in primes)
     check_work(entries, f"q_max = {q_max} needs {entries} lattice entries of the unit-group transform "
                "(phi(q) x q over the primes q); transforming them")
-    records = [burgess_check_2r(q, min(Z, q - 1), r, delta) for q in primes]
+    records = []
+    for q in primes:
+        record, ms = _timed(burgess_check_2r, q, min(Z, q - 1), r, delta)
+        records.append(replace(record, runtime_ms=ms))
     worst = max(rec.ratio for rec in records)
     records.append(
         make_record(
@@ -769,9 +757,7 @@ def restricted_report(D: int, x: int, seed: int = 0) -> list[BoundCheckRecord]:
     chi_q = induce_primitive(chi)
     q = chi_q.modulus
     l = SplitMix64(seed).unit(D, D)
-    q1_primes = [p for p in factor(D).primes if q % p != 0]
-    q1 = math.prod(q1_primes) if q1_primes else 1
-    nus = divisors(factor(q1))[:RESTRICTED_MAX_NU]
+    nus = recombination_nus(D, q)[:RESTRICTED_MAX_NU]
     bin_lambda(x, q * math.lcm(*nus))  # every restricted sum below folds these bins
     records = []
     for nu in nus:
@@ -855,7 +841,7 @@ def double_sum_report(seed: int = 0, delta: float = 1e-4) -> list[BoundCheckReco
                 "DOUBLE_W_COROLLARY",
                 {"D": D, "q": q, "M": M, "N": N, "U": U, "x": x_cor, "theta": THETA,
                  "a_m": a_m, "b_n": "one"},
-                abs(val2.value), corollary_rhs(x_cor, 1, D), MONITOR, runtime_ms=ms2,
+                abs(val2.value), sy_rhs(x_cor, 1, D), MONITOR, runtime_ms=ms2,
             )
         )
     return records

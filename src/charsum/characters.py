@@ -402,17 +402,21 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     return out
 
 
-def gauss_sums(basis: UnitGroupBasis, tables: np.ndarray, rows) -> list[complex]:
-    """tau(chi) = sum_a chi(a) e(a/q) for the characters mod q at ``rows``
-    (indices or a mask) of ``tables``, the value tables of every character
-    mod q in enumeration order (``all_character_tables(basis)``); each must
-    be primitive.  Both parts of each tau are exactly rounded: one
-    ``exact_dot`` of weight 1 reduces the real and the imaginary parts of
-    the products as stacked lanes."""
+def gauss_sums(basis: UnitGroupBasis) -> list[complex]:
+    """tau(chi) = sum_a chi(a) e(a/q) for every primitive character mod q,
+    in enumeration order ([] when there is none).  A character is primitive
+    when each component is, so the primitive ones are the product of one
+    exponent list per cyclic factor (a "sign" factor keeps both exponents),
+    and one phase-kernel call builds their values.  Both parts of each tau
+    are exactly rounded: one ``exact_dot`` of weight 1 reduces the real and
+    the imaginary parts of the products as stacked lanes."""
     q = basis.modulus.value
-    require(bool((basis.conductor_grid().reshape(-1)[rows] == q).all()), "chi",
-            "gauss_sums needs primitive characters")
-    products = tables[rows] * roots_of_unity(np.arange(q), q)
+    prim = basis.conductor_grid() == q
+    if not prim.any():
+        return []
+    axes = range(len(basis.factors))
+    exponents = [np.flatnonzero(prim.any(axis=tuple(k for k in axes if k != j))) for j in axes]
+    products = _character_values(basis, exponents) * roots_of_unity(np.arange(q), q)
     lanes = np.concatenate((products.real, products.imag))
     sums, _ = exact_dot(range(q), None, lambda i: lanes[:, i.start : i.stop])
     return [complex(re, im) for re, im in zip(sums[: len(products)], sums[len(products) :])]

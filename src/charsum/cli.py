@@ -11,6 +11,7 @@ whatever the number of CPUs ``report theorem`` spreads its moduli over.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -145,10 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(records, args, header: dict) -> int:
     """Render ``records`` under a header of the command, the format, the
     ``--seed`` and ``--delta`` the command takes and ``header``; exit 1 on
-    any ASSERT failure."""
+    any ASSERT failure.  Runtimes are written only with ``--timings``, so
+    that default reruns are byte-identical."""
     header = {"command": f"{args.command} {args.subcommand}", "format": args.format} | header
     header |= {k: getattr(args, k) for k in ("seed", "delta") if hasattr(args, k)}
-    data = reports.render_records(records, args.format, header, include_timings=args.timings)
+    if not args.timings:
+        records = [dataclasses.replace(r, runtime_ms=None) for r in records]
+    data = reports.render_records(records, args.format, header)
     if args.output:
         reports.write_atomic(args.output, data)
     else:

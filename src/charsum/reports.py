@@ -3,9 +3,9 @@ written atomically (temp file + rename) so interrupted sweeps never leave
 truncated output.
 
 Byte-identical reruns are part of the contract, so serialization is fully
-deterministic: keys sorted, floats via repr, no timestamps.  Measured
-runtimes are kept on the in-memory records but serialized as null unless
-timings are explicitly requested.
+deterministic: keys sorted, floats via repr, no timestamps.  A record's
+``runtime_ms`` is written as it stands; the CLI clears it (null) unless
+``--timings`` is given.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _jsonable(value):
     return value
 
 
-def record_to_dict(record: BoundCheckRecord, include_timings: bool = False) -> dict:
+def record_to_dict(record: BoundCheckRecord) -> dict:
     return {
         "lemma_tag": record.lemma_tag,
         "parameters": _jsonable(record.parameters),
@@ -47,17 +47,17 @@ def record_to_dict(record: BoundCheckRecord, include_timings: bool = False) -> d
         "ratio": _jsonable(record.ratio),
         "mode": record.mode,
         "verdict": record.verdict,
-        "runtime_ms": record.runtime_ms if include_timings else None,
+        "runtime_ms": record.runtime_ms,
     }
 
 
-def records_to_jsonl(records, header: dict | None = None, include_timings: bool = False) -> bytes:
+def records_to_jsonl(records, header: dict | None = None) -> bytes:
     head = {"schema": SCHEMA}
     if header:
         head.update(_jsonable(header))
     lines = [json.dumps(head, sort_keys=True)]
     for rec in records:
-        lines.append(json.dumps(record_to_dict(rec, include_timings), sort_keys=True))
+        lines.append(json.dumps(record_to_dict(rec), sort_keys=True))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -67,10 +67,10 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def records_to_csv(records, include_timings: bool = False) -> bytes:
+def records_to_csv(records) -> bytes:
     rows = [",".join(CSV_COLUMNS)]
     for rec in records:
-        d = record_to_dict(rec, include_timings)
+        d = record_to_dict(rec)
         params = json.dumps(d["parameters"], sort_keys=True)
         cells = (
             d["lemma_tag"],
@@ -86,12 +86,11 @@ def records_to_csv(records, include_timings: bool = False) -> bytes:
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 
-def render_records(records, fmt: str = "jsonl", header: dict | None = None,
-                   include_timings: bool = False) -> bytes:
+def render_records(records, fmt: str = "jsonl", header: dict | None = None) -> bytes:
     if fmt == "jsonl":
-        return records_to_jsonl(records, header, include_timings)
+        return records_to_jsonl(records, header)
     if fmt == "csv":
-        return records_to_csv(records, include_timings)
+        return records_to_csv(records)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .characters import DirichletCharacter, induce_primitive
 from .integers import (
-    as_factored,
     coprime_count,
     dirichlet_convolve,
     divisors,
@@ -709,6 +708,13 @@ class MobiusRecombination:
     nus: list[int]
 
 
+def recombination_nus(D: int, q: int) -> list[int]:
+    """The nu of the recombination identity, ascending: every divisor of q1,
+    the product of the primes of D that do not divide q (so each nu is
+    squarefree)."""
+    return divisors(factor(math.prod(p for p in factor(D).primes if q % p != 0)))
+
+
 def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecombination:
     """T(chi) equals sum over squarefree nu | q1 of mu(nu) T(chi_q, nu)
     plus the exactly-computed contribution of terms with (n, q) > 1."""
@@ -717,8 +723,6 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
     require(math.gcd(l, D) == 1, "l", "need gcd(l, D) = 1")
     chi_q = induce_primitive(chi)
     q = chi_q.modulus
-    q1_primes = [p for p in as_factored(D).primes if q % p != 0]
-    q1 = math.prod(q1_primes) if q1_primes else 1
 
     # T(chi, l), and the terms with (n, q) > 1 evaluated against chi itself:
     # one read of chi at the same points for both
@@ -726,7 +730,7 @@ def mobius_recombination(chi: DirichletCharacter, l: int, x: int) -> MobiusRecom
 
     pieces = []
     masses = [lhs.abs_term_sum, corr.abs_term_sum]
-    nus = divisors(factor(q1))
+    nus = recombination_nus(D, q)
     for nu in nus:
         mu_nu = mobius(factor(nu))
         part = restricted_sum(chi_q, nu, l, x)

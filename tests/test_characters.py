@@ -280,38 +280,30 @@ def test_induced_character_has_period_q():
 
 
 def test_gauss_sum_trivial_and_quadratic():
-    basis = unit_group_basis(1)
-    assert gauss_sums(basis, all_character_tables(basis), [0]) == [1.0]
-    basis = unit_group_basis(5)
-    quad = [i for i, c in enumerate(chars(5)) if not c.is_principal and 2 * c(2) % 1 == 0]
-    [tau] = gauss_sums(basis, all_character_tables(basis), quad)
+    assert gauss_sums(unit_group_basis(1)) == [1.0]
+    # no primitive character mod 2, nor mod any q = 2 (mod 4)
+    for q in (2, 6, 10, 30, 1002):
+        assert gauss_sums(unit_group_basis(q)) == []
+    # every non-principal character mod 5 is primitive, so tau_i is chi_(i + 1)'s
+    [quad] = [i for i, c in enumerate(chars(5)) if not c.is_principal and 2 * c(2) % 1 == 0]
+    tau = gauss_sums(unit_group_basis(5))[quad - 1]
     # classical value sqrt(5) for the quadratic character mod 5
     assert tau == pytest.approx(math.sqrt(5.0), abs=1e-12)
     assert abs(tau) ** 2 == pytest.approx(5.0, rel=1e-12)
 
 
 def test_gauss_sum_modulus_sweep_small():
-    """Every primitive character mod q <= 60, one block per modulus, each
-    tau the exactly rounded sum of its products (math.fsum per part)."""
-    for q in range(1, 61):
+    """gauss_sums builds only the primitive characters, yet gives the
+    primitive rows of the full tables at every q <= 200, 256, 512 and 4p:
+    each tau is, part by part, the math.fsum of that row times e(a/q), and
+    |tau|^2 = q."""
+    for q in [*range(1, 201), 256, 512, 4 * 97, 4 * 251]:
         basis = unit_group_basis(q)
-        tables = all_character_tables(basis)
-        prim = [i for i, chi in enumerate(chars(q)) if conductor(chi).value == q]
-        taus = gauss_sums(basis, tables, prim)
-        assert len(taus) == len(prim)
-        for i, tau in zip(prim, taus):
-            assert abs(abs(tau) ** 2 - q) < 1e-6 * q
-            products = tables[i] * roots_of_unity(np.arange(q), q)
-            assert tau == complex(math.fsum(products.real), math.fsum(products.imag))
-
-
-def test_gauss_sum_rejects_imprimitive():
-    basis = unit_group_basis(12)
-    tables = all_character_tables(basis)
-    with pytest.raises(PreconditionError):
-        gauss_sums(basis, tables, [0])  # the principal character mod 12
-    with pytest.raises(PreconditionError):
-        gauss_sums(basis, tables, np.ones(basis.phi, dtype=bool))
+        prim = basis.conductor_grid().reshape(-1) == q
+        products = all_character_tables(basis)[prim] * roots_of_unity(np.arange(q), q)
+        taus = gauss_sums(basis)
+        assert taus == [complex(math.fsum(row.real), math.fsum(row.imag)) for row in products], q
+        assert all(abs(abs(tau) ** 2 - q) < 1e-6 * q for tau in taus)
 
 
 def test_orthogonality_small_sweep():

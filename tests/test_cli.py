@@ -236,6 +236,23 @@ def test_timings_flag_populates_runtime(tmp_path):
     assert isinstance(rec["runtime_ms"], int)
 
 
+@pytest.mark.parametrize("argv, timed", [
+    (["verify", "identities", "--max-D", "20", "--gauss-max-q", "20", "--hb-cases", "2",
+      "--coprime-max", "20", "--recombination-cases", "2"],
+     ["HB_DECOMP"] * 2 + ["ORTHOGONALITY", "GAUSS_MODULUS", "COPRIME_COUNT"] + ["T_RECOMBINATION"] * 2),
+    (["report", "theorem", "--D-list", "4,105,1009,30"], ["THEOREM_T"] * 3),  # 4 is skipped
+    (["report", "burgess", "--q-max", "20"], ["BURGESS_2R"] * 7 + [None]),  # not the summary
+])
+def test_timings_give_each_timed_check_an_integer_runtime(tmp_path, argv, timed):
+    """With --timings, every record of a timed check carries an integer
+    runtime_ms and a summary record none; without it, every runtime is null."""
+    path = tmp_path / "t.jsonl"
+    for flag, want in ((["--timings"], timed), ([], [None] * len(timed))):
+        assert cli.main(argv + ["--output", str(path)] + flag) == 0
+        recs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [r["lemma_tag"] if type(r["runtime_ms"]) is int else r["runtime_ms"] for r in recs] == want
+
+
 def _raise(exc):
     raise exc
 

@@ -1,5 +1,5 @@
 """Serialization tests: schema header, fixed CSV columns, atomic writes,
-timing suppression for byte-identical reruns."""
+runtimes written as the records carry them."""
 
 import json
 import os
@@ -32,12 +32,9 @@ def test_jsonl_header_and_lines():
     rec = json.loads(lines[1])
     assert rec["lemma_tag"] == "ORTHOGONALITY"
     assert rec["mode"] == "ASSERT" and rec["verdict"] == "pass"
-    assert rec["runtime_ms"] is None  # timings suppressed by default
+    assert rec["runtime_ms"] is None  # an untimed record
     rec2 = json.loads(lines[2])
-    assert rec2["runtime_ms"] is None
-    with_t = records_to_jsonl(sample_records(), None, include_timings=True)
-    rec2t = json.loads(with_t.decode().strip().split("\n")[2])
-    assert rec2t["runtime_ms"] == 12
+    assert rec2["runtime_ms"] == 12  # written as it stands: the CLI clears it without --timings
 
 
 def test_jsonl_deterministic_bytes():
