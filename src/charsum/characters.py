@@ -10,12 +10,13 @@ A character is an exponent vector against that basis.  ``chi(n)`` returns
 the exact phase of chi(n), a Fraction k / E in [0, 1) for the group
 exponent E with chi(n) = e(k / E), or None on a non-unit.  Every value
 table and every value of ``values_at`` comes from one phase kernel,
-``_character_values``, whose phase index is exact: each factor's reduced
-term is below E, so with t factors a unit's index is below t E and a
+``phase_index``, whose integer index is exact: each factor's reduced term
+is below E, so with t factors a unit's index is below t E and a
 non-unit's is t E, and int32 holds it when max(m_j^2, (t + 1) E) < 2^31.
-A gather from the roots of ``roots_of_unity``, the one root formula, with
-a 0 in slot t E, gives the values: floating point only enters there and
-when sums are accumulated.
+One gather, ``_character_values``, from the roots of ``roots_of_unity``,
+the one root formula, with a 0 in slot t E, gives the values: floating
+point only enters there and when sums are accumulated.  Exact identities
+read the index itself: ``bounds.orthogonality_record`` counts its phases.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class UnitGroupBasis:
         has a discrete log and, when 2 || D, which are odd, since then the
         2-part contributes no cyclic factor.  The one rule for unit-ness,
         read by ``unit_mask``, ``unit_flat_index`` and the phase kernel
-        ``_character_values``."""
+        ``phase_index``."""
         units = np.ones(self.modulus.value if residues is None else len(residues), dtype=bool)
         for row in rows:
             units &= row >= 0
@@ -438,21 +439,18 @@ def roots_of_unity(k: np.ndarray, E: int) -> np.ndarray:
 # The phase kernel: every character value of a table or of ``values_at``
 
 
-def _character_values(basis: UnitGroupBasis, exponents, residues: np.ndarray | None = None) -> np.ndarray:
-    """Values, shape (characters, points), of the characters on the grid
-    of ``exponents`` (one 1-D sequence per cyclic factor; row r is the r-th
-    vector of their product, last factor fastest) at the non-negative int64
-    ``residues``, or at every residue 0..D-1 when None.
+def phase_index(basis: UnitGroupBasis, exponents, residues: np.ndarray | None = None) -> np.ndarray:
+    """The exact phases, shape (characters, points), of the characters on
+    the grid of ``exponents`` (one 1-D sequence per cyclic factor; row r is
+    the r-th vector of their product, last factor fastest) at the
+    non-negative int64 ``residues``, or at every residue 0..D-1 when None.
 
-    chi_e(u) = ``roots_of_unity(k, E)``, k = sum_j e_j dlog_j(u) (E / m_j)
-    mod E, and 0 on a non-unit.  The phase index adds, as an outer sum, the
-    terms (e_j dlog_j(u) mod m_j) (E / m_j) < E, so a unit's is below t E
-    (t factors, at least 1); a non-unit's logs count as 0 and it starts at
-    t E.  One gather from t copies of the E roots with a 0 appended gives
-    every value.  With fewer indices than E each root is computed itself,
-    at the index mod E: the same bits, as ``roots_of_unity`` works element
-    by element.  The index is int32 when max(m_j^2, (t + 1) E) < 2^31 (e_j
-    dlog_j < m_j^2), and int64 otherwise."""
+    chi_e(u) = e(k / E), k = sum_j e_j dlog_j(u) (E / m_j) mod E.  The index
+    adds, as an outer sum, the terms (e_j dlog_j(u) mod m_j) (E / m_j) < E,
+    so a unit's is below t E and congruent to k mod E (t factors, at least
+    1); a non-unit's logs count as 0 and its index is exactly t E.  It is
+    int32 when max(m_j^2, (t + 1) E) < 2^31 (e_j dlog_j < m_j^2), and int64
+    otherwise."""
     E, orders = basis.exponent, basis.orders
     t = max(1, len(orders))
     logs = list(basis._log_rows(residues))
@@ -464,7 +462,17 @@ def _character_values(basis: UnitGroupBasis, exponents, residues: np.ndarray | N
         term -= term // m * m  # mod m: numpy's // by a scalar is the fast one
         term *= E // m
         index = index[..., None, :] + term
-    index = index.reshape(math.prod(map(len, exponents)), units.size)
+    return index.reshape(math.prod(map(len, exponents)), units.size)
+
+
+def _character_values(basis: UnitGroupBasis, exponents, residues: np.ndarray | None = None) -> np.ndarray:
+    """Values of the characters of ``phase_index`` at its points, in its
+    shape: one gather from t copies of the E roots of unity with a 0, for
+    a non-unit, at slot t E.  With fewer indices than E each root is
+    computed itself, at the index mod E: the same bits, as
+    ``roots_of_unity`` works element by element."""
+    E, t = basis.exponent, max(1, len(basis.orders))
+    index = phase_index(basis, exponents, residues)
     if index.size < E:
         return np.where(index < t * E, roots_of_unity(index % E, E), 0)
     roots = np.zeros(t * E + 1, dtype=np.complex128)

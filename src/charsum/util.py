@@ -149,8 +149,8 @@ LIMB = 25
 # most 2**UNIT (53 minus the least frexp exponent, -1073), and sums kept in
 # units of 2**-UNIT are integers
 UNIT = 1126
-# exact_dot reads integer weights as DIGIT-bit digits, CHUNK rows at a time:
-# a chunk's products, each at most 2**(DIGIT + LIMB), sum below 2**63
+# exact_dot reads integer weights as DIGIT-bit digits, at most CHUNK rows at a
+# time: a chunk's products, each at most 2**(DIGIT + LIMB), sum below 2**63
 DIGIT, CHUNK = 20, 1 << 14
 
 
@@ -204,10 +204,13 @@ def exact_dot(rows, weights_of, parts_of, scale: int = 0) -> tuple[list[float], 
     ``fixed_point`` form, integer weights give None and weight 1 gives
     ``math.fsum`` of each lane of parts_of(rows), raising what it raises.
     An empty ``rows`` still makes one empty chunk, which tells the number
-    of lanes."""
+    of lanes.  A chunk takes at most CHUNK rows and at most 2 CHUNK lane
+    entries, so its limbs stay as small with many lanes as with two; the
+    lane count is read from parts_of(rows[:0])."""
     totals, mass = None, 0
-    for a in range(0, max(len(rows), 1), CHUNK):
-        i = rows[a : a + CHUNK]
+    step = min(CHUNK, max(1, 2 * CHUNK // len(parts_of(rows[:0]))))
+    for a in range(0, max(len(rows), 1), step):
+        i = rows[a : a + step]
         if (fixed := fixed_point(np.asarray(parts_of(i), dtype=np.float64))) is None:
             if weights_of is not None:
                 return None

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum import bounds, characters, oracles, sums
+from charsum import bounds, characters, cli, oracles, sums
 from charsum.bounds import (
     ASSERT,
     MONITOR,
@@ -47,7 +47,16 @@ from charsum.characters import (
     unit_group_basis,
     unit_group_transform,
 )
-from charsum.integers import coprime_count, divisor_count_sieve, divisors, euler_phi, factor, mobius, tau_r
+from charsum.integers import (
+    coprime_count,
+    divisor_count_sieve,
+    divisors,
+    euler_phi,
+    factor,
+    mobius,
+    primes_up_to,
+    tau_r,
+)
 from charsum.reports import render_records
 from charsum.sums import burgess_moment_2r, congruence_census, shifted_prime_sum
 from charsum.util import PreconditionError, SplitMix64, WorkBudgetError
@@ -173,8 +182,8 @@ def test_burgess_check_matches_per_character_moment():
 
 
 def test_burgess_report_builds_no_character_table(monkeypatch):
-    monkeypatch.setattr(bounds, "all_character_tables",
-                        lambda *a: pytest.fail("burgess_report built every character table"))
+    monkeypatch.setattr(bounds, "phase_index",
+                        lambda *a: pytest.fail("burgess_report built the phases of every character"))
     records = bounds.burgess_report(q_max=50)
     assert len(records) == 15 and all(math.isfinite(rec.ratio) for rec in records)
 
@@ -703,14 +712,64 @@ def test_identities_verify_small_all_pass():
 
 
 def test_character_table_records_pin_their_lhs():
-    """The worst orthogonality defect over D <= 500 and the worst Gauss
-    modulus defect over q <= 200, as this code writes them: every value of
-    the character tables they read enters these two numbers."""
+    """The wrong phase counts over D <= 500, exactly none, and the worst
+    Gauss modulus defect over q <= 200, as this code writes it: every phase
+    and every primitive value the two checks read enters these numbers."""
     records = [orthogonality_record(), gauss_modulus_record()]
-    assert [(r.lemma_tag, r.lhs) for r in records] == [
-        ("ORTHOGONALITY", 4.210301157214334e-16),
-        ("GAUSS_MODULUS", 1.3253646884644356e-15),
+    assert [(r.lemma_tag, r.lhs, r.verdict) for r in records] == [
+        ("ORTHOGONALITY", 0.0, "pass"),
+        ("GAUSS_MODULUS", 1.3253646884644356e-15, "pass"),
     ]
+    assert records[0].parameters == {"max_D": 500, "worst_D": 1}
+
+
+def test_table_checks_build_each_basis_once():
+    """orthogonality_record sweeps D downward, so the bases of q <= 200 are
+    still cached when gauss_modulus_record reads them: 500 bases built for
+    the two checks at their defaults, not 700."""
+    characters._cached_basis.cache_clear()
+    orthogonality_record()
+    gauss_modulus_record()
+    info = characters._cached_basis.cache_info()
+    assert (info.misses, info.hits) == (500, 200)
+
+
+def test_a_moved_phase_fails_orthogonality_and_exits_1(tmp_path, monkeypatch):
+    """A kernel that moves one phase by 1 (as bounds reads it) empties one
+    count and fills another: at D = 45 the record fails with 2 wrong counts
+    at worst_D 45 and verify identities exits 1, and at D = 499 a residue
+    past the first block of counts shows the same 2."""
+    kernel = characters.phase_index
+    moves = {45: (1, 2), 499: (5, 400)}  # D: (character, residue)
+
+    def moved(basis, *args):
+        index = kernel(basis, *args)
+        if basis.modulus.value in moves:
+            index[moves[basis.modulus.value]] += 1
+        return index
+
+    monkeypatch.setattr(bounds, "phase_index", moved)
+    rec = orthogonality_record(50)
+    assert (rec.lhs, rec.verdict, rec.parameters["worst_D"]) == (2.0, "fail", 45)
+    assert cli.main(["verify", "identities", "--max-D", "50", "--output", str(tmp_path / "r.jsonl")]) == 1
+    assert bounds.COUNT_SLOTS // 499 < 400
+    assert bounds._phase_count_errors(unit_group_basis(499)) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    st.sampled_from([2**k for k in range(9, 12)]),
+    st.integers(126, 999).map(lambda n: 2 * (2 * n + 1)),
+    st.sampled_from([int(p) for p in primes_up_to(499) if p > 127]).map(lambda p: 4 * p),
+    st.sampled_from([3**6, 3**7, 5**4, 7**4, 11**3, 23**2, 31**2, 13**3]),
+    st.sampled_from([840, 1320, 1560, 2520, 2184, 4620]),
+))
+@example(2 * 3 * 5 * 7 * 11 * 4)
+def test_phase_counts_are_exact_beyond_500(D):
+    """The exact orthogonality check finds no wrong count mod generated D
+    past the record's default sweep: powers of 2, twice an odd number, 4 p,
+    odd prime powers, and moduli with t >= 4 cyclic factors."""
+    assert bounds._phase_count_errors(unit_group_basis(D)) == 0
 
 
 def test_restricted_envelope_formula():

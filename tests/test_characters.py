@@ -424,22 +424,31 @@ def test_phase_kernel_equals_the_scalar_phases_bit_for_bit(D, pick, seed):
 
 
 def test_one_phase_kernel_is_a_checked_rule():
-    """Across src/charsum, roots_of_unity is called only by the phase
-    kernel _character_values and by gauss_sums, for the additive
-    characters e(a/q): every Dirichlet character value comes from the one
-    kernel."""
-    callers = []
+    """Across src/charsum, the phase index is computed in one function,
+    phase_index: only the one gather _character_values and the exact
+    orthogonality count read it.  roots_of_unity is called only by that
+    gather and by gauss_sums, for the additive characters e(a/q), so every
+    Dirichlet character value comes from the one kernel; and no module
+    but characters.py names a complex table of every value."""
+    callers, tables = {"roots_of_unity": [], "phase_index": []}, []
     for path in sorted(Path(characters.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        if {getattr(node, k, None) for node in ast.walk(tree) for k in ("id", "attr", "name")} & {
+                "all_character_tables", "value_table"}:
+            tables.append(path.name)
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and "roots_of_unity" in (getattr(func, "id", None),
-                                                                   getattr(func, "attr", None)):
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if isinstance(node, ast.Call) and called in callers:
                 while node in parents and not isinstance(node, ast.FunctionDef):
                     node = parents[node]
-                callers.append((path.name, getattr(node, "name", None)))
-    assert sorted(callers) == [("characters.py", "_character_values")] * 2 + [("characters.py", "gauss_sums")]
+                callers[called].append((path.name, getattr(node, "name", None)))
+    assert sorted(callers["roots_of_unity"]) == [("characters.py", "_character_values")] * 2 + [
+        ("characters.py", "gauss_sums")]
+    assert sorted(callers["phase_index"]) == [("bounds.py", "_phase_count_errors"),
+                                              ("characters.py", "_character_values")]
+    assert tables == ["characters.py"]
 
 
 def whole_transform(basis, residues, weights):

@@ -99,6 +99,22 @@ def test_forced_assert_failure_exits_1(tmp_path, monkeypatch):
     assert "INJECTED" in text and '"fail"' in text
 
 
+def test_verify_identities_builds_no_value_table(tmp_path, monkeypatch):
+    """verify identities reads no complex table of every character value:
+    orthogonality counts integer phases, the sums read values_at."""
+
+    def forbidden(*args):
+        raise AssertionError("a character value table was built")
+
+    for module in (bounds, characters, cli, sums):  # wherever the name is held
+        if hasattr(module, "all_character_tables"):
+            monkeypatch.setattr(module, "all_character_tables", forbidden)
+    monkeypatch.setattr(characters.DirichletCharacter, "value_table", forbidden)
+    argv = ["verify", "identities", "--max-D", "500", "--hb-cases", "5", "--coprime-max", "20",
+            "--recombination-cases", "2", "--output", str(tmp_path / "r.jsonl")]
+    assert cli.main(argv) == 0
+
+
 def test_report_theorem_even_moduli_take_no_transform_and_no_lambda(tmp_path, monkeypatch):
     """An even D is bounded by its 2^k support: report theorem neither
     sieves Lambda nor transforms, and still writes one record per modulus."""
@@ -325,12 +341,12 @@ def _raise(exc):
 def test_exit_codes(argv, code, message, capsys, monkeypatch):
     """Bad input, work beyond the budget and memory exhaustion exit 2 with
     a message and no traceback, before any Lambda is sieved or character
-    table or conductor grid built; any other crash exits 3; exit 1 stays
-    for ASSERT failures."""
-    sieved, tables = [], []
+    phase index or conductor grid built; any other crash exits 3; exit 1
+    stays for ASSERT failures."""
+    sieved, phases = [], []
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
     monkeypatch.setattr(sums, "mangoldt_sieve", lambda *a: sieved.append(a))
-    monkeypatch.setattr(bounds, "all_character_tables", lambda *a: tables.append(a))
+    monkeypatch.setattr(bounds, "phase_index", lambda *a: phases.append(a))
     if code == 2:
         monkeypatch.setattr(characters.UnitGroupBasis, "conductor_grid",
                             lambda basis: _raise(AssertionError("conductor grid built before the check")))
@@ -340,7 +356,7 @@ def test_exit_codes(argv, code, message, capsys, monkeypatch):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    assert sieved == [] and tables == []
+    assert sieved == [] and phases == []
 
 
 @pytest.mark.parametrize("argv, seed, delta", [

@@ -873,6 +873,28 @@ def test_hb_reduces_every_part_in_one_exact_dot(monkeypatch):
         assert len(dec.parts) == r + 1 and dec.total == complex_fsum(dec.parts)
 
 
+def test_hb_peak_memory_is_bounded_by_lane_chunks(monkeypatch):
+    """exact_dot reads the 10 lanes of hb_decompose at x = 10^4, r = 3 in
+    chunks of at most 2 util.CHUNK lane entries, not all 10^4 rows at once:
+    the tracemalloc peak stays below 7 MiB (10.2 MiB as one chunk), and the
+    parts have the bits of a single chunk."""
+    x, r = 10**4, 3
+    f = np.ones(x + 1)
+    u1 = math.ceil(x ** (1 / 3))
+    hb_decompose(f, x, u1, r)  # warm the Lambda cache
+    tracemalloc.start()
+    try:
+        dec = hb_decompose(f, x, u1, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+    monkeypatch.setattr(util, "CHUNK", 1 << 20)
+    whole = hb_decompose(f, x, u1, r)
+    assert [repr(v) for v in dec.parts + [dec.lhs]] == [repr(v) for v in whole.parts + [whole.lhs]]
+    assert repr(dec.residual) == repr(whole.residual)
+
+
 def test_hb_random_weights_residual():
     rng = SplitMix64(1234)
     for _ in range(10):
