@@ -542,8 +542,9 @@ def identities_verify(max_D: int = 500, gauss_max_q: int = 200, hb_cases: int = 
     entries = 0
     for D in range(1, top + 1):
         entries += euler_phi(factor(D)) * D * ((D <= max_D) + (D <= gauss_max_q))
-        check_work(entries, f"{name} = {top} needs character tables (phi(D) x D entries per D <= max_D = "
-                   f"{max_D} and per q <= gauss_max_q = {gauss_max_q}); building those of D <= {D}")
+        check_work(entries, f"{name} = {top} needs character phases and values (phi(D) x D integer phases "
+                   f"per D <= max_D = {max_D}, at most as many values per q <= gauss_max_q = {gauss_max_q}); "
+                   f"counting those of D <= {D}")
     check_work(coprime_max**2, f"the coprime-count sweep of coprime_max = {coprime_max} over (q, U) pairs")
     records = hb_identity_records(hb_cases, seed)
     for check, size in ((orthogonality_record, max_D), (gauss_modulus_record, gauss_max_q)):

@@ -5,9 +5,9 @@ Everything here is exact integer arithmetic; the sieved tables of mu, tau
 and tau_r come from one vectorized least-prime-factor walk.  The von
 Mangoldt sieve streams one boolean segment at a time and keeps only the
 prime powers it finds, so its memory grows per prime power, not per
-integer.  ``MangoldtTable`` stores those prime powers as exact (n, prime)
-arrays; the log values are taken by its readers, so no floating
-point enters this module's tables.
+integer.  ``MangoldtTable`` stores those prime powers exactly, as n with
+the primes of the few higher powers beside it; the log values are taken
+by its readers, so no floating point enters this module's tables.
 """
 
 from __future__ import annotations
@@ -308,15 +308,25 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 class MangoldtTable:
     """Von Mangoldt values on [lo, hi], stored exactly as the prime powers.
 
-    ``n`` lists the prime powers in the range, ascending, n[i] a power of
-    prime[i]; every other integer in the range has Lambda = 0, and
-    Lambda(n[i]) = log(prime[i]).  No rounding is baked into the table.
+    ``n`` lists the prime powers in the range, ascending; every other
+    integer in the range has Lambda = 0.  n[i] is prime except at the few
+    indices ``higher``, where n[higher[j]] = p^k, k >= 2, for the prime
+    p = higher_prime[j].  ``prime`` derives the prime of every n[i], so
+    Lambda(n[i]) = log(prime[i]); no rounding is baked into the table.
     """
 
     lo: int
     hi: int
     n: np.ndarray
-    prime: np.ndarray
+    higher: np.ndarray
+    higher_prime: np.ndarray
+
+    @property
+    def prime(self) -> np.ndarray:
+        """The prime of each n[i], as a fresh array of n's length."""
+        prime = self.n.copy()
+        prime[self.higher] = self.higher_prime
+        return prime
 
 
 def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
@@ -362,7 +372,4 @@ def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
     at = np.searchsorted(primes, pk)
     n = np.insert(primes, at, pk)
     del primes
-    at += np.arange(at.size)  # where np.insert put them
-    prime = n.copy()
-    prime[at] = pp
-    return MangoldtTable(lo, hi, n, prime)
+    return MangoldtTable(lo, hi, n, at + np.arange(at.size), pp)  # where np.insert put them

@@ -6,10 +6,12 @@ Every character sum is sum_r W_r chi(r) over exact weights W_r per residue
 class r (or per prime power), reduced by the one exact reduction,
 ``util.exact_dot``: the correctly rounded exact sum of the products, computed
 in integers from the weights' digits and the values' fixed-point limbs.  The
-Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per (x, L), the
-window sums count their n per class, the bilinear sum adds a_m b_n per
-class; ``util.digits`` splits the weights of the prime-power, window and
-bilinear rows, and the bins are carried into digits as they are built.
+Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per modulus and
+keep the bins, which a larger x grows by binning only its new prime
+powers; the window sums count their n per class, the bilinear sum adds
+a_m b_n per class.  ``util.digits`` splits the weights of the prime-power,
+window and bilinear rows, and the bins are carried into digits as they are
+built.
 ``abs_term_sum`` is the exact sum of |w| over the terms w chi(.) with
 chi(.) != 0; equality tolerances downstream scale with it.  The
 decomposition identity is weight 1 times the stacked rows of its parts,
@@ -71,18 +73,22 @@ class SumValue:
 
 
 # Bytes per prime power n <= x budgeted for growing the Lambda cache to x.
-# The cached n and m, the sieved extension and the copies that append it
-# peak near 32; the rest is margin.
+# The growth holds the old m, then the grown n and m, filled one at a time
+# (at most 24 per prime power up to x), beside residue bins that outweigh
+# the old n and m (16) only while one entry is kept alone; the sieve holds
+# 16 per new prime power before that.  The rest is margin.
 LAMBDA_BYTES = 48
 
 
 class _LambdaCache:
     """The prime powers n <= ``top``, for the largest x read so far, with
-    Lambda(n) as m = fl(log p) * 2**53, and the last residue binning of them.
-    log 2 > 1/2, so m is an integer, below 2**58 for p < 2**40, and
-    np.ldexp(m, -53) is fl(log p) exactly.  The arrays are replaced, never
-    written, so views handed out stay valid; the locks serialise growth and
-    binning, since theorem_report's pool threads read the cache concurrently."""
+    Lambda(n) as m = fl(log p) * 2**53, and residue bins of them per
+    modulus.  log 2 > 1/2, so m is an integer, below 2**58 for p < 2**40,
+    and np.ldexp(m, -53) is fl(log p) exactly.  The arrays are replaced,
+    never written, so views handed out stay valid; the locks serialise
+    growth and binning, since theorem_report's pool threads read the cache
+    concurrently.  ``bins`` maps a modulus L to (x, digits, count) from
+    ``_residue_bins``, least recently used first."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -90,7 +96,7 @@ class _LambdaCache:
         self.n = np.zeros(0, dtype=np.int64)
         self.m = np.zeros(0, dtype=np.int64)
         self.bins_lock = threading.Lock()
-        self.bins = None  # ((x, L), (digits, count)) from _residue_bins
+        self.bins = {}
 
 
 _LAMBDA = _LambdaCache()
@@ -118,30 +124,30 @@ def _check_lambda_memory(x: int) -> None:
 def _mangoldt_arrays(x: int):
     """(n, m) arrays over prime powers n <= x, m = fl(log p) * 2**53 as
     int64; prefix views of one shared cache, treat as read-only.  A larger
-    x than any before sieves only the new part of the range, takes m from
-    its primes block by block and appends both."""
+    x than any before sieves only the new part of the range and appends it
+    to n; m grows next, taken block by block from the new n itself, then
+    set from p at the few higher prime powers p^k, so no array of primes is
+    held."""
     cache = _LAMBDA
     with cache.lock:
         if x > cache.top:
             _check_lambda_memory(x)
             table = mangoldt_sieve(cache.top + 1, x)
-            n, p = table.n, table.prime
-            del table
-            # into a fresh array: converting p in place left the heap so that the
-            # appends below peaked 4 MB higher (ru_maxrss, tsum bench workload)
-            m = np.empty_like(p)
-            for a in range(0, m.size, 4 * BLOCK):
-                m[a : a + 4 * BLOCK] = np.ldexp(np.log(p[a : a + 4 * BLOCK]), 53)
-            del p
-            # one array at a time, so the old n is freed before m is copied
+            higher, higher_prime = table.higher, table.higher_prime
             size = cache.n.size
-            cache.n = np.concatenate((cache.n, n)) if size else n
-            del n
+            # one array at a time, so the old n is freed before m grows
+            cache.n = np.concatenate((cache.n, table.n)) if size else table.n
+            del table
             try:
-                cache.m = np.concatenate((cache.m, m)) if size else m
+                m = np.empty_like(cache.n)
+                m[:size] = cache.m
+                for a in range(size, m.size, BLOCK):
+                    np.ldexp(np.log(cache.n[a : a + BLOCK]), 53, out=m[a : a + BLOCK], casting="unsafe")
+                m[size + higher] = np.ldexp(np.log(higher_prime), 53)
             except MemoryError:
                 cache.n = cache.n[:size]
                 raise
+            cache.m = m
             cache.top = x
         n, m = cache.n, cache.m
     cut = int(np.searchsorted(n, x, side="right"))
@@ -179,35 +185,56 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """(digits, count) over the residues r mod L: S_r * 2**53 = sum_k
     digits[k, r] << (DIGIT * k), digits below 2**DIGIT, where S_r sums
     Lambda(n) over the prime powers n <= x, n = r (mod L), and count[r] is
-    their number.  The last binning stays cached and serves every L that
-    divides its modulus: the classes mod L are unions of its classes, so
-    their digit rows fold by summing and carrying again.  Every character
-    mod L at one x, and every divisor of L, reads one binning; folded bins
-    are bit for bit those a binning mod L would give, since both hold the
-    one carried base-2**DIGIT form of the same integers."""
+    their number.  The bins stay cached, one entry per modulus, and serve
+    every L that divides it: the classes mod L are unions of its classes,
+    so their digit rows fold by summing and carrying again.  An entry at a
+    smaller x0 grows to x by binning only the prime powers in (x0, x] and
+    adding the two carried forms.  So every character mod L at one x, and
+    every divisor of L, reads one binning, and a larger x bins only the new
+    prime powers.  Folded and grown bins are bit for bit those a binning of
+    every prime power up to x mod L would give: all hold the one carried
+    base-2**DIGIT form of the same integers in the same rows.  The least
+    recently used entries are dropped while the bins outweigh the cached
+    n and m they summarize; the entry just read stays."""
     cache = _LAMBDA
     with cache.bins_lock:
-        if cache.bins is not None and cache.bins[0][0] == x and cache.bins[0][1] % L == 0:
-            (_, big), (digits, count) = cache.bins
-            if big == L:
-                return digits, count
-            folds = big // L
-            return _carry(digits.reshape(len(digits), folds, L).sum(axis=1)), count.reshape(folds, L).sum(axis=0)
-        cache.bins = None  # free the old entry before building the new one
-        cache.bins = ((x, L), _bin_residues(x, L))
-        return cache.bins[1]
+        held = [M for M, (x0, _, _) in cache.bins.items() if M % L == 0 and x0 <= x]
+        if held:
+            M = max(held, key=lambda M: (cache.bins[M][0], -M))  # the latest x0, then the smallest M
+            x0, digits, count = cache.bins.pop(M)
+            if x0 < x:
+                grown, more = _bin_residues(x, M, x0)
+                grown[: len(digits)] += digits
+                more += count
+                digits, count = _carry(grown), more
+        else:
+            cache.bins.pop(L, None)  # free an entry at a larger x before binning
+            M, (digits, count) = L, _bin_residues(x, L)
+        cache.bins[M] = (x, digits, count)
+        weight = cache.n.nbytes + cache.m.nbytes
+        while len(cache.bins) > 1 and sum(d.nbytes + c.nbytes for _, d, c in cache.bins.values()) > weight:
+            del cache.bins[next(iter(cache.bins))]
+    if M == L:
+        return digits, count
+    folds = M // L
+    return _carry(digits.reshape(len(digits), folds, L).sum(axis=1)), count.reshape(folds, L).sum(axis=0)
 
 
-def _bin_residues(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The binning behind ``_residue_bins``: one pass over the prime powers,
-    three bincounts per block (the count and the two HALF-bit halves of m),
-    whose sums are carried into the digit rows every CARRY prime powers."""
+def _bin_residues(x: int, L: int, after: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The binning behind ``_residue_bins``, of the prime powers n with
+    after < n <= x: one pass over them, three bincounts per block (the
+    count and the two HALF-bit halves of m), whose sums are carried into the
+    digit rows every CARRY prime powers.  The rows are as many as the
+    prime powers up to x need, whatever ``after``, so bins of (after, x]
+    and of (1, after] add row by row."""
     n, m = _mangoldt_arrays(x)
     if n.size >= 1 << 33:
         raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
     # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
     digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
     count = np.zeros(L)
+    start = int(np.searchsorted(n, after, side="right"))
+    n, m = n[start:], m[start:]
     step = min(4 * BLOCK, CARRY)
     for c in range(0, n.size, CARRY):
         low, high = np.zeros(L), np.zeros(L)
@@ -238,7 +265,8 @@ def _carry(digits: np.ndarray) -> np.ndarray:
 
 def bin_lambda(x: int, L: int) -> None:
     """Bin Lambda up to x by n mod L ahead of Lambda sums mod divisors of L,
-    which then fold these bins instead of binning again.  Does nothing when
+    which then fold these bins instead of binning again; cached bins mod L,
+    or mod a multiple of L, up to a smaller x grow to x.  Does nothing when
     L is not below the number of prime powers up to x, since sums with that
     many residues take the prime powers as rows."""
     if x >= 2 and L < _mangoldt_arrays(x)[0].size:

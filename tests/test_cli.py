@@ -307,9 +307,9 @@ def _raise(exc):
     (["verify", "identities", "--max-D", "0"], 2, "'max_D'"),
     (["verify", "identities", "--gauss-max-q", "0"], 2, "'gauss_max_q'"),
     (["verify", "identities", "--coprime-max", "-1"], 2, "'coprime_max'"),
-    # phi(D) x D table entries over D <= 5000: about 2.5e10, checked before any table
-    (["verify", "identities", "--max-D", "5000"], 2, "max_D = 5000 needs character tables"),
-    (["verify", "identities", "--gauss-max-q", "2000"], 2, "gauss_max_q = 2000 needs character tables"),
+    # phi(D) x D phases over D <= 5000: about 2.5e10, checked before any is built
+    (["verify", "identities", "--max-D", "5000"], 2, "max_D = 5000 needs character phases and values"),
+    (["verify", "identities", "--gauss-max-q", "2000"], 2, "gauss_max_q = 2000 needs character phases and values"),
     # phi = 10^9 + 6: the conductor grid alone would take 8 GB
     (["report", "theorem", "--D-list", "1000000007"], 2, "more than the budget of 1000000000"),
     # a report path in a missing directory is refused before the report is made
@@ -397,7 +397,7 @@ def test_sum_without_chi_index_prints_every_character(argv, count, capsys, monke
     to the line its --chi-index prints; all of them read one binning."""
     read = []
     residue_bins = sums._residue_bins
-    monkeypatch.setattr(sums._LAMBDA, "bins", None)
+    monkeypatch.setattr(sums._LAMBDA, "bins", {})
     monkeypatch.setattr(sums, "_residue_bins", lambda *a: read.append(residue_bins(*a)) or read[-1])
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()

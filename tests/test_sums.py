@@ -128,7 +128,7 @@ def test_mangoldt_cache_grows_once_under_concurrent_reads():
 
 def test_mangoldt_arrays_peak_memory_per_prime_power():
     """A fresh read holds the prime powers, not the integers, up to x: the
-    traced peak stays below 48 bytes per prime power plus two segments."""
+    traced peak stays below 16 bytes per prime power plus two segments."""
     with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()):
         tracemalloc.start()
         try:
@@ -137,7 +137,42 @@ def test_mangoldt_arrays_peak_memory_per_prime_power():
         finally:
             tracemalloc.stop()
     assert n.size == 283146 + 393  # pi(4e6) primes and the higher prime powers
-    assert peak < 48 * n.size + 2 * integers.SEGMENT
+    assert peak < 16 * n.size + 2 * integers.SEGMENT
+
+
+def test_mangoldt_growth_holds_no_array_of_primes():
+    """Growing a cache of the prime powers up to 2e6 to 4e6 holds, beyond
+    the old arrays, the grown n and m and one block of logs: the traced
+    peak stays below 16 bytes per prime power up to 4e6 plus half a
+    segment, less than an array of the new primes (8 bytes per new prime
+    power, 1.07 MB) would add."""
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()):
+        old = sums._mangoldt_arrays(2 * 10**6)[0].size
+        tracemalloc.start()
+        try:
+            n, m = sums._mangoldt_arrays(4 * 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (old, n.size) == (148933 + 302, 283146 + 393)
+    assert n.tobytes() + m.tobytes() == b"".join(_fresh_lambda(4 * 10**6))
+    assert peak < 16 * n.size + integers.SEGMENT // 2
+
+
+def test_mangoldt_growth_out_of_memory_keeps_the_cache():
+    """A MemoryError while m grows leaves n, m and top as they were, and
+    the next read grows the cache like a fresh sieve."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()):
+        sums._mangoldt_arrays(5000)
+        with mock.patch.object(np, "log", no_memory), pytest.raises(MemoryError):
+            sums._mangoldt_arrays(9000)
+        cache = sums._LAMBDA
+        assert (cache.top, cache.n.size, cache.m.size) == (5000, 669 + 42, 669 + 42)
+        n, m = sums._mangoldt_arrays(9000)
+    assert (n.tobytes(), m.tobytes()) == _fresh_lambda(9000)
 
 
 def test_mangoldt_arrays_rejects_x_beyond_physical_memory():
@@ -336,7 +371,7 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
             assert m.dtype == np.int64 and m.tolist() == [int(Fraction(v) * 2**53) for v in log_p.tolist()]
             assert np.ldexp(m, -53).tobytes() == log_p.tobytes()
 
-            sums._LAMBDA.bins = None
+            sums._LAMBDA.bins.clear()
             digits, count = sums._residue_bins(x, L)
             for r in range(L):
                 want = sum(Fraction(v) for v in log_p[n % L == r].tolist()) * 2**53
@@ -353,18 +388,76 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
 def test_residue_bins_fold_from_a_multiple(monkeypatch):
     """Bins mod every divisor L of the cached modulus fold from that one
     binning and equal, bit for bit, a fresh binning mod L; the cache keeps
-    the multiple."""
-    x, big = 20000, 4725
+    the multiple, and a non-divisor is binned afresh beside it (at this x
+    the Lambda arrays outweigh both entries)."""
+    x, big = 200000, 4725
+    binned = []
+    bin_residues = sums._bin_residues
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
-    sums._residue_bins(x, big)
-    cached = sums._LAMBDA.bins
+    monkeypatch.setattr(sums, "_bin_residues", lambda *a: binned.append(a) or bin_residues(*a))
+    cached, _ = sums._residue_bins(x, big)
     for L in divisors(factor(big)):
         digits, count = sums._residue_bins(x, L)
-        want_digits, want_count = sums._bin_residues(x, L)
+        want_digits, want_count = bin_residues(x, L)
         assert np.array_equal(digits, want_digits) and np.array_equal(count, want_count)
-    assert sums._LAMBDA.bins is cached
+    assert binned == [(x, big)] and sums._LAMBDA.bins.keys() == {big}
     sums._residue_bins(x, 2)  # not a divisor: binned afresh
-    assert sums._LAMBDA.bins[0] == (x, 2)
+    assert binned == [(x, big), (x, 2)]
+    assert sums._LAMBDA.bins[big][1] is cached and sums._LAMBDA.bins[2][0] == x
+
+
+# x for the request sequences below: 4 -> 5 adds a digit row (3 prime
+# powers up to 4, then 4), and 3000 -> 3001 adds no prime power
+_BIN_XS = (1, 4, 5, 60, 3000, 3001, 9000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_BIN_XS) - 1), st.sampled_from([1, 2, 3, 4, 6, 12, 36, 5, 60, 7])),
+                min_size=1, max_size=10),
+       st.integers(1, 4), st.integers(1, 64))
+@example([(1, 12), (2, 12), (6, 12), (6, 4), (4, 36), (5, 3)], 4, 1 << 24)  # 4 -> 5 grows a row
+@example([(3, 1), (6, 1), (4, 2), (6, 6)], 1, 7)  # carries every 7 prime powers while growing
+@example([(6, 60), (4, 12), (5, 60), (6, 5), (0, 7), (6, 7), (6, 7)], 2, 64)  # x falls, repeats
+def test_residue_bins_equal_a_fresh_binning(requests, block, carry):
+    """Along any sequence of (x, L), x rising, falling and repeating and L
+    with its divisors and multiples, the bins (digits and counts) equal a
+    fresh binning of every prime power up to x mod L, bit for bit, with
+    carries every ``carry`` prime powers.  Every binning is fresh mod L, or
+    bins only (x0, x] mod a multiple of L that the cache held at x0 < x."""
+    calls = []
+    bin_residues = sums._bin_residues
+    with mock.patch.object(sums, "_LAMBDA", sums._LambdaCache()), \
+            mock.patch.object(sums, "_bin_residues", lambda *a: calls.append(a) or bin_residues(*a)), \
+            mock.patch.object(sums, "BLOCK", block), mock.patch.object(sums, "CARRY", carry):
+        for i, L in requests:
+            x = _BIN_XS[i]
+            held = {M: x0 for M, (x0, _, _) in sums._LAMBDA.bins.items()}
+            calls.clear()
+            digits, count = sums._residue_bins(x, L)
+            want_digits, want_count = bin_residues(x, L)
+            assert digits.shape == want_digits.shape and digits.tobytes() == want_digits.tobytes()
+            assert count.tobytes() == want_count.tobytes()
+            for call_x, M, *after in calls:
+                assert call_x == x and M % L == 0
+                assert (M, after) == (L, []) if not after else held.get(M) == after[0] < x
+
+
+def test_residue_bins_under_concurrent_reads():
+    """Eight threads on two CPUs, switching every microsecond, read the bins
+    of 45 shuffled (x, L), x rising and falling and L with its divisors and
+    multiples, 200 times: each read equals a fresh binning, bit for bit, and
+    no scan of the cached entries meets another thread's update."""
+    requests = [(x, L) for x in (3000, 6000, 9000) for L in (2, 4, 12, 36, 5, 60, 7, 14, 1, 3, 6, 18, 9, 30, 10)]
+    want = [tuple(a.tobytes() for a in sums._bin_residues(x, L)) for x, L in requests]
+    for trial in range(200):
+        order = sorted(range(len(requests)), key=lambda i: SplitMix64(trial ^ i).next_u64())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, _ = _read_lambda(lambda: util.map_blocks(lambda i: sums._residue_bins(*requests[i]), order), cpus=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [tuple(a.tobytes() for a in bins) for bins in got] == [want[i] for i in order]
 
 
 def test_restricted_report_bins_lambda_once(monkeypatch):
@@ -375,16 +468,47 @@ def test_restricted_report_bins_lambda_once(monkeypatch):
     binned = []
     bin_residues = sums._bin_residues
     monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
-    monkeypatch.setattr(sums, "_bin_residues", lambda x, L: binned.append(L) or bin_residues(x, L))
+    monkeypatch.setattr(sums, "_bin_residues", lambda x, L, *after: binned.append(L) or bin_residues(x, L, *after))
     records = bounds.restricted_report(4725, x)
     assert binned == [105]
     chi_q = induce_primitive(character_at(unit_group_basis(4725), 1))
     assert [r.parameters["nu"] for r in records] == [1, 3, 5, 15]
     for rec in records:
-        sums._LAMBDA.bins = None
+        sums._LAMBDA.bins.clear()
         val = restricted_sum(chi_q, rec.parameters["nu"], rec.parameters["l"], x)
         assert rec.lhs == abs(val.value)
     assert binned == [105, 7, 21, 35, 105]
+
+
+def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch, capsys):
+    """A small copy of the bench tsum plan in one process (two sum T per
+    modulus and x, four moduli, report restricted at each x) bins each
+    prime power at most once per modulus: the prime powers up to the first
+    x, then only those between the two, and report restricted folds the
+    bins mod 4725.  Every command prints the same bytes against
+    a fresh cache as in the warm sequence."""
+    moduli, xs = (4725, 1024, 2310, 7919), (10**6, 2 * 10**6)
+    commands = []
+    for x in xs:
+        for D in moduli:
+            commands += [["sum", "T", "--D", str(D), "--l", "1", "--x", str(x), "--chi-index", str(i)]
+                         for i in (1, 7)]
+        commands.append(["report", "restricted", "--D", "4725", "--x", str(x)])
+    binned = []
+    bin_residues = sums._bin_residues
+    monkeypatch.setattr(sums, "_bin_residues", lambda *a: binned.append(a) or bin_residues(*a))
+    monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
+
+    def outputs(argv, name):
+        path = tmp_path / name
+        assert cli.main(argv + ["--output", str(path)] if argv[0] == "report" else argv) == 0
+        return capsys.readouterr(), path.read_bytes() if argv[0] == "report" else b""
+
+    warm = [outputs(argv, f"warm-{i}") for i, argv in enumerate(commands)]
+    assert binned == [(xs[0], D) for D in moduli] + [(xs[1], D, xs[0]) for D in moduli]
+    for i, argv in enumerate(commands):
+        monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
+        assert outputs(argv, f"fresh-{i}") == warm[i]
 
 
 def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
@@ -396,7 +520,7 @@ def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
     sums._mangoldt_arrays(x)
     chi = character_at(unit_group_basis(99991), 7)
     chi.value_table()
-    monkeypatch.setattr(sums._LAMBDA, "bins", None)
+    monkeypatch.setattr(sums._LAMBDA, "bins", {})
     tracemalloc.start()
     try:
         got = shifted_prime_sum(chi, 2, x)
