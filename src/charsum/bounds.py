@@ -602,18 +602,21 @@ def _certified_max(basis: UnitGroupBasis, batches, classes, gap: float, evaluate
     ``unit_group_transform`` does, row b named ``labels[b]``; each class is
     a non-empty half-lattice mask inside the one before.  Per batch, widest
     class first, the columns outside the class are set to -inf in place
-    (no class is copied) and the entries within ``gap`` of the batch's top
-    are hits.  The hits within ``gap`` of the top over every batch, which
-    no batch split changes, are taken at the smaller index of chi and conj
-    chi and evaluated by ``evaluate(chi, label)``, once per pair."""
+    (no class is copied) and the entries within ``gap`` of the class's top
+    over the batches so far are hits.  The hits within ``gap`` of the top
+    over every batch, which no batch split changes, are taken at the
+    smaller index of chi and conj chi and evaluated by ``evaluate(chi,
+    label)``, once per pair."""
     outside = [np.flatnonzero(~mask) for mask in classes]
     found = [[] for _ in classes]
+    best = [-np.inf] * len(classes)
     for first_row, values in batches:
         values = values.reshape(len(values), -1)
-        for cols, hits in zip(outside, found):
+        for j, (cols, hits) in enumerate(zip(outside, found)):
             values[:, cols] = -np.inf
             top = values.max(axis=1)
-            floor = top.max() - gap
+            best[j] = max(best[j], top.max())
+            floor = best[j] - gap
             rows = np.flatnonzero(top >= floor)
             r, c = np.nonzero(values[rows] >= floor)
             hits.append((values[rows[r], c], first_row + rows[r], c))

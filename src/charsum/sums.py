@@ -6,12 +6,13 @@ Every character sum is sum_r W_r chi(r) over exact weights W_r per residue
 class r (or per prime power), reduced by the one exact reduction,
 ``util.exact_dot``: the correctly rounded exact sum of the products, computed
 in integers from the weights' digits and the values' fixed-point limbs.  The
-Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per modulus and
-keep the bins, which a larger x grows by binning only its new prime
-powers; the window sums count their n per class, the bilinear sum adds
-a_m b_n per class.  ``util.digits`` splits the weights of the prime-power,
-window and bilinear rows, and the bins are carried into digits as they are
-built.
+Lambda sums (``_lambda_sum``) bin Lambda by n mod L once per modulus, by
+int64 scatter-adds of the two halves of each weight with the count packed
+into the low one, and keep the bins, which a larger x grows by binning
+only its new prime powers; the window sums count their n per class, the
+bilinear sum adds a_m b_n per class.  ``util.digits`` splits the weights of
+the prime-power, window and bilinear rows, and the bins are carried into
+int64 digits as they are built, which ``exact_dot`` reads as they are.
 ``abs_term_sum`` is the exact sum of |w| over the terms w chi(.) with
 chi(.) != 0; equality tolerances downstream scale with it.  The
 decomposition identity is weight 1 times the stacked rows of its parts,
@@ -172,30 +173,35 @@ def mangoldt_weights(x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The Lambda kernel: exact residue bins and an exactly rounded dot product
 
-# Sums of the DIGIT-bit digits of the cached m < 2**58 stay exact in float64
-# (below 2**53) over fewer than 2**33 prime powers.
 _DIGIT_MASK = (1 << DIGIT) - 1
-# The binning weighs each prime power by the two halves of m, below and from
-# bit HALF; up to CARRY such halves sum exactly in float64 before they are
-# carried into the digit rows.
-HALF, CARRY = 29, 1 << 24
+# The binning weighs each prime power by the two halves of m < 2**58, below
+# and from bit HALF, scatter-added into int64 bins and carried into the digit
+# rows every CARRY prime powers.  The low bin also counts, 2**TALLY per prime
+# power.  Over CARRY prime powers the low sums stay below 2**41 = 2**TALLY,
+# the tallies below 2**61 and the high sums below 2**57: no bin wraps.
+HALF, CARRY = 21, 1 << 20
+TALLY = 41
+# The bins are evicted only past max(Lambda bytes, BIN_FLOOR), so the few
+# moduli of one run stay cached at small x too.
+BIN_FLOOR = 4 << 20
 
 
 def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """(digits, count) over the residues r mod L: S_r * 2**53 = sum_k
-    digits[k, r] << (DIGIT * k), digits below 2**DIGIT, where S_r sums
-    Lambda(n) over the prime powers n <= x, n = r (mod L), and count[r] is
-    their number.  The bins stay cached, one entry per modulus, and serve
-    every L that divides it: the classes mod L are unions of its classes,
-    so their digit rows fold by summing and carrying again.  An entry at a
-    smaller x0 grows to x by binning only the prime powers in (x0, x] and
-    adding the two carried forms.  So every character mod L at one x, and
-    every divisor of L, reads one binning, and a larger x bins only the new
-    prime powers.  Folded and grown bins are bit for bit those a binning of
-    every prime power up to x mod L would give: all hold the one carried
-    base-2**DIGIT form of the same integers in the same rows.  The least
-    recently used entries are dropped while the bins outweigh the cached
-    n and m they summarize; the entry just read stays."""
+    digits[k, r] << (DIGIT * k), int64 digits below 2**DIGIT, where S_r
+    sums Lambda(n) over the prime powers n <= x, n = r (mod L), and
+    count[r] (float64) is their number.  The bins stay cached, one entry per
+    modulus, and serve every L that divides it: the classes mod L are unions
+    of its classes, so their digit rows fold by summing and carrying again.
+    An entry at a smaller x0 grows to x by binning only the prime powers in
+    (x0, x] and adding the two carried forms.  So every character mod L at
+    one x, and every divisor of L, reads one binning, and a larger x bins
+    only the new prime powers.  Folded and grown bins are bit for bit those
+    a binning of every prime power up to x mod L would give: all hold the
+    one carried base-2**DIGIT form of the same integers in the same rows.
+    The least recently used entries are dropped while the bins outweigh
+    both BIN_FLOOR and the cached n and m they summarize; the entry just
+    read stays."""
     cache = _LAMBDA
     with cache.bins_lock:
         held = [M for M, (x0, _, _) in cache.bins.items() if M % L == 0 and x0 <= x]
@@ -211,7 +217,7 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
             cache.bins.pop(L, None)  # free an entry at a larger x before binning
             M, (digits, count) = L, _bin_residues(x, L)
         cache.bins[M] = (x, digits, count)
-        weight = cache.n.nbytes + cache.m.nbytes
+        weight = max(cache.n.nbytes + cache.m.nbytes, BIN_FLOOR)
         while len(cache.bins) > 1 and sum(d.nbytes + c.nbytes for _, d, c in cache.bins.values()) > weight:
             del cache.bins[next(iter(cache.bins))]
     if M == L:
@@ -222,30 +228,31 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bin_residues(x: int, L: int, after: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The binning behind ``_residue_bins``, of the prime powers n with
-    after < n <= x: one pass over them, three bincounts per block (the
-    count and the two HALF-bit halves of m), whose sums are carried into the
-    digit rows every CARRY prime powers.  The rows are as many as the
-    prime powers up to x need, whatever ``after``, so bins of (after, x]
-    and of (1, after] add row by row."""
+    after < n <= x: one pass over them, two int64 scatter-adds per block
+    (``np.add.at``, in place), one of the low HALF bits of m with the tally
+    2**TALLY packed in, one of the rest of m.  Every CARRY prime powers the
+    tallies go to the float64 count and the halves into the digit rows.
+    The rows are as many as the prime powers up to x need, whatever
+    ``after``, so bins of (after, x] and of (1, after] add row by row."""
     n, m = _mangoldt_arrays(x)
     if n.size >= 1 << 33:
         raise WorkBudgetError(f"{n.size} prime powers up to x = {x}: bins are exact below 2**33")
     # S_r * 2**53 < count[r] * 2**58 bounds the rows the carries reach
-    digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L))
+    digits = np.zeros((-(-(58 + n.size.bit_length()) // DIGIT), L), dtype=np.int64)
     count = np.zeros(L)
     start = int(np.searchsorted(n, after, side="right"))
     n, m = n[start:], m[start:]
     step = min(4 * BLOCK, CARRY)
     for c in range(0, n.size, CARRY):
-        low, high = np.zeros(L), np.zeros(L)
+        low, high = np.zeros(L, dtype=np.int64), np.zeros(L, dtype=np.int64)
         for a in range(c, min(c + CARRY, n.size), step):
             b = min(a + step, c + CARRY)
             r = n[a:b] - L * (n[a:b] // L)  # n mod L: numpy's // by a scalar is the fast one
-            count += np.bincount(r, minlength=L)
-            low += np.bincount(r, m[a:b] & ((1 << HALF) - 1), L)
-            high += np.bincount(r, m[a:b] >> HALF, L)
+            np.add.at(low, r, (m[a:b] & ((1 << HALF) - 1)) | (1 << TALLY))
+            np.add.at(high, r, m[a:b] >> HALF)
+        count += low >> TALLY
+        low &= (1 << TALLY) - 1
         # low + high * 2**HALF in DIGIT-bit digits, DIGIT < HALF < 2 DIGIT
-        low, high = low.astype(np.int64), high.astype(np.int64)
         digits[0] += low & _DIGIT_MASK
         digits[1] += (low >> DIGIT) + ((high << (HALF - DIGIT)) & _DIGIT_MASK)
         digits[2] += high >> (2 * DIGIT - HALF)
@@ -254,12 +261,11 @@ def _bin_residues(x: int, L: int, after: int = 1) -> tuple[np.ndarray, np.ndarra
 
 
 def _carry(digits: np.ndarray) -> np.ndarray:
-    """Carry digit rows, in place, into DIGIT-bit digits below the top row;
-    exact while every entry stays below 2**53."""
+    """Carry int64 digit rows, in place, into DIGIT-bit digits below the
+    top row; exact while no entry wraps."""
     for k in range(len(digits) - 1):
-        high = np.floor(digits[k] / (1 << DIGIT))
-        digits[k + 1] += high
-        digits[k] -= high * (1 << DIGIT)
+        digits[k + 1] += digits[k] >> DIGIT
+        digits[k] &= _DIGIT_MASK
     return digits
 
 

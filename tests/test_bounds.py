@@ -418,6 +418,7 @@ def _recording(basis, exact):
        st.integers(0, 2**32 - 1), st.integers(0, 30), st.sets(st.integers(1, 11)))
 @example(3, 1, 0, 0, set())  # one character besides the principal one
 @example(105, 12, 7, 30, {3, 4, 9})
+@example(105, 12, 7, 30, {1, 6})  # the top in a first, single-row batch: later rows fall below its floor
 def test_certified_max_equals_class_copies(D, rows, seed, ties, cuts):
     """_certified_max evaluates exactly the (chi_index, label) pairs of the
     hits of copying each class out of the batch, each pair once, and

@@ -385,6 +385,25 @@ def test_integer_lambda_cache_matches_fraction_oracle(x1, grow, L, l, block, car
             assert _bits(got) == want
 
 
+@pytest.mark.parametrize("size, carry", [(3 * 1024 + 5, 1024), (sums.CARRY + 3, sums.CARRY)])
+def test_bin_residues_are_exact_at_the_largest_weights(monkeypatch, size, carry):
+    """Every prime power in one class and each at m = 2**58 - 1, the bound
+    of every cached m: over more than one CARRY group, patched small or a full one,
+    the digits and the count equal the Python-int sums, every other class
+    stays 0, and every digit row but the top lies in [0, 2**20)."""
+    L, r = 7, 3
+    n = np.arange(size, dtype=np.int64) * L + r
+    m = np.full(size, 2**58 - 1, dtype=np.int64)
+    monkeypatch.setattr(sums, "_mangoldt_arrays", lambda x: (n, m))
+    monkeypatch.setattr(sums, "CARRY", carry)
+    digits, count = sums._bin_residues(int(n[-1]), L)
+    assert digits.dtype == np.int64 and count.dtype == np.float64
+    assert sum(int(d) << (util.DIGIT * k) for k, d in enumerate(digits[:, r].tolist())) == size * (2**58 - 1)
+    assert count[r] == size and count.sum() == size
+    assert not np.delete(digits, r, axis=1).any()
+    assert ((digits[:-1] >= 0) & (digits[:-1] < 2**20)).all()
+
+
 def test_residue_bins_fold_from_a_multiple(monkeypatch):
     """Bins mod every divisor L of the cached modulus fold from that one
     binning and equal, bit for bit, a fresh binning mod L; the cache keeps
@@ -480,14 +499,14 @@ def test_restricted_report_bins_lambda_once(monkeypatch):
     assert binned == [105, 7, 21, 35, 105]
 
 
-def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch, capsys):
-    """A small copy of the bench tsum plan in one process (two sum T per
-    modulus and x, four moduli, report restricted at each x) bins each
-    prime power at most once per modulus: the prime powers up to the first
-    x, then only those between the two, and report restricted folds the
-    bins mod 4725.  Every command prints the same bytes against
-    a fresh cache as in the warm sequence."""
-    moduli, xs = (4725, 1024, 2310, 7919), (10**6, 2 * 10**6)
+def _check_tsum_plan_bins(xs, tmp_path, monkeypatch, capsys):
+    """Run a small copy of the bench tsum plan at the two xs in one process
+    (two sum T per modulus and x, four moduli, report restricted at each x)
+    and check that it bins each prime power at most once per modulus: the
+    prime powers up to the first x, then only those between the two, and
+    report restricted folds the bins mod 4725.  Every command prints the
+    same bytes against a fresh cache as in the warm sequence."""
+    moduli = (4725, 1024, 2310, 7919)
     commands = []
     for x in xs:
         for D in moduli:
@@ -509,6 +528,19 @@ def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch,
     for i, argv in enumerate(commands):
         monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
         assert outputs(argv, f"fresh-{i}") == warm[i]
+
+
+def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch, capsys):
+    """The tsum plan at x = 1e6 and 2e6, where the Lambda arrays outweigh
+    the bins, bins each prime power once per modulus."""
+    _check_tsum_plan_bins((10**6, 2 * 10**6), tmp_path, monkeypatch, capsys)
+
+
+def test_tsum_plan_keeps_its_bins_at_small_x(tmp_path, monkeypatch, capsys):
+    """At x = 1e5 and 2e5 the bins of the four moduli (about 640 KB)
+    outweigh the Lambda arrays (about 300 KB) but not BIN_FLOOR, so they
+    stay cached: each prime power is still binned once per modulus."""
+    _check_tsum_plan_bins((10**5, 2 * 10**5), tmp_path, monkeypatch, capsys)
 
 
 def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
