@@ -609,14 +609,14 @@ def _certified_max(basis: UnitGroupBasis, batches, classes, gap: float, evaluate
     label)``, once per pair."""
     outside = [np.flatnonzero(~mask) for mask in classes]
     found = [[] for _ in classes]
-    best = [-np.inf] * len(classes)
+    running = [-np.inf] * len(classes)
     for first_row, values in batches:
         values = values.reshape(len(values), -1)
         for j, (cols, hits) in enumerate(zip(outside, found)):
             values[:, cols] = -np.inf
             top = values.max(axis=1)
-            best[j] = max(best[j], top.max())
-            floor = best[j] - gap
+            running[j] = max(running[j], top.max())
+            floor = running[j] - gap
             rows = np.flatnonzero(top >= floor)
             r, c = np.nonzero(values[rows] >= floor)
             hits.append((values[rows[r], c], first_row + rows[r], c))

@@ -3,12 +3,11 @@ Mangoldt sieve and smooth counting.
 
 Everything here is exact integer arithmetic; the sieved tables of mu, tau
 and tau_r come from one vectorized least-prime-factor walk.  The von
-Mangoldt sieve streams one boolean segment at a time, each started from a
-presieved pattern, and keeps only the prime powers it finds, so its memory
-grows per prime power, not per integer.  ``MangoldtTable`` stores those
-prime powers exactly, as n with the primes of the few higher powers beside
-it; the log values are taken by its readers, so no floating point enters
-this module's tables.
+Mangoldt sieve streams one boolean segment at a time and keeps only the
+prime powers it finds, so its memory grows per prime power, not per
+integer.  ``MangoldtTable`` stores those prime powers exactly, as n with
+the primes of the few higher powers beside it; the log values are taken
+by its readers, so no floating point enters this module's tables.
 """
 
 from __future__ import annotations
@@ -330,59 +329,27 @@ class MangoldtTable:
         return prime
 
 
-# mangoldt_sieve starts each segment from the odd integers coprime to these
-# primes, a pattern of period WHEEL in the odd integers' index
-WHEEL_PRIMES = (3, 5, 7, 11, 13)
-WHEEL = math.prod(WHEEL_PRIMES)
-
-
-@lru_cache(maxsize=1)
-def _wheel() -> np.ndarray:
-    """pattern[j] for j < 2 WHEEL: whether 2j + 1 is coprime to WHEEL."""
-    pattern = np.ones(2 * WHEEL, dtype=bool)
-    for p in WHEEL_PRIMES:
-        pattern[p // 2 :: p] = False  # 2j + 1 = p (2k + 1)
-    return pattern
-
-
-def _presieved(start: int, size: int) -> np.ndarray:
-    """alive[i] for the odd integers start + 2i, i < size: whether each is
-    coprime to WHEEL, copied from the pattern rotated to start."""
-    rotated = _wheel()[start // 2 % WHEEL :][:WHEEL]
-    alive = np.empty(size, dtype=bool)
-    whole = size - size % WHEEL
-    alive[:whole].reshape(-1, WHEEL)[:] = rotated
-    alive[whole:] = rotated[: size - whole]
-    return alive
-
-
 def mangoldt_sieve(lo: int, hi: int) -> MangoldtTable:
     """Segmented sieve of Lambda over [lo, hi] (Bays & Hudson 1977).
 
     The odd integers of the range are sieved ``SEGMENT`` at a time, one
-    byte each.  A segment starts presieved, from a cached pattern of the
-    odd integers coprime to 3 * 5 * 7 * 11 * 13, with those five primes set
-    back where the segment holds them; then the primes from 17 up to
-    sqrt(hi) strike their odd multiples, and the segment keeps only the
-    primes it leaves.  The powers p^k, k >= 2, of the primes up to sqrt(hi)
-    are merged in once at the end.  Memory is one segment plus about 16
-    bytes per prime power, and the table does not depend on the
+    byte each, by the odd primes up to sqrt(hi), and each segment keeps only
+    the primes it leaves.  The powers p^k, k >= 2, of the primes up to
+    sqrt(hi) are merged in once at the end.  Memory is one segment plus
+    about 16 bytes per prime power, and the table does not depend on the
     segmentation."""
     require(1 <= lo, "lo", "need lo >= 1")
     require(lo <= hi, "hi", f"need lo <= hi, got [{lo}, {hi}]")
     require(hi < 2**MANGOLDT_CAP_BITS, "hi", f"range capped at 2^{MANGOLDT_CAP_BITS}")
     base = primes_up_to(math.isqrt(hi))
-    odd = base[base > WHEEL_PRIMES[-1]]
+    odd = base[1:]
     squares = odd * odd
     found = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]
     first = lo | 1
     size = max(1, min(SEGMENT, (hi - first) // 2 + 1))  # odd integers per segment
     for seg_lo in range(first, hi + 1, 2 * size):
         seg_hi = min(seg_lo + 2 * size - 2, hi)
-        alive = _presieved(seg_lo, (seg_hi - seg_lo) // 2 + 1)  # alive[i]: seg_lo + 2i
-        for p in WHEEL_PRIMES:
-            if seg_lo <= p <= seg_hi:
-                alive[(p - seg_lo) // 2] = True
+        alive = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # alive[i]: seg_lo + 2i
         if seg_lo == 1:
             alive[0] = False
         start = -(-seg_lo // odd) * odd

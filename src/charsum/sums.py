@@ -177,13 +177,11 @@ _DIGIT_MASK = (1 << DIGIT) - 1
 # The binning weighs each prime power by the two halves of m < 2**58, below
 # and from bit HALF, scatter-added into int64 bins and carried into the digit
 # rows every CARRY prime powers.  The low bin also counts, 2**TALLY per prime
-# power.  Over CARRY prime powers the low sums stay below 2**41 = 2**TALLY,
-# the tallies below 2**61 and the high sums below 2**57: no bin wraps.
+# power, TALLY being the bits the low sums of CARRY prime powers can take.
+# So the low sums stay below 2**41, the tallies below 2**61 and the high sums
+# below 2**57: no bin wraps while HALF + 2 * log2(CARRY) < 63.
 HALF, CARRY = 21, 1 << 20
-TALLY = 41
-# The bins are evicted only past max(Lambda bytes, BIN_FLOOR), so the few
-# moduli of one run stay cached at small x too.
-BIN_FLOOR = 4 << 20
+TALLY = HALF + (CARRY - 1).bit_length()
 
 
 def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +198,7 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     a binning of every prime power up to x mod L would give: all hold the
     one carried base-2**DIGIT form of the same integers in the same rows.
     The least recently used entries are dropped while the bins outweigh
-    both BIN_FLOOR and the cached n and m they summarize; the entry just
-    read stays."""
+    the cached n and m they summarize; the entry just read stays."""
     cache = _LAMBDA
     with cache.bins_lock:
         held = [M for M, (x0, _, _) in cache.bins.items() if M % L == 0 and x0 <= x]
@@ -217,7 +214,7 @@ def _residue_bins(x: int, L: int) -> tuple[np.ndarray, np.ndarray]:
             cache.bins.pop(L, None)  # free an entry at a larger x before binning
             M, (digits, count) = L, _bin_residues(x, L)
         cache.bins[M] = (x, digits, count)
-        weight = max(cache.n.nbytes + cache.m.nbytes, BIN_FLOOR)
+        weight = cache.n.nbytes + cache.m.nbytes
         while len(cache.bins) > 1 and sum(d.nbytes + c.nbytes for _, d, c in cache.bins.values()) > weight:
             del cache.bins[next(iter(cache.bins))]
     if M == L:

@@ -272,61 +272,6 @@ def test_mangoldt_sieve_matches_oracle(case):
     assert all(_lambda_at(table, n) == oracles.mangoldt_value(n) for n in range(lo, hi + 1))
 
 
-def eratosthenes_prime_powers(lo, hi):
-    """The prime powers in [lo, hi], from a plain sieve of Eratosthenes
-    over 0..hi and the powers of each prime it leaves."""
-    prime = [True] * (hi + 1)
-    for p in range(2, math.isqrt(hi) + 1):
-        if prime[p]:
-            prime[p * p :: p] = [False] * len(range(p * p, hi + 1, p))
-    powers = []
-    for p in range(2, hi + 1):
-        q = p
-        while prime[p] and q <= hi:
-            powers.append(q)
-            q *= p
-    return sorted(q for q in powers if q >= lo)
-
-
-_PERIOD = 2 * integers.WHEEL  # the presieve pattern's period in n
-
-
-@st.composite
-def presieve_ranges(draw):
-    """(lo, hi, SEGMENT): ranges with hi < 169, whose segments of a few odd
-    integers start on the presieved primes 3, 5, 7, 11 and 13 themselves,
-    ranges across a period of the pattern, and segments longer than it."""
-    kind = draw(st.sampled_from(("small", "period edge", "long segment")))
-    if kind == "small":
-        lo = draw(st.integers(1, 168))
-        return lo, draw(st.integers(lo, 168)), draw(st.integers(1, 8))
-    if kind == "period edge":
-        lo = draw(st.integers(1, 3)) * _PERIOD + draw(st.integers(-300, 300))
-        return lo, lo + draw(st.integers(0, 600)), draw(st.integers(1, 40))
-    lo = draw(st.integers(1, _PERIOD))
-    return lo, lo + draw(st.integers(_PERIOD, 2 * _PERIOD)), integers.WHEEL + draw(st.integers(-2, 2))
-
-
-@settings(max_examples=80, deadline=None)
-@given(presieve_ranges())
-@example((1, 168, 1))  # a segment per odd integer: starts on each of 3, 5, 7, 11 and 13
-@example((3, 40, 2))  # segments start on 3, 7 and 11
-@example((5, 30, 4))  # segments start on 5 and 13
-@example((13, 13, 1))
-@example((9, 12, 1))  # 11 in a segment of its own, 9 presieved away
-@example((_PERIOD - 7, _PERIOD + 60, 3))
-@example((1, 2 * _PERIOD + 5, integers.WHEEL + 1))
-def test_mangoldt_sieve_matches_eratosthenes(case):
-    """mangoldt_sieve, whose segments start presieved by 3 * 5 * 7 * 11 *
-    13, lists the prime powers of a plain sieve of Eratosthenes, with each
-    n a power of its prime."""
-    lo, hi, seg = case
-    with mock.patch.object(integers, "SEGMENT", seg):
-        table = mangoldt_sieve(lo, hi)
-    assert table.n.tolist() == eratosthenes_prime_powers(lo, hi)
-    assert all(_prime_exponent(n, p) for n, p in zip(table.n.tolist(), table.prime.tolist()))
-
-
 def smooth_oracle(x, z, b):
     count = 0
     for n in range(1, x):

@@ -499,14 +499,14 @@ def test_restricted_report_bins_lambda_once(monkeypatch):
     assert binned == [105, 7, 21, 35, 105]
 
 
-def _check_tsum_plan_bins(xs, tmp_path, monkeypatch, capsys):
-    """Run a small copy of the bench tsum plan at the two xs in one process
-    (two sum T per modulus and x, four moduli, report restricted at each x)
-    and check that it bins each prime power at most once per modulus: the
-    prime powers up to the first x, then only those between the two, and
-    report restricted folds the bins mod 4725.  Every command prints the
-    same bytes against a fresh cache as in the warm sequence."""
-    moduli = (4725, 1024, 2310, 7919)
+def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch, capsys):
+    """A small copy of the bench tsum plan in one process (two sum T per
+    modulus and x, four moduli, report restricted at each x) bins each
+    prime power at most once per modulus: the prime powers up to the first
+    x, then only those between the two, and report restricted folds the
+    bins mod 4725.  Every command prints the same bytes against
+    a fresh cache as in the warm sequence."""
+    moduli, xs = (4725, 1024, 2310, 7919), (10**6, 2 * 10**6)
     commands = []
     for x in xs:
         for D in moduli:
@@ -528,19 +528,6 @@ def _check_tsum_plan_bins(xs, tmp_path, monkeypatch, capsys):
     for i, argv in enumerate(commands):
         monkeypatch.setattr(sums, "_LAMBDA", sums._LambdaCache())
         assert outputs(argv, f"fresh-{i}") == warm[i]
-
-
-def test_tsum_plan_bins_each_prime_power_once_per_modulus(tmp_path, monkeypatch, capsys):
-    """The tsum plan at x = 1e6 and 2e6, where the Lambda arrays outweigh
-    the bins, bins each prime power once per modulus."""
-    _check_tsum_plan_bins((10**6, 2 * 10**6), tmp_path, monkeypatch, capsys)
-
-
-def test_tsum_plan_keeps_its_bins_at_small_x(tmp_path, monkeypatch, capsys):
-    """At x = 1e5 and 2e5 the bins of the four moduli (about 640 KB)
-    outweigh the Lambda arrays (about 300 KB) but not BIN_FLOOR, so they
-    stay cached: each prime power is still binned once per modulus."""
-    _check_tsum_plan_bins((10**5, 2 * 10**5), tmp_path, monkeypatch, capsys)
 
 
 def test_lambda_sum_peak_memory_is_bounded_by_chunks(monkeypatch):
